@@ -68,9 +68,8 @@ func sideFromTable(info *TableInfo, ds *storage.Dataset, firstKey string) algoIn
 //     filtered (otherwise scanning the inner once beats per-row index
 //     lookups — the Q8 nation case), AND the other side is a base dataset
 //     with a secondary index on its join key. When the inner is a paged
-//     dataset the filter heuristic is replaced by real arithmetic: an index
-//     probe decodes at most one page per binding, a scan-plus-hash-probe
-//     decodes every page, so a binding set smaller than the inner's page
+//     dataset the filter heuristic is replaced by real arithmetic (see
+//     indexBeatsScannedPages): a binding set smaller than the inner's page
 //     count makes index seeks the cheaper access path even unfiltered.
 //     Resident inners (pages == 0) keep the original heuristic exactly.
 //  2. Broadcast: one side's estimated bytes fit the threshold; replicate it
@@ -106,12 +105,15 @@ func ChooseAlgo(cfg AlgoConfig, left, right algoInput) (plan.Algo, bool) {
 }
 
 // indexBeatsScannedPages is the paged-inner access-path comparison: with a
-// real page count in hand, outerRows index probes touch at most outerRows
-// pages (each seek lands on the page holding its matches; the per-partition
-// decoded-page window absorbs clustered keys), while a hash probe's inner
-// scan decodes all of them. Strictly fewer probe-side page touches than
-// scan pages picks the index. pages == 0 (resident inner) declines, keeping
-// the resident rule byte-identical.
+// real page count in hand, the index join reads at most min(fetched rows,
+// pages) of the inner's pages per probe batch — the store serves a batch's
+// row offsets in page order, each touched page read once and only the
+// matched rows built — while a hash probe's inner scan reads all of them.
+// The offsets of a secondary index are not clustered, so nothing places one
+// binding's matches on one page: the rule takes outerRows as the stand-in for
+// pages touched and picks the index when that is strictly fewer than the scan
+// would read. pages == 0 (resident inner) declines, keeping the resident rule
+// byte-identical.
 func indexBeatsScannedPages(outerRows, pages int64) bool {
 	return pages > 0 && outerRows > 0 && outerRows < pages
 }

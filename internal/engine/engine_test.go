@@ -14,7 +14,7 @@ import (
 
 // testCtx builds a context with a fresh catalog on an n-node cluster,
 // honoring any chunk capacity installed by withChunkCap.
-func testCtx(t *testing.T, nodes int) *Context {
+func testCtx(t testing.TB, nodes int) *Context {
 	t.Helper()
 	return &Context{
 		Cluster:   cluster.New(nodes),
@@ -34,7 +34,7 @@ func intSchema(cols ...string) *types.Schema {
 }
 
 // register builds and registers a dataset of rows (each row a []int64).
-func register(t *testing.T, ctx *Context, name string, pk []string, cols []string, rows [][]int64) *storage.Dataset {
+func register(t testing.TB, ctx *Context, name string, pk []string, cols []string, rows [][]int64) *storage.Dataset {
 	t.Helper()
 	tuples := make([]types.Tuple, len(rows))
 	for i, r := range rows {

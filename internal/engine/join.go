@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 
+	"dynopt/internal/cluster"
 	"dynopt/internal/expr"
 	"dynopt/internal/storage"
 	"dynopt/internal/types"
@@ -648,75 +650,11 @@ func indexNLJoinBatch(ctx *Context, outer *Relation, inner *storage.Dataset, inn
 
 	outSchema := outer.Schema.Concat(innerSchema)
 	out := &Relation{Schema: outSchema, Parts: make([][]types.Tuple, n)}
-	residual := iCols[1:]
-	oResidual := oCols[1:]
 	err = forEachPart(n, func(p int) error {
-		part := inner.Parts[p]
-		// Paged inner: rows fetch page-granularly through a decoded-page view
-		// — only pages holding matched rows are read, which is exactly the
-		// access-path advantage the optimizer picks index seeks for.
-		var pview *storage.PartView
-		if pgd := inner.Paged(); pgd != nil {
-			pview = pgd.Part(p)
-		}
-		key0 := oCols[0]
-		// Pass 1: resolve every outer row's index range once. Lookup yields
-		// a position range over the sorted index keys — no per-probe []int
-		// materialization — and the range widths bound the output exactly
-		// (pre-filter), so the header slice and arena are sized up front.
-		ranges := make([]int32, 2*len(outerAll))
-		var fetched int64
-		for o, ot := range outerAll {
-			lo, hi := idx.Lookup(p, ot[key0])
-			ranges[2*o], ranges[2*o+1] = int32(lo), int32(hi)
-			fetched += int64(hi - lo)
-		}
-		acct.IndexLookups.Add(int64(len(outerAll)))
-		acct.IndexRows.Add(fetched)
-		var arena types.Arena
-		rows := make([]types.Tuple, 0, fetched)
-		rowAt := idx.Rows(p)
-		if pview == nil && len(residual) == 0 && pred == nil {
-			// No post-fetch filtering: the bound is exact, and the fetch
-			// loop carries no per-row branch work.
-			arena.Reserve(int(fetched) * outSchema.Len())
-			for o, ot := range outerAll {
-				for i := ranges[2*o]; i < ranges[2*o+1]; i++ {
-					rows = append(rows, arena.Concat(ot, part[rowAt[i]]))
-				}
-			}
-			out.Parts[p] = rows
-			return nil
-		}
-		for o, ot := range outerAll {
-			for i := ranges[2*o]; i < ranges[2*o+1]; i++ {
-				var it types.Tuple
-				if pview != nil {
-					var err error
-					it, err = pview.Row(rowAt[i])
-					if err != nil {
-						return err
-					}
-				} else {
-					it = part[rowAt[i]]
-				}
-				if len(residual) > 0 && !ot.KeysEqual(oResidual, it, residual) {
-					continue
-				}
-				if pred != nil {
-					v, err := pred(it)
-					if err != nil {
-						return err
-					}
-					if !v.IsTrue() {
-						continue
-					}
-				}
-				rows = append(rows, arena.Concat(ot, it))
-			}
-		}
+		pr := newIndexProbe(ctx, inner, idx, p, oCols, iCols, pred, outSchema.Len())
+		rows, err := pr.join(outerAll, nil)
 		out.Parts[p] = rows
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -739,4 +677,121 @@ func indexNLJoinBatch(ctx *Context, outer *Relation, inner *storage.Dataset, inn
 		}
 	}
 	return out, nil
+}
+
+// indexProbe is one partition's indexed nested-loop probe, shared by the
+// batch and streaming joins: it owns the partition's inner access (resident
+// rows, or the paged store's batched fetcher) and the per-batch scratch.
+type indexProbe struct {
+	idx   *storage.Index
+	p     int
+	part  []types.Tuple     // resident inner rows; empty for a paged inner
+	view  *storage.PartView // paged inner rows, fetched a batch at a time
+	rowAt []int             // index position → partition-local row offset
+
+	key0                int
+	oResidual, residual []int // composite-key columns checked after the fetch
+	pred                expr.Compiled
+	acct                *cluster.Accounting
+	outWidth            int
+
+	arena  types.Arena
+	ranges []int32
+	offs   []int
+	inner  []types.Tuple
+}
+
+func newIndexProbe(ctx *Context, inner *storage.Dataset, idx *storage.Index, p int, oCols, iCols []int, pred expr.Compiled, outWidth int) *indexProbe {
+	pr := &indexProbe{
+		idx: idx, p: p, part: inner.Parts[p], rowAt: idx.Rows(p),
+		key0: oCols[0], oResidual: oCols[1:], residual: iCols[1:],
+		pred: pred, acct: ctx.Accounting(), outWidth: outWidth,
+	}
+	if pgd := inner.Paged(); pgd != nil {
+		pr.view = pgd.Part(p, ctx.PageStats)
+	}
+	return pr
+}
+
+// join probes the index with every row of outer and returns dst[:0] extended
+// with the matches' outer⧺inner tuples, in (outer row, index position)
+// order. The outer rows are the live rows of one batch: the whole broadcast
+// outer in the batch join, the coalesced replicated chunks in the streaming
+// join.
+func (pr *indexProbe) join(outer []types.Tuple, dst []types.Tuple) ([]types.Tuple, error) {
+	// Pass 1: resolve every outer row's index range once. Lookup yields a
+	// position range over the sorted index keys — no per-probe []int
+	// materialization — and the range widths bound the output exactly
+	// (pre-filter), so the header slice and arena are sized up front.
+	pr.ranges = slices.Grow(pr.ranges[:0], 2*len(outer))[:2*len(outer)]
+	ranges := pr.ranges
+	var fetched int64
+	for o, ot := range outer {
+		lo, hi := pr.idx.Lookup(pr.p, ot[pr.key0])
+		ranges[2*o], ranges[2*o+1] = int32(lo), int32(hi)
+		fetched += int64(hi - lo)
+	}
+	pr.acct.IndexLookups.Add(int64(len(outer)))
+	pr.acct.IndexRows.Add(fetched)
+	if dst == nil || cap(dst) < int(fetched) {
+		dst = make([]types.Tuple, 0, fetched)
+	}
+	dst = dst[:0]
+	if fetched == 0 {
+		return dst, nil
+	}
+	rowAt := pr.rowAt
+	if pr.view == nil && len(pr.residual) == 0 && pr.pred == nil {
+		// Resident inner, no post-fetch filtering: the bound is exact, and
+		// the fetch loop carries no per-row branch work.
+		pr.arena.Reserve(int(fetched) * pr.outWidth)
+		for o, ot := range outer {
+			for i := ranges[2*o]; i < ranges[2*o+1]; i++ {
+				dst = append(dst, pr.arena.Concat(ot, pr.part[rowAt[i]]))
+			}
+		}
+		return dst, nil
+	}
+	// Pass 2 (paged inner): every offset the batch resolved goes to the store
+	// in one fetch, which reads each touched page once and builds only the
+	// matched rows; inner[k] is the k-th fetched row in probe order.
+	if pr.view != nil {
+		pr.offs = pr.offs[:0]
+		for o := range outer {
+			for i := ranges[2*o]; i < ranges[2*o+1]; i++ {
+				pr.offs = append(pr.offs, rowAt[i])
+			}
+		}
+		var err error
+		pr.inner, err = pr.view.Fetch(pr.offs, pr.inner[:0])
+		if err != nil {
+			return nil, err
+		}
+	}
+	k := 0
+	for o, ot := range outer {
+		for i := ranges[2*o]; i < ranges[2*o+1]; i++ {
+			var it types.Tuple
+			if pr.view != nil {
+				it = pr.inner[k]
+				k++
+			} else {
+				it = pr.part[rowAt[i]]
+			}
+			if len(pr.residual) > 0 && !ot.KeysEqual(pr.oResidual, it, pr.residual) {
+				continue
+			}
+			if pr.pred != nil {
+				v, err := pr.pred(it)
+				if err != nil {
+					return nil, err
+				}
+				if !v.IsTrue() {
+					continue
+				}
+			}
+			dst = append(dst, pr.arena.Concat(ot, it))
+		}
+	}
+	return dst, nil
 }

@@ -423,99 +423,40 @@ func IndexNLJoinStream(ctx *Context, outer Source, inner *storage.Dataset, inner
 		return err
 	}
 
-	acct := ctx.Accounting()
-	residual := iCols[1:]
-	oResidual := oCols[1:]
-	key0 := oCols[0]
-	outWidth := outSchema.Len()
 	totalRows, totalBytes, err := runReplicate(ctx, outer, n, func(p int, st probeStream) error {
-		part := inner.Parts[p]
-		// Paged inner: page-granular row fetch (see IndexNLJoin).
-		var pview *storage.PartView
-		if pgd := inner.Paged(); pgd != nil {
-			pview = pgd.Part(p)
+		pr := newIndexProbe(ctx, inner, idx, p, oCols, iCols, pred, outSchema.Len())
+		// Outer chunks arrive one per source-partition window and — the outer
+		// being small and filtered — mostly far below chunk capacity. They are
+		// coalesced up to that capacity before probing, so one probe batch
+		// (one page-ordered fetch on a paged inner) serves as many outer rows
+		// as a full chunk holds instead of revisiting the inner's pages once
+		// per sliver. Output order is unchanged: batches keep arrival order.
+		var pending, rows []types.Tuple
+		probe := func() error {
+			var err error
+			rows, err = pr.join(pending, rows)
+			pending = pending[:0]
+			if err != nil || len(rows) == 0 {
+				return err
+			}
+			return sink.Emit(p, rows)
 		}
-		rowAt := idx.Rows(p)
-		var arena types.Arena
-		var rows []types.Tuple
-		var ranges []int32
 		for {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			c, err := st.next()
 			if err == io.EOF {
-				return nil
+				return probe()
 			}
 			if err != nil {
 				return err
 			}
-			// Pass 1: resolve every outer row's index range once; the range
-			// widths bound the chunk's output exactly (pre-filter), sizing
-			// the header slice and arena up front. Replicated chunks are
-			// dense (the broadcast flattens selections), so c.Rows is the
-			// live set.
-			if cap(ranges) < 2*len(c.Rows) {
-				want := 2 * ctx.chunkRows()
-				if want < 2*len(c.Rows) {
-					want = 2 * len(c.Rows)
-				}
-				ranges = make([]int32, 0, want)
-			}
-			ranges = ranges[:2*len(c.Rows)]
-			var fetched int64
-			for o, ot := range c.Rows {
-				lo, hi := idx.Lookup(p, ot[key0])
-				ranges[2*o], ranges[2*o+1] = int32(lo), int32(hi)
-				fetched += int64(hi - lo)
-			}
-			acct.IndexLookups.Add(int64(len(c.Rows)))
-			acct.IndexRows.Add(fetched)
-			if fetched == 0 {
-				continue
-			}
-			if cap(rows) < int(fetched) {
-				rows = make([]types.Tuple, 0, fetched)
-			}
-			rows = rows[:0]
-			if pview == nil && len(residual) == 0 && pred == nil {
-				arena.Reserve(int(fetched) * outWidth)
-				for o, ot := range c.Rows {
-					for i := ranges[2*o]; i < ranges[2*o+1]; i++ {
-						rows = append(rows, arena.Concat(ot, part[rowAt[i]]))
-					}
-				}
-			} else {
-				for o, ot := range c.Rows {
-					for i := ranges[2*o]; i < ranges[2*o+1]; i++ {
-						var it types.Tuple
-						if pview != nil {
-							var err error
-							it, err = pview.Row(rowAt[i])
-							if err != nil {
-								return err
-							}
-						} else {
-							it = part[rowAt[i]]
-						}
-						if len(residual) > 0 && !ot.KeysEqual(oResidual, it, residual) {
-							continue
-						}
-						if pred != nil {
-							v, err := pred(it)
-							if err != nil {
-								return err
-							}
-							if !v.IsTrue() {
-								continue
-							}
-						}
-						rows = append(rows, arena.Concat(ot, it))
-					}
-				}
-			}
-			if len(rows) > 0 {
-				if err := sink.Emit(p, rows); err != nil {
+			// Replicated chunks are dense (the broadcast flattens selections),
+			// so c.Rows is the live set.
+			pending = append(pending, c.Rows...)
+			if len(pending) >= ctx.chunkRows() {
+				if err := probe(); err != nil {
 					return err
 				}
 			}
@@ -524,6 +465,7 @@ func IndexNLJoinStream(ctx *Context, outer Source, inner *storage.Dataset, inner
 	if err != nil {
 		return err
 	}
+	acct := ctx.Accounting()
 	if n > 1 {
 		acct.BroadcastRows.Add(totalRows * int64(n-1))
 		acct.BroadcastBytes.Add(totalBytes * int64(n-1))

@@ -14,7 +14,7 @@ import (
 // pagedCopy converts ctx's resident dataset name into a paged twin on a
 // second context, backed by page files of rowsPerPage under a cache of
 // cacheBytes.
-func pagedCopy(t *testing.T, ctx *Context, name string, rowsPerPage int, cacheBytes int64) *Context {
+func pagedCopy(t testing.TB, ctx *Context, name string, rowsPerPage int, cacheBytes int64) *Context {
 	t.Helper()
 	ds, ok := ctx.Catalog.Get(name)
 	if !ok {

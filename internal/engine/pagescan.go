@@ -16,38 +16,29 @@ import (
 //     (expr.ZoneRanges) are checked against each page's directory min/max
 //     before the page is read — a page whose zone map proves every row fails
 //     an ANDed conjunct is skipped without a read or a decode.
-//   - Projection pushdown: with a projection, only the projected columns and
-//     the filter's columns are decoded; every other column's bytes are
-//     skipped inside the page payload.
-//   - Columnar decode: typed page columns decode into the same ColVec form
-//     the vectorized predicate kernels and the columnar join-key prehash
-//     consume, so a paged chunk's column source needs no row-window gather.
+//   - Filter before materialize: only the filter's columns decode into the
+//     ColVec form the vectorized predicate kernels consume, and the predicate
+//     runs over them; a row that fails it is never built.
+//   - Projection pushdown: survivors are built straight from the page payload
+//     (types.MaterializePageRows) at the projected width — every unprojected
+//     column's bytes are skipped inside the payload.
 //
 // Scan metering is identical to resident mode — the full partition is
 // charged when the cursor opens, pruned or not (I/O actually saved is
 // observed separately through Context.PageStats, which feeds the
 // optimizer's access-path selection rather than the cost counters).
 
-// pageNeedCols resolves which columns a paged scan must decode: the
-// projected columns plus every column the filter reads. nil means all (no
-// projection — the full row width flows downstream).
-func pageNeedCols(sp *scanPrep, filter expr.Expr) []bool {
-	if sp.projIdx == nil {
-		return nil
-	}
+// pageFilterCols resolves the need-mask of the columns a pushed-down filter
+// reads — the only columns a paged scan decodes into vectors.
+func pageFilterCols(sp *scanPrep, filter expr.Expr) []bool {
 	need := make([]bool, sp.qualified.Len())
-	for _, i := range sp.projIdx {
-		need[i] = true
-	}
-	if filter != nil {
-		for _, c := range expr.ColumnsOf(filter) {
-			name := c.Name
-			if c.Qualifier != "" {
-				name = c.Qualifier + "." + c.Name
-			}
-			if i, ok := sp.qualified.Index(name); ok {
-				need[i] = true
-			}
+	for _, c := range expr.ColumnsOf(filter) {
+		name := c.Name
+		if c.Qualifier != "" {
+			name = c.Qualifier + "." + c.Name
+		}
+		if i, ok := sp.qualified.Index(name); ok {
+			need[i] = true
 		}
 	}
 	return need
@@ -78,74 +69,63 @@ func pagePruned(zones []expr.ColRange, pi *storage.PageInfo) bool {
 }
 
 // pagedCursor streams one partition of a paged dataset: prune → read (through
-// the shared page cache) → decode needed columns → filter → emit, page by
-// page, in windows of at most ctx.chunkRows() rows so chunk capacity and
-// page boundaries stay independent.
+// the shared page cache) → filter → materialize survivors → emit, page by
+// page. A filtered page decodes only the predicate's columns and evaluates
+// the predicate over them; tuples are then built, straight from the page
+// payload into the arena at the scan's output width, for exactly the rows
+// that passed. Chunks are dense windows of at most ctx.chunkRows() survivors,
+// so chunk capacity and page boundaries stay independent.
 type pagedCursor struct {
-	ctx   *Context
-	prep  *scanPrep
-	pg    *storage.PagedData
-	part  int
-	page  int // next page index
-	pd    types.PageData
-	win   []types.Tuple // materialized rows of the current page
-	lo    int           // next unemitted row within win
+	ctx  *Context
+	prep *scanPrep
+	pg   *storage.PagedData
+	part int
+	page int // next page index
+
+	// Predicate state, touched only under a filter: the page's decoded filter
+	// columns, and the row-form window over them the predicate's scalar nodes
+	// read — tuples carved from one reused buffer, cut off after the last
+	// column the filter reads, with every column it does not read left NULL.
+	pd     types.PageData
+	mixed  types.ColVec
+	pwidth int
+	pwin   []types.Tuple
+	pvals  []types.Value
+
 	sel   []int32
 	arena types.Arena
-	rows  []types.Tuple
+	rows  []types.Tuple // the current page's surviving rows
+	lo    int           // next unemitted row within rows
 	c     Chunk
-
-	// Window column source: per-column slices of the decoded page vectors,
-	// cut to the emitted window. Rebuilt lazily per window like a ColCache.
-	vecs     []types.ColVec
-	vecGen   []uint64
-	gen      uint64
-	wlo, whi int
 }
 
 func newPagedCursor(ctx *Context, ds *storage.Dataset, prep *scanPrep, p int) *pagedCursor {
-	return &pagedCursor{
-		ctx:    ctx,
-		prep:   prep,
-		pg:     ds.Paged(),
-		part:   p,
-		vecs:   make([]types.ColVec, prep.qualified.Len()),
-		vecGen: make([]uint64, prep.qualified.Len()),
+	c := &pagedCursor{ctx: ctx, prep: prep, pg: ds.Paged(), part: p, mixed: types.ColVec{Mixed: true}}
+	for col, need := range prep.filterCols {
+		if need {
+			c.pwidth = col + 1
+		}
 	}
+	return c
 }
 
-// Col implements types.ColSource over the current emitted window: typed page
-// vectors are sliced (no copies), fallback and skipped columns surface as
-// Mixed so consumers use the row form.
+// Col implements types.ColSource for the vectorized predicate: the current
+// page's decoded filter columns, whole-page. Fallback-encoded columns (and
+// columns the filter never named) surface as Mixed so kernels use the
+// predicate window's row form.
 func (c *pagedCursor) Col(i int) *types.ColVec {
-	v := &c.vecs[i]
-	if c.vecGen[i] == c.gen {
-		return v
-	}
-	c.vecGen[i] = c.gen
 	pc := &c.pd.Cols[i]
 	if pc.Skipped || pc.Fallback {
-		*v = types.ColVec{Kind: c.prep.qualified.Fields[i].Kind, Mixed: true}
-		return v
+		return &c.mixed
 	}
-	src := &pc.Vec
-	*v = types.ColVec{Kind: src.Kind, Null: src.Null[c.wlo:c.whi]}
-	switch src.Kind {
-	case types.KindInt:
-		v.Ints = src.Ints[c.wlo:c.whi]
-	case types.KindFloat:
-		v.Floats = src.Floats[c.wlo:c.whi]
-	case types.KindString:
-		v.Strs = src.Strs[c.wlo:c.whi]
-	default:
-		v.Mixed = true
-	}
-	return v
+	return &pc.Vec
 }
 
-// loadPage advances to the next unpruned page and materializes its row
-// window. Returns io.EOF past the last page.
+// loadPage advances to the next unpruned page with at least one surviving
+// row and materializes its survivors into c.rows. Returns io.EOF past the
+// last page.
 func (c *pagedCursor) loadPage() error {
+	schema := c.pg.File().Schema()
 	for {
 		if c.page >= c.pg.Pages(c.part) {
 			return io.EOF
@@ -165,41 +145,54 @@ func (c *pagedCursor) loadPage() error {
 		if err != nil {
 			return err
 		}
-		if err := c.pd.DecodePage(buf, c.pg.File().Schema(), c.prep.need); err != nil {
+		nrows, err := types.PageRows(buf)
+		if err != nil {
 			return err
 		}
-		// Materialize the page's row window: fresh tuple headers per page
-		// (chunks may outlive the next Next call on pass-through paths, as
-		// resident scans' stored windows do). Undecoded columns are NULL —
-		// only reachable when a projection is pushed down, whose gather
-		// reads decoded columns only.
-		win := make([]types.Tuple, c.pd.NRows)
-		//dynopt:hotpath
-		for r := range win {
-			win[r] = c.pd.Tuple(r)
+		sel := c.allRows(nrows)
+		if c.prep.pred != nil {
+			if err := c.pd.DecodePage(buf, schema, c.prep.filterCols); err != nil {
+				return err
+			}
+			sel, err = c.filterPage(sel)
+			if err != nil {
+				return err
+			}
 		}
-		c.win = win
+		if len(sel) == 0 {
+			continue
+		}
+		c.rows, err = types.MaterializePageRows(buf, schema, c.prep.projIdx, sel, &c.arena, c.rows[:0])
+		if err != nil {
+			return err
+		}
 		c.lo = 0
 		return nil
 	}
 }
 
-// filterWindow evaluates the fused predicate over window rows [lo, hi) of
-// the current page, returning the live selection (window-relative,
-// ascending, aliasing the reused buffer).
-func (c *pagedCursor) filterWindow(win []types.Tuple) ([]int32, error) {
-	if cap(c.sel) < len(win) {
-		c.sel = make([]int32, len(win))
+// allRows returns the identity selection over an n-row page in the reused
+// selection buffer.
+func (c *pagedCursor) allRows(n int) []int32 {
+	if cap(c.sel) < n {
+		c.sel = make([]int32, n)
 	}
-	sel := c.sel[:len(win)]
+	sel := c.sel[:n]
+	//dynopt:hotpath
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return sel
+}
+
+// filterPage evaluates the fused predicate over the decoded page and narrows
+// sel (all of the page's rows) to the rows that pass.
+func (c *pagedCursor) filterPage(sel []int32) ([]int32, error) {
+	win := c.predWindow()
 	if c.prep.vpred != nil {
-		//dynopt:hotpath
-		for i := range sel {
-			sel[i] = int32(i)
-		}
 		return c.prep.vpred(win, c, sel)
 	}
-	sel = sel[:0]
+	out := sel[:0]
 	//dynopt:hotpath
 	for i, t := range win {
 		v, err := c.prep.pred(t)
@@ -207,77 +200,49 @@ func (c *pagedCursor) filterWindow(win []types.Tuple) ([]int32, error) {
 			return nil, err
 		}
 		if v.IsTrue() {
-			sel = append(sel, int32(i))
+			out = append(out, int32(i))
 		}
 	}
-	return sel, nil
+	return out, nil
+}
+
+// predWindow lays the decoded filter columns out as the predicate's row
+// window. The buffer is reused page to page: only filter columns are ever
+// written, so every other column reads NULL without being cleared.
+func (c *pagedCursor) predWindow() []types.Tuple {
+	n, width := c.pd.NRows, c.pwidth
+	if len(c.pwin) < n {
+		c.pvals = make([]types.Value, n*width)
+		c.pwin = make([]types.Tuple, n)
+		for r := range c.pwin {
+			c.pwin[r] = c.pvals[r*width : (r+1)*width : (r+1)*width]
+		}
+	}
+	for col, need := range c.prep.filterCols[:width] {
+		if !need {
+			continue
+		}
+		//dynopt:hotpath
+		for r := 0; r < n; r++ {
+			c.pvals[r*width+col] = c.pd.Value(col, r)
+		}
+	}
+	return c.pwin[:n]
 }
 
 func (c *pagedCursor) Next() (*Chunk, error) {
-	for {
-		if err := c.ctx.Err(); err != nil {
+	if err := c.ctx.Err(); err != nil {
+		return nil, err
+	}
+	if c.lo >= len(c.rows) {
+		if err := c.loadPage(); err != nil {
 			return nil, err
 		}
-		if c.lo >= len(c.win) {
-			if err := c.loadPage(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		hi := c.lo + c.ctx.chunkRows()
-		if hi > len(c.win) {
-			hi = len(c.win)
-		}
-		c.wlo, c.whi = c.lo, hi
-		c.gen++
-		win := c.win[c.lo:hi]
-		c.lo = hi
-		var cols types.ColSource
-		if !c.ctx.NoVec {
-			cols = c
-		}
-		if c.prep.passThrough() {
-			c.c = Chunk{Rows: win, Cols: cols}
-			return &c.c, nil
-		}
-		var sel []int32
-		if c.prep.pred != nil {
-			var err error
-			sel, err = c.filterWindow(win)
-			if err != nil {
-				return nil, err
-			}
-			if len(sel) == 0 {
-				continue
-			}
-		}
-		if c.prep.projIdx == nil {
-			if len(sel) == len(win) {
-				sel = nil
-			}
-			c.c = Chunk{Rows: win, Sel: sel, Cols: cols}
-			return &c.c, nil
-		}
-		c.rows = c.rows[:0]
-		gather := func(t types.Tuple) {
-			pt := c.arena.Make(len(c.prep.projIdx))
-			for i, idx := range c.prep.projIdx {
-				pt[i] = t[idx]
-			}
-			c.rows = append(c.rows, pt)
-		}
-		if sel != nil {
-			for _, r := range sel {
-				gather(win[r])
-			}
-		} else {
-			for _, t := range win {
-				gather(t)
-			}
-		}
-		c.c = Chunk{Rows: c.rows}
-		return &c.c, nil
 	}
+	hi := min(c.lo+c.ctx.chunkRows(), len(c.rows))
+	c.c = Chunk{Rows: c.rows[c.lo:hi]}
+	c.lo = hi
+	return &c.c, nil
 }
 
 // pagedScanInto materializes a prepared scan over a paged dataset as a
@@ -299,15 +264,9 @@ func pagedScanInto(ctx *Context, ds *storage.Dataset, sp *scanPrep) (*Relation, 
 			if err != nil {
 				return err
 			}
-			if ch.Sel != nil {
-				for _, r := range ch.Sel {
-					rows = append(rows, ch.Rows[r])
-				}
-			} else {
-				// Projection chunks reuse the cursor's row buffer; copy the
-				// headers out so the next chunk cannot overwrite them.
-				rows = append(rows, ch.Rows...)
-			}
+			// Chunks window the cursor's reused row buffer; copy the headers
+			// out so the next page cannot overwrite them.
+			rows = ch.appendLive(rows)
 		}
 		out.Parts[p] = rows
 		return nil

@@ -319,7 +319,7 @@ func TestStreamMatchesBatchEmptyInputs(t *testing.T) {
 
 // registerTyped registers a dataset with an explicit schema, for tests that
 // need non-int columns alongside the int helpers.
-func registerTyped(t *testing.T, ctx *Context, name string, pk []string, schema *types.Schema, rows []types.Tuple) *storage.Dataset {
+func registerTyped(t testing.TB, ctx *Context, name string, pk []string, schema *types.Schema, rows []types.Tuple) *storage.Dataset {
 	t.Helper()
 	ds, st, err := storage.Build(name, schema, pk, rows, ctx.Cluster.Nodes())
 	if err != nil {

@@ -24,10 +24,11 @@ type scanPrep struct {
 	projIdx   []int
 	outSchema *types.Schema
 	partCols  []int
-	// Paged-scan pushdown state (nil for resident datasets): the filter's
-	// extracted zone-map ranges, and which columns must decode (nil = all).
-	zones []expr.ColRange
-	need  []bool
+	// Paged-scan pushdown state (nil for resident datasets or no filter): the
+	// filter's extracted zone-map ranges, and the need-mask of the columns it
+	// reads.
+	zones      []expr.ColRange
+	filterCols []bool
 }
 
 // passThrough reports whether the scan emits stored rows unchanged.
@@ -85,11 +86,9 @@ func prepareScan(ctx *Context, ds *storage.Dataset, alias string, filter expr.Ex
 			sp.partCols = cols
 		}
 	}
-	if ds.IsPaged() {
-		if filter != nil {
-			sp.zones = expr.ZoneRanges(filter, env)
-		}
-		sp.need = pageNeedCols(sp, filter)
+	if ds.IsPaged() && filter != nil {
+		sp.zones = expr.ZoneRanges(filter, env)
+		sp.filterCols = pageFilterCols(sp, filter)
 	}
 	return sp, nil
 }

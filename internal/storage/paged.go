@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -21,8 +23,8 @@ import (
 // from the page directory, computed by the same EncodedSize walk at
 // conversion time — scan metering is byte-identical to resident mode);
 // everything row-shaped routes through PagedData: page-granular scans with
-// zone-map pruning and projection pushdown in the engine, page-granular row
-// fetches for indexed nested-loop probes, and transient materialization for
+// zone-map pruning and projection pushdown in the engine, page-ordered batched
+// row fetches for indexed nested-loop probes, and transient materialization for
 // index builds and pilot sampling.
 
 // PagedData is a dataset's disk backing: the open page file, the shared
@@ -31,7 +33,7 @@ type PagedData struct {
 	file  *PageFile
 	cache *PageCache
 	// cum[p][i] is the partition-local row offset where page i starts;
-	// cum[p][len] is the partition row count — Row's binary-search table.
+	// cum[p][len] is the partition row count — Fetch's page lookup table.
 	cum [][]int64
 }
 
@@ -196,70 +198,78 @@ func (pg *PagedData) EachRow(p int, fn func(t types.Tuple) bool) error {
 	return nil
 }
 
-// partViewPages bounds a view's decoded-page LRU: index probes touch runs of
-// adjacent fetched rows, so a handful of decoded pages covers the locality.
-const partViewPages = 4
-
-// PartView is a page-granular row fetcher over one partition — the paged
-// face of `part[off]` for indexed nested-loop probes. Each view owns a small
-// LRU of fully decoded pages; views are single-goroutine (one per partition
-// worker), so no lock.
+// PartView is the batched row fetcher over one partition — the paged face of
+// `part[off]` for indexed nested-loop probes. A view is single-goroutine (one
+// per partition worker) and owns the batch scratch, so steady-state fetches
+// allocate only the fetched tuples themselves.
 type PartView struct {
-	pg   *PagedData
-	p    int
-	keys [partViewPages]int // page index per slot, -1 when empty
-	rows [partViewPages][]types.Tuple
-	tick [partViewPages]int64
-	now  int64
+	pg    *PagedData
+	p     int
+	st    *PageScanStats
+	arena types.Arena
+	order []int32       // request positions, sorted by offset
+	sel   []int32       // one page's distinct row indexes, ascending
+	rows  []types.Tuple // one page's materialized rows, aligned with sel
 }
 
-// Part returns a fresh row-fetch view over partition p.
-func (pg *PagedData) Part(p int) *PartView {
-	v := &PartView{pg: pg, p: p}
-	for i := range v.keys {
-		v.keys[i] = -1
-	}
-	return v
+// Part returns a fresh row-fetch view over partition p. st, when non-nil,
+// observes the page reads and cache traffic of every fetch.
+func (pg *PagedData) Part(p int, st *PageScanStats) *PartView {
+	return &PartView{pg: pg, p: p, st: st}
 }
 
-// Row fetches the partition-local row at offset off, decoding (and caching)
-// the page holding it on first touch.
-func (v *PartView) Row(off int) (types.Tuple, error) {
+// Fetch appends the partition-local rows at offs to dst, in request order.
+// The batch is served in page order: each page holding a requested row is
+// read once through the page cache and only the requested rows are built
+// (a repeated offset is built once and shared), so a batch costs at most
+// min(len(offs), partition pages) page reads however the offsets scatter.
+// The tuples are arena-backed and stay valid after later fetches.
+func (v *PartView) Fetch(offs []int, dst []types.Tuple) ([]types.Tuple, error) {
 	cum := v.pg.cum[v.p]
-	if off < 0 || int64(off) >= cum[len(cum)-1] {
-		return nil, fmt.Errorf("storage: row offset %d out of range for paged partition %d", off, v.p)
+	nrows := cum[len(cum)-1]
+	v.order = v.order[:0]
+	for i, off := range offs {
+		if off < 0 || int64(off) >= nrows {
+			return dst, fmt.Errorf("storage: row offset %d out of range for paged partition %d", off, v.p)
+		}
+		v.order = append(v.order, int32(i))
 	}
-	// Page containing off: the last page whose start is <= off.
-	pi := sort.Search(len(cum)-1, func(i int) bool { return cum[i+1] > int64(off) })
-	v.now++
-	for s := range v.keys {
-		if v.keys[s] == pi {
-			v.tick[s] = v.now
-			return v.rows[s][int64(off)-cum[pi]], nil
+	slices.SortFunc(v.order, func(a, b int32) int { return cmp.Compare(offs[a], offs[b]) })
+	base := len(dst)
+	dst = slices.Grow(dst, len(offs))[:base+len(offs)]
+	out := dst[base:]
+	schema := v.pg.file.schema
+	pi := 0
+	for k := 0; k < len(v.order); {
+		// The page holding the next offset, and the run of the sorted batch
+		// that lands on it: sel collects the run's distinct page-local rows.
+		off := int64(offs[v.order[k]])
+		pi += sort.Search(len(cum)-1-pi, func(i int) bool { return cum[pi+i+1] > off })
+		first, limit := cum[pi], cum[pi+1]
+		end := k
+		v.sel = v.sel[:0]
+		for ; end < len(v.order) && int64(offs[v.order[end]]) < limit; end++ {
+			if r := int32(int64(offs[v.order[end]]) - first); len(v.sel) == 0 || v.sel[len(v.sel)-1] != r {
+				v.sel = append(v.sel, r)
+			}
+		}
+		buf, err := v.pg.ReadPage(v.p, pi, v.st)
+		if err != nil {
+			return dst[:base], err
+		}
+		v.rows, err = types.MaterializePageRows(buf, schema, nil, v.sel, &v.arena, v.rows[:0])
+		if err != nil {
+			return dst[:base], err
+		}
+		// Hand each request of the run its row; u trails the run through sel.
+		for u := 0; k < end; k++ {
+			if int32(int64(offs[v.order[k]])-first) != v.sel[u] {
+				u++
+			}
+			out[v.order[k]] = v.rows[u]
 		}
 	}
-	buf, err := v.pg.ReadPage(v.p, pi, nil)
-	if err != nil {
-		return nil, err
-	}
-	var pd types.PageData
-	if err := pd.DecodePage(buf, v.pg.file.schema, nil); err != nil {
-		return nil, err
-	}
-	rows := make([]types.Tuple, pd.NRows)
-	//dynopt:hotpath
-	for r := range rows {
-		rows[r] = pd.Tuple(r)
-	}
-	// Evict the least recently used slot.
-	slot := 0
-	for s := 1; s < partViewPages; s++ {
-		if v.tick[s] < v.tick[slot] {
-			slot = s
-		}
-	}
-	v.keys[slot], v.rows[slot], v.tick[slot] = pi, rows, v.now
-	return rows[int64(off)-cum[pi]], nil
+	return dst, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -359,14 +359,20 @@ func TestPagedOpenRoundTrip(t *testing.T) {
 		// The loaded index must agree with the in-memory one through the
 		// paged row fetcher.
 		idx := ods.Indexes["grp"]
-		view := ods.Paged().Part(p)
 		lo, hi := idx.Lookup(p, types.Int(3))
-		fi := ds.Schema.MustIndex("grp")
+		var offs []int
 		for i := lo; i < hi; i++ {
-			row, err := view.Row(idx.Row(p, i))
-			if err != nil {
-				t.Fatal(err)
-			}
+			offs = append(offs, idx.Row(p, i))
+		}
+		fetched, err := ods.Paged().Part(p, nil).Fetch(offs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi := ds.Schema.MustIndex("grp")
+		if len(fetched) != hi-lo {
+			t.Fatalf("paged index probe fetched %d rows, want %d", len(fetched), hi-lo)
+		}
+		for _, row := range fetched {
 			if row[fi].I() != 3 {
 				t.Fatalf("paged index probe fetched wrong row %v", row)
 			}

@@ -2,8 +2,10 @@ package types
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // Columnar page codec backing the disk-native dataset store. A page holds a
@@ -178,40 +180,57 @@ func AppendValue(dst []byte, v Value) []byte {
 	return dst
 }
 
+// valueSpan validates the tagged value at the head of src without building
+// it: the value's kind, its payload bytes src[lo:hi], and hi as the encoded
+// length. Malformed input is classified faults.ErrCorrupt.
+func valueSpan(src []byte) (k Kind, lo, hi int, err error) {
+	if len(src) == 0 {
+		return 0, 0, 0, corruptf("page value: truncated tag")
+	}
+	k = Kind(src[0])
+	switch k {
+	case KindNull:
+		return k, 1, 1, nil
+	case KindInt, KindFloat:
+		if 1+8 > len(src) {
+			return 0, 0, 0, corruptf("page value: truncated %v payload", k)
+		}
+		return k, 1, 9, nil
+	case KindString:
+		sl, m := binary.Uvarint(src[1:])
+		if m <= 0 || sl > MaxRecordBytes {
+			return 0, 0, 0, corruptf("page value: string length %d out of bounds", sl)
+		}
+		if uint64(len(src)-1-m) < sl {
+			return 0, 0, 0, corruptf("page value: truncated string payload")
+		}
+		return k, 1 + m, 1 + m + int(sl), nil
+	case KindBool:
+		if len(src) < 2 {
+			return 0, 0, 0, corruptf("page value: truncated bool payload")
+		}
+		return k, 1, 2, nil
+	default:
+		return 0, 0, 0, corruptf("page value: unknown kind tag %d", k)
+	}
+}
+
 // DecodeValue decodes one tagged value from src, returning the value and
 // bytes consumed. Malformed input is classified faults.ErrCorrupt.
 func DecodeValue(src []byte) (Value, int, error) {
-	if len(src) == 0 {
-		return Value{}, 0, corruptf("page value: truncated tag")
+	k, lo, hi, err := valueSpan(src)
+	if err != nil {
+		return Value{}, 0, err
 	}
-	k := Kind(src[0])
-	off := 1
 	switch k {
-	case KindNull:
-		return Value{}, off, nil
 	case KindInt, KindFloat:
-		if off+8 > len(src) {
-			return Value{}, 0, corruptf("page value: truncated %v payload", k)
-		}
-		return Value{K: k, num: binary.LittleEndian.Uint64(src[off:])}, off + 8, nil
+		return Value{K: k, num: binary.LittleEndian.Uint64(src[lo:])}, hi, nil
 	case KindString:
-		sl, m := binary.Uvarint(src[off:])
-		if m <= 0 || sl > MaxRecordBytes {
-			return Value{}, 0, corruptf("page value: string length %d out of bounds", sl)
-		}
-		if uint64(len(src)-off-m) < sl {
-			return Value{}, 0, corruptf("page value: truncated string payload")
-		}
-		off += m
-		return Value{K: KindString, S: string(src[off : off+int(sl)])}, off + int(sl), nil
+		return Value{K: KindString, S: string(src[lo:hi])}, hi, nil
 	case KindBool:
-		if off >= len(src) {
-			return Value{}, 0, corruptf("page value: truncated bool payload")
-		}
-		return Value{K: KindBool, B: src[off] != 0}, off + 1, nil
-	default:
-		return Value{}, 0, corruptf("page value: unknown kind tag %d", k)
+		return Value{K: KindBool, B: src[lo] != 0}, hi, nil
 	}
+	return Value{}, hi, nil
 }
 
 // PageCol is one decoded page column. Exactly one of three states holds:
@@ -276,34 +295,28 @@ func (v *ColVec) ValueAt(r int) Value {
 // schema must be the one the page was encoded with; any disagreement, bound
 // violation, or truncation is classified faults.ErrCorrupt.
 func (pd *PageData) DecodePage(payload []byte, schema *Schema, need []bool) error {
-	nrows, off := binary.Uvarint(payload)
-	if off <= 0 || nrows > MaxPageRows {
-		return corruptf("page: bad row count")
+	nrows, off, err := pageHeader(payload, schema)
+	if err != nil {
+		return err
 	}
-	ncols, m := binary.Uvarint(payload[off:])
-	if m <= 0 || int(ncols) != schema.Len() {
-		return corruptf("page: column count %d disagrees with schema width %d", ncols, schema.Len())
-	}
-	off += m
-	pd.NRows = int(nrows)
-	if cap(pd.Cols) < int(ncols) {
+	ncols := schema.Len()
+	pd.NRows = nrows
+	if cap(pd.Cols) < ncols {
 		pd.Cols = make([]PageCol, ncols)
 	}
 	pd.Cols = pd.Cols[:ncols]
 	for c := range pd.Cols {
-		encLen, m := binary.Uvarint(payload[off:])
-		if m <= 0 || encLen > uint64(len(payload)-off-m) {
-			return corruptf("page: column %d length %d exceeds payload", c, encLen)
+		var enc []byte
+		enc, off, err = pageColumn(payload, off, c)
+		if err != nil {
+			return err
 		}
-		off += m
-		enc := payload[off : off+int(encLen)]
-		off += int(encLen)
 		col := &pd.Cols[c]
 		if need != nil && !need[c] {
 			col.Skipped, col.Fallback = true, false
 			continue
 		}
-		if err := col.decode(enc, schema.Fields[c].Kind, int(nrows)); err != nil {
+		if err := col.decode(enc, schema.Fields[c].Kind, nrows); err != nil {
 			return err
 		}
 	}
@@ -311,6 +324,72 @@ func (pd *PageData) DecodePage(payload []byte, schema *Schema, need []bool) erro
 		return corruptf("page: %d trailing bytes", len(payload)-off)
 	}
 	return nil
+}
+
+// PageRows returns the row count a page payload declares, without decoding
+// anything else.
+func PageRows(payload []byte) (int, error) {
+	n, _, err := pageRowCount(payload)
+	return n, err
+}
+
+// pageRowCount parses the leading row count, returning it and its length.
+func pageRowCount(payload []byte) (nrows, off int, err error) {
+	n, m := binary.Uvarint(payload)
+	if m <= 0 || n > MaxPageRows {
+		return 0, 0, corruptf("page: bad row count")
+	}
+	return int(n), m, nil
+}
+
+// pageHeader parses a page payload's row and column counts against schema,
+// returning the row count and the offset of the first column.
+func pageHeader(payload []byte, schema *Schema) (nrows, off int, err error) {
+	nrows, off, err = pageRowCount(payload)
+	if err != nil {
+		return 0, 0, err
+	}
+	ncols, m := binary.Uvarint(payload[off:])
+	if m <= 0 || ncols != uint64(schema.Len()) {
+		return 0, 0, corruptf("page: column count %d disagrees with schema width %d", ncols, schema.Len())
+	}
+	return nrows, off + m, nil
+}
+
+// pageColumn returns column c's encoding, which starts at payload[off], and
+// the offset of the column after it.
+func pageColumn(payload []byte, off, c int) (enc []byte, next int, err error) {
+	encLen, m := binary.Uvarint(payload[off:])
+	if m <= 0 || encLen > uint64(len(payload)-off-m) {
+		return nil, 0, corruptf("page: column %d length %d exceeds payload", c, encLen)
+	}
+	off += m
+	return payload[off : off+int(encLen)], off + int(encLen), nil
+}
+
+// typedColumn parses a typed column encoding (tag already stripped) for
+// nrows rows: the stored kind must equal want. It returns the NULL bitmap
+// (nil when the column holds no NULLs) and the dense payload.
+func typedColumn(enc []byte, want Kind, nrows int) (bitmap, payload []byte, err error) {
+	if len(enc) < 2 {
+		return nil, nil, corruptf("page column: truncated typed header")
+	}
+	if kind := Kind(enc[0]); kind != want {
+		return nil, nil, corruptf("page column: stored kind %v disagrees with schema kind %v", kind, want)
+	}
+	nullFlag := enc[1]
+	enc = enc[2:]
+	if nullFlag == 1 {
+		bn := (nrows + 7) / 8
+		if len(enc) < bn {
+			return nil, nil, corruptf("page column: truncated null bitmap")
+		}
+		return enc[:bn], enc[bn:], nil
+	}
+	if nullFlag != 0 {
+		return nil, nil, corruptf("page column: bad null flag %d", nullFlag)
+	}
+	return nil, enc, nil
 }
 
 // decode fills one column from its encoding.
@@ -342,26 +421,14 @@ func (col *PageCol) decode(enc []byte, want Kind, nrows int) error {
 		}
 		return nil
 	}
-	if tag != pageColTyped || len(enc) < 2 {
+	if tag != pageColTyped {
 		return corruptf("page column: bad encoding tag %d", tag)
 	}
-	kind := Kind(enc[0])
-	if kind != want {
-		return corruptf("page column: stored kind %v disagrees with schema kind %v", kind, want)
+	bitmap, enc, err := typedColumn(enc, want, nrows)
+	if err != nil {
+		return err
 	}
-	nullFlag := enc[1]
-	enc = enc[2:]
-	var bitmap []byte
-	if nullFlag == 1 {
-		bn := (nrows + 7) / 8
-		if len(enc) < bn {
-			return corruptf("page column: truncated null bitmap")
-		}
-		bitmap, enc = enc[:bn], enc[bn:]
-	} else if nullFlag != 0 {
-		return corruptf("page column: bad null flag %d", nullFlag)
-	}
-	if kind == KindBool {
+	if want == KindBool {
 		// Bools have no dense vector consumers (Gather treats them as Mixed);
 		// decode straight to row-form values.
 		col.Fallback = true
@@ -384,7 +451,7 @@ func (col *PageCol) decode(enc []byte, want Kind, nrows int) error {
 	}
 	col.Fallback = false
 	v := &col.Vec
-	v.Kind = kind
+	v.Kind = want
 	v.Mixed = false
 	if cap(v.Null) < nrows {
 		v.Null = make([]bool, nrows)
@@ -402,7 +469,7 @@ func (col *PageCol) decode(enc []byte, want Kind, nrows int) error {
 			nulls[r] = bitmap[r>>3]&(1<<(r&7)) != 0
 		}
 	}
-	switch kind {
+	switch want {
 	case KindInt:
 		if len(enc) != nrows*8 {
 			return corruptf("page column: int payload of %d bytes for %d rows", len(enc), nrows)
@@ -454,7 +521,179 @@ func (col *PageCol) decode(enc []byte, want Kind, nrows int) error {
 			return corruptf("page column: %d trailing string bytes", len(enc)-off)
 		}
 	default:
-		return corruptf("page column: kind %v has no typed decoder", kind)
+		return corruptf("page column: kind %v has no typed decoder", want)
+	}
+	return nil
+}
+
+// MaterializePageRows builds arena-backed tuples for exactly the rows sel
+// names (strictly ascending row indexes into the page), straight from the
+// page payload: no row the caller did not select is ever built, and no
+// column outside cols is decoded. Output tuple k has width len(cols) with
+// element j holding column cols[j] of row sel[k]; a nil cols selects every
+// column in schema order. The tuples are appended to dst.
+//
+// Fixed-width columns (int, float, bool) are read by direct offset; string
+// and fallback columns walk every row's length prefix — there is no other
+// way to find row r — but allocate only the selected values. Every column
+// in cols gets the bounds checks DecodePage applies to a decoded column, so
+// damage is classified faults.ErrCorrupt; a sel that is not strictly
+// ascending within the page is a caller bug and reports a plain error.
+func MaterializePageRows(payload []byte, schema *Schema, cols []int, sel []int32, arena *Arena, dst []Tuple) ([]Tuple, error) {
+	nrows, off, err := pageHeader(payload, schema)
+	if err != nil {
+		return dst, err
+	}
+	prev := int32(-1)
+	for _, r := range sel {
+		if r <= prev || int(r) >= nrows {
+			return dst, fmt.Errorf("types: page row selection %d not strictly ascending within %d rows", r, nrows)
+		}
+		prev = r
+	}
+	ncols := schema.Len()
+	width := len(cols)
+	if cols == nil {
+		width = ncols
+	}
+	base := len(dst)
+	for range sel {
+		dst = append(dst, arena.Make(width))
+	}
+	out := dst[base:]
+	for c := 0; c < ncols; c++ {
+		var enc []byte
+		enc, off, err = pageColumn(payload, off, c)
+		if err != nil {
+			return dst[:base], err
+		}
+		// first is the output position the column decodes into (-1: not
+		// selected); a projection naming the column again copies from there.
+		first := c
+		if cols != nil {
+			first = slices.Index(cols, c)
+		}
+		if first < 0 {
+			continue
+		}
+		if err := materializeCol(enc, schema.Fields[c].Kind, nrows, sel, out, first); err != nil {
+			return dst[:base], err
+		}
+		if cols != nil {
+			for j := first + 1; j < len(cols); j++ {
+				if cols[j] == c {
+					for _, t := range out {
+						t[j] = t[first]
+					}
+				}
+			}
+		}
+	}
+	if off != len(payload) {
+		return dst[:base], corruptf("page: %d trailing bytes", len(payload)-off)
+	}
+	return dst, nil
+}
+
+// nullAt reports row r's bit in a column's NULL bitmap (nil: no NULLs).
+func nullAt(bitmap []byte, r int32) bool {
+	return bitmap != nil && bitmap[r>>3]&(1<<(r&7)) != 0
+}
+
+// materializeCol writes one column's selected rows into element j of the
+// output tuples (out[k] receives row sel[k]), validating the whole column
+// encoding exactly as PageCol.decode does.
+func materializeCol(enc []byte, want Kind, nrows int, sel []int32, out []Tuple, j int) error {
+	if len(enc) == 0 {
+		return corruptf("page column: empty encoding")
+	}
+	tag := enc[0]
+	enc = enc[1:]
+	if tag == pageColFallback {
+		off, k := 0, 0
+		//dynopt:hotpath
+		for r := 0; r < nrows; r++ {
+			if k < len(sel) && int(sel[k]) == r {
+				v, n, err := DecodeValue(enc[off:])
+				if err != nil {
+					return err
+				}
+				out[k][j] = v
+				k++
+				off += n
+				continue
+			}
+			_, _, n, err := valueSpan(enc[off:])
+			if err != nil {
+				return err
+			}
+			off += n
+		}
+		if off != len(enc) {
+			return corruptf("page column: %d trailing fallback bytes", len(enc)-off)
+		}
+		return nil
+	}
+	if tag != pageColTyped {
+		return corruptf("page column: bad encoding tag %d", tag)
+	}
+	bitmap, enc, err := typedColumn(enc, want, nrows)
+	if err != nil {
+		return err
+	}
+	switch want {
+	case KindInt, KindFloat:
+		if len(enc) != nrows*8 {
+			return corruptf("page column: %v payload of %d bytes for %d rows", want, len(enc), nrows)
+		}
+		//dynopt:hotpath
+		for k, r := range sel {
+			if nullAt(bitmap, r) {
+				out[k][j] = Value{}
+			} else {
+				out[k][j] = Value{K: want, num: binary.LittleEndian.Uint64(enc[int(r)*8:])}
+			}
+		}
+	case KindBool:
+		if len(enc) != nrows {
+			return corruptf("page column: bool payload of %d bytes for %d rows", len(enc), nrows)
+		}
+		//dynopt:hotpath
+		for k, r := range sel {
+			if nullAt(bitmap, r) {
+				out[k][j] = Value{}
+			} else {
+				out[k][j] = Value{K: KindBool, B: enc[r] != 0}
+			}
+		}
+	case KindString:
+		off, k := 0, 0
+		//dynopt:hotpath
+		for r := 0; r < nrows; r++ {
+			sl, m := binary.Uvarint(enc[off:])
+			if m <= 0 || sl > MaxRecordBytes {
+				//dynopt:alloc-ok corruption error path, never taken on intact pages
+				return corruptf("page column: string length %d out of bounds", sl)
+			}
+			if uint64(len(enc)-off-m) < sl {
+				return corruptf("page column: truncated string payload")
+			}
+			off += m
+			if k < len(sel) && int(sel[k]) == r {
+				if nullAt(bitmap, sel[k]) {
+					out[k][j] = Value{}
+				} else {
+					out[k][j] = Value{K: KindString, S: string(enc[off : off+int(sl)])} //dynopt:alloc-ok selected string payloads must not alias the cached page buffer
+				}
+				k++
+			}
+			off += int(sl)
+		}
+		if off != len(enc) {
+			return corruptf("page column: %d trailing string bytes", len(enc)-off)
+		}
+	default:
+		return corruptf("page column: kind %v has no typed decoder", want)
 	}
 	return nil
 }

@@ -3,10 +3,13 @@ package dynopt
 import (
 	"errors"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"dynopt/internal/bench"
 	"dynopt/internal/faults"
+	"dynopt/internal/storage"
 )
 
 // TestPagedCorruptionClassified is the disk-native analogue of the spill
@@ -65,6 +68,95 @@ func TestPagedCorruptionClassified(t *testing.T) {
 				// must then be byte-identical to the resident baseline.
 				compareResults(t, want, res)
 			})
+		}
+	}
+}
+
+// TestPagedCorruptionSeekPath damages pages that a query reaches only through
+// an index fetch. With the Figure 8 indexes built, the dynamic strategy runs
+// Q9's lineitem join as an indexed nested-loop join, so no lineitem page is
+// ever scanned: each is read, if at all, by the batched fetch of the index
+// probe. One bit is flipped inside one lineitem page at a time, over an
+// uncached store (every read hits the damaged file), through both the
+// streaming and the batch join. A fetch that lands on the page must fail
+// classified faults.ErrCorrupt; a query that never fetches from it must
+// return the resident rows in full. Never a panic, never a short result.
+func TestPagedCorruptionSeekPath(t *testing.T) {
+	q := bench.Queries()[3]
+	if q.Name != "Q9" {
+		t.Fatalf("query 3 is %s, want Q9", q.Name)
+	}
+	resident, err := bench.NewEnv(1, 4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := resident.RunOneResult(resident.Strategies()[0], q.SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	paged, err := bench.NewEnv(1, 4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 16-row pages: the probe fetches from some lineitem pages and not from
+	// others, so both outcomes occur.
+	if err := paged.ConvertPaged(t.TempDir(), 16, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	li, ok := paged.Fresh().Catalog.Get("lineitem")
+	if !ok || !li.IsPaged() {
+		t.Fatal("lineitem is not paged")
+	}
+	pg := li.Paged()
+	file, err := os.OpenFile(pg.File().Path(), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	// flip toggles one bit in the middle of a page's payload; a second call
+	// restores it.
+	flip := func(pi *storage.PageInfo) {
+		t.Helper()
+		off := pi.Offset + 8 + int64(pi.Len)/2
+		var b [1]byte
+		if _, err := file.ReadAt(b[:], off); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x10
+		if _, err := file.WriteAt(b[:], off); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, batch := range []bool{false, true} {
+		paged.Batch = batch
+		_, rep, err := paged.RunOneResult(paged.Strategies()[0], q.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Counters.IndexLookups == 0 || !strings.Contains(strings.Join(rep.StagePlans, "\n"), "(l ⋈i") {
+			t.Fatalf("batch=%v: lineitem is not joined through its index:\n%s", batch, rep)
+		}
+		var classified, intact int
+		for p := 0; p < pg.File().Partitions(); p++ {
+			for i := 0; i < pg.Pages(p); i += 5 {
+				flip(pg.Page(p, i))
+				res, _, err := paged.RunOneResult(paged.Strategies()[0], q.SQL)
+				flip(pg.Page(p, i))
+				if err != nil {
+					if !errors.Is(err, faults.ErrCorrupt) {
+						t.Fatalf("batch=%v page (%d,%d): failed unclassified: %v", batch, p, i, err)
+					}
+					classified++
+					continue
+				}
+				compareResults(t, want, res)
+				intact++
+			}
+		}
+		if classified == 0 || intact == 0 {
+			t.Errorf("batch=%v: %d classified failures and %d intact runs; want both to occur", batch, classified, intact)
 		}
 	}
 }
