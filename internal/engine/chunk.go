@@ -32,28 +32,42 @@ func (c *Context) chunkRows() int {
 }
 
 // Chunk is one batch of tuples flowing through a stage pipeline, with
-// optional sidecars the producer computed anyway: a selection vector, typed
-// column vectors, join-key prehashes (exchange scatter), and per-row
-// encoded byte sizes (shuffle metering). A chunk handed out by a Cursor is
-// valid only until the next Next call; consumers that retain rows copy the
-// tuple headers (the values themselves live in arena or dataset storage and
-// stay valid).
+// optional sidecars the producer computed anyway: a selection vector, a
+// projection map, typed column vectors, join-key prehashes (exchange
+// scatter), and per-row encoded byte sizes (shuffle metering). A chunk
+// handed out by a Cursor is valid only until the next Next call; consumers
+// that retain rows copy them out through appendLive (the values themselves
+// live in arena or dataset storage and stay valid).
 //
 // Selection semantics: when Sel is non-nil it lists the live row indexes
 // into Rows, ascending — the fused scan filter marks rows instead of
 // copying tuple headers. Hashes and Sizes always align with the LIVE rows
 // (Hashes[k] belongs to Rows[Sel[k]]), so sidecar consumers never index
-// through dead rows. Operators that need a dense slice flatten via the
-// selection on output (RunToSink, the exchange producers); everything else
-// iterates the selection in place.
+// through dead rows.
+//
+// Projection semantics: when Proj is non-nil, Rows are stored rows wider
+// than the source's schema, and schema column i lives at Rows[r][Proj[i]] —
+// the resident scan's projection is this map, not a copy, because the
+// stored row is already in memory and a narrowed copy of a row the join
+// drops is pure garbage. Cols stays physical: Cols.Col(Proj[i]) is schema
+// column i. Sizes are over the projected columns only, so every metered
+// byte is what a narrowed row would have weighed. Consumers that only look
+// at rows (key hashing, key comparison, sizing, the probe loop, the scatter)
+// read through the map, resolved per chunk and never per row; a join writes
+// its output tuple in one step from the build row, the stored probe row and
+// the map. Consumers that keep rows (sinks, build sides, the replicated
+// INLJ outer, the spilling join) narrow them at their boundary through
+// appendLive — the only place a projected row is ever built.
 type Chunk struct {
 	Rows   []types.Tuple
 	Sel    []int32  // live row indexes into Rows, ascending; nil = all rows live
+	Proj   []int    // schema column -> offset into each row; nil = rows are at schema width
 	Hashes []uint64 // key prehashes aligned with live rows, nil when not computed
 	Sizes  []int64  // encoded byte sizes aligned with live rows, nil when not computed
-	// Cols serves typed column vectors over Rows (NOT selection-filtered:
-	// vectors align with Rows, and consumers apply Sel themselves). Nil when
-	// the producer has no columnar form; valid until the next Next call.
+	// Cols serves typed column vectors over Rows (NOT selection-filtered and
+	// NOT projected: vectors align with Rows and are indexed by stored column
+	// offset; consumers apply Sel and Proj themselves). Nil when the producer
+	// has no columnar form; valid until the next Next call.
 	Cols types.ColSource
 }
 
@@ -65,28 +79,79 @@ func (c *Chunk) Live() int {
 	return len(c.Rows)
 }
 
-// appendLive appends the chunk's live rows to dst in order.
-func (c *Chunk) appendLive(dst []types.Tuple) []types.Tuple {
-	if c.Sel == nil {
+// appendLive appends the chunk's live rows to dst in order, at the source's
+// schema width: tuple-header copies for rows already that wide, one arena
+// gather per row under a projection map. This is the narrowing boundary of
+// every consumer that keeps rows.
+func (c *Chunk) appendLive(dst []types.Tuple, arena *types.Arena) []types.Tuple {
+	switch {
+	case c.Proj == nil && c.Sel == nil:
 		return append(dst, c.Rows...)
-	}
-	for _, r := range c.Sel {
-		dst = append(dst, c.Rows[r])
+	case c.Proj == nil:
+		for _, r := range c.Sel {
+			dst = append(dst, c.Rows[r])
+		}
+	case c.Sel == nil:
+		//dynopt:hotpath
+		for _, t := range c.Rows {
+			dst = append(dst, arena.Gather(t, c.Proj))
+		}
+	default:
+		//dynopt:hotpath
+		for _, r := range c.Sel {
+			dst = append(dst, arena.Gather(c.Rows[r], c.Proj))
+		}
 	}
 	return dst
 }
 
-// chunkKeyHashes computes the chunk's join-key prehashes into dst (reused
-// across chunks), aligned with the live rows. When the producer attached a
+// dense returns the chunk's live rows as a dense slice at schema width:
+// Rows itself when the chunk carries neither selection nor map, else *buf
+// refilled through appendLive. The result is valid until the next call.
+func (c *Chunk) dense(buf *[]types.Tuple, arena *types.Arena) []types.Tuple {
+	if c.Sel == nil && c.Proj == nil {
+		return c.Rows
+	}
+	*buf = c.appendLive((*buf)[:0], arena)
+	return *buf
+}
+
+// physCols maps schema column offsets to offsets into a chunk's rows: cols
+// itself without a projection map, else cols through proj into *buf (reused
+// across chunks). Once per chunk, never per row.
+func physCols(proj, cols []int, buf *[]int) []int {
+	if proj == nil {
+		return cols
+	}
+	out := (*buf)[:0]
+	for _, c := range cols {
+		out = append(out, proj[c])
+	}
+	*buf = out
+	return out
+}
+
+// keyHasher computes one stream's join-key prehashes chunk by chunk into
+// reused buffers, aligned with the live rows. Key columns are schema
+// offsets; a projected chunk maps them to stored offsets first, so rows and
+// column vectors are both read in place. When the producer attached a
 // columnar form and every key column gathers cleanly, the hash runs a
 // column at a time (types.HashColsInto — bit-identical to the row form);
 // Mixed columns or row-only chunks take the row path. String key columns
 // decline too: gathering string headers costs more than the per-value kind
-// dispatch the columnar fold saves, so row hashing wins there. vecs is
-// caller-owned scratch for the gathered key vectors.
-func chunkKeyHashes(c *Chunk, keyCols []int, dst []uint64, vecs []*types.ColVec) ([]uint64, []*types.ColVec) {
+// dispatch the columnar fold saves, so row hashing wins there.
+type keyHasher struct {
+	keyCols []int
+	phys    []int // scratch: keyCols mapped through the current chunk's Proj
+	hashes  []uint64
+	vecs    []*types.ColVec
+}
+
+// hash returns c's prehashes, valid until the next call.
+func (h *keyHasher) hash(c *Chunk) []uint64 {
+	keyCols := physCols(c.Proj, h.keyCols, &h.phys)
 	if c.Cols != nil {
-		vecs = vecs[:0]
+		h.vecs = h.vecs[:0]
 		clean := true
 		for _, kc := range keyCols {
 			v := c.Cols.Col(kc)
@@ -94,16 +159,19 @@ func chunkKeyHashes(c *Chunk, keyCols []int, dst []uint64, vecs []*types.ColVec)
 				clean = false
 				break
 			}
-			vecs = append(vecs, v)
+			h.vecs = append(h.vecs, v)
 		}
 		if clean {
-			return types.HashColsInto(vecs, c.Sel, len(c.Rows), dst), vecs
+			h.hashes = types.HashColsInto(h.vecs, c.Sel, len(c.Rows), h.hashes)
+			return h.hashes
 		}
 	}
 	if c.Sel != nil {
-		return types.HashKeysSelInto(c.Rows, c.Sel, keyCols, dst), vecs
+		h.hashes = types.HashKeysSelInto(c.Rows, c.Sel, keyCols, h.hashes)
+	} else {
+		h.hashes = types.HashKeysInto(c.Rows, keyCols, h.hashes)
 	}
-	return types.HashKeysInto(c.Rows, keyCols, dst), vecs
+	return h.hashes
 }
 
 // Cursor streams one partition's chunks. Next returns io.EOF at a clean
@@ -165,15 +233,17 @@ func (s *relationSink) Emit(p int, rows []types.Tuple) error {
 // RunToSink streams a source straight into a sink, partition-parallel —
 // the fused scan→sink pipeline of a push-down stage: filter, projection,
 // statistics observation, and write metering all happen in the one pass
-// over each chunk. Chunks carrying a selection vector are flattened through
-// a reusable buffer here — sinks see dense row slices.
+// over each chunk. The sink keeps rows, so chunks carrying a selection
+// vector or a projection map are flattened and narrowed through a reusable
+// buffer here — sinks see dense row slices at schema width.
 func RunToSink(ctx *Context, src Source, sink Sink) error {
 	return forEachPart(src.Parts(), func(p int) error {
 		cur, err := src.Open(p)
 		if err != nil {
 			return err
 		}
-		var dense []types.Tuple
+		var buf []types.Tuple
+		var arena types.Arena
 		for {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -185,12 +255,7 @@ func RunToSink(ctx *Context, src Source, sink Sink) error {
 			if err != nil {
 				return err
 			}
-			rows := c.Rows
-			if c.Sel != nil {
-				dense = c.appendLive(dense[:0])
-				rows = dense
-			}
-			if err := sink.Emit(p, rows); err != nil {
+			if err := sink.Emit(p, c.dense(&buf, &arena)); err != nil {
 				return err
 			}
 		}

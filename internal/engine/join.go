@@ -279,63 +279,35 @@ func (ht *hashTable) countMatches(hashes []uint64) int {
 	return cnt
 }
 
-// joinInto streams probeRows through the table, appending one build⧺probe
+// joinInto streams probe rows through the table, appending one build⧺probe
 // (or probe⧺build, per buildFirst) arena tuple per match to out and
-// returning it. hashes are the probe rows' prehashes — rows are hashed once
-// upstream (exchange or broadcast-probe prehash), never here. Matches
-// sharing a full hash are emitted in build row order, matching the chain
-// order of the previous map-based table. The flat loop — no per-row closure
-// — is the join's innermost hot path.
+// returning it. The probe side is read where it lies: with sel, probe row k
+// is probeRows[sel[k]] (the filter that produced the selection never copied
+// a tuple header); with proj, probeRows are stored rows still at full width
+// and a match writes build row and projected probe columns into the output
+// tuple in one step, so a probe row that matches nothing is never copied at
+// all. probeCols are offsets into probeRows as passed (already mapped
+// through proj by the caller). hashes align with the live rows and come from
+// upstream (exchange or broadcast-probe prehash) — rows are never hashed
+// here. Matches sharing a full hash are emitted in build row order. Match
+// semantics and output order are identical to flattening and narrowing the
+// probe rows first. The flat loop — no per-row closure — is the join's
+// innermost hot path.
 //
 //dynopt:hotpath
-func (ht *hashTable) joinInto(out []types.Tuple, arena *types.Arena, probeRows []types.Tuple, hashes []uint64, probeCols []int, buildFirst bool) []types.Tuple {
+func (ht *hashTable) joinInto(out []types.Tuple, arena *types.Arena, probeRows []types.Tuple, sel []int32, proj []int, hashes []uint64, probeCols []int, buildFirst bool) []types.Tuple {
 	starts, idx, hs, bRows, mask := ht.starts, ht.idx, ht.hashes, ht.rows, ht.mask
 	singleKey := len(probeCols) == 1 && len(ht.keyCols) == 1
 	var bCol0, pCol0 int
 	if singleKey {
 		bCol0, pCol0 = ht.keyCols[0], probeCols[0]
 	}
-	for r, pt := range probeRows {
-		h := hashes[r]
-		b := h & mask
-		for _, ri := range idx[starts[b]:starts[b+1]] {
-			if hs[ri] != h {
-				continue
-			}
-			bt := bRows[ri]
-			if singleKey {
-				if !bt[bCol0].Equal(pt[pCol0]) {
-					continue
-				}
-			} else if !bt.KeysEqual(ht.keyCols, pt, probeCols) {
-				continue
-			}
-			if buildFirst {
-				out = append(out, arena.Concat(bt, pt))
-			} else {
-				out = append(out, arena.Concat(pt, bt))
-			}
+	for k, h := range hashes {
+		r := k
+		if sel != nil {
+			r = int(sel[k])
 		}
-	}
-	return out
-}
-
-// joinSelInto is joinInto over a selection-vector chunk: probe row k of the
-// sidecars lives at probeRows[sel[k]], so the filter that produced the
-// selection never copied a tuple header. Match semantics and output order
-// are identical to flattening the selection and calling joinInto.
-//
-//dynopt:hotpath
-func (ht *hashTable) joinSelInto(out []types.Tuple, arena *types.Arena, probeRows []types.Tuple, sel []int32, hashes []uint64, probeCols []int, buildFirst bool) []types.Tuple {
-	starts, idx, hs, bRows, mask := ht.starts, ht.idx, ht.hashes, ht.rows, ht.mask
-	singleKey := len(probeCols) == 1 && len(ht.keyCols) == 1
-	var bCol0, pCol0 int
-	if singleKey {
-		bCol0, pCol0 = ht.keyCols[0], probeCols[0]
-	}
-	for k, r := range sel {
 		pt := probeRows[r]
-		h := hashes[k]
 		b := h & mask
 		for _, ri := range idx[starts[b]:starts[b+1]] {
 			if hs[ri] != h {
@@ -350,9 +322,9 @@ func (ht *hashTable) joinSelInto(out []types.Tuple, arena *types.Arena, probeRow
 				continue
 			}
 			if buildFirst {
-				out = append(out, arena.Concat(bt, pt))
+				out = append(out, arena.ConcatCols(bt, nil, pt, proj))
 			} else {
-				out = append(out, arena.Concat(pt, bt))
+				out = append(out, arena.ConcatCols(pt, proj, bt, nil))
 			}
 		}
 	}
@@ -447,7 +419,7 @@ func hashJoinBatch(ctx *Context, left, right *Relation, leftKeys, rightKeys []st
 			cnt := ht.countMatches(rHash[p])
 			arena.Reserve(cnt * outSchema.Len())
 			rows := make([]types.Tuple, 0, cnt)
-			out.Parts[p] = ht.joinInto(rows, &arena, right.Parts[p], rHash[p], rCols, true)
+			out.Parts[p] = ht.joinInto(rows, &arena, right.Parts[p], nil, nil, rHash[p], rCols, true)
 		} else {
 			ht := buildTable(right.Parts[p], rHash[p], rCols)
 			acct.BuildRows.Add(int64(len(right.Parts[p])))
@@ -457,7 +429,7 @@ func hashJoinBatch(ctx *Context, left, right *Relation, leftKeys, rightKeys []st
 			cnt := ht.countMatches(lHash[p])
 			arena.Reserve(cnt * outSchema.Len())
 			rows := make([]types.Tuple, 0, cnt)
-			out.Parts[p] = ht.joinInto(rows, &arena, left.Parts[p], lHash[p], lCols, false)
+			out.Parts[p] = ht.joinInto(rows, &arena, left.Parts[p], nil, nil, lHash[p], lCols, false)
 		}
 		return nil
 	})
@@ -562,7 +534,7 @@ func broadcastJoinBatch(ctx *Context, left, right *Relation, leftKeys, rightKeys
 		var arena types.Arena
 		arena.Reserve(cnt * outSchema.Len())
 		rows := make([]types.Tuple, 0, cnt)
-		out.Parts[p] = ht.joinInto(rows, &arena, probe.Parts[p], hs, pCols, buildLeft)
+		out.Parts[p] = ht.joinInto(rows, &arena, probe.Parts[p], nil, nil, hs, pCols, buildLeft)
 		return nil
 	})
 	if err != nil {

@@ -19,18 +19,21 @@ import (
 // sides already materialized there is nothing left to stream.
 
 // probeState runs one destination partition's probe loop over a hash
-// table: per chunk, join matches into a reusable buffer and emit. One
+// table: per chunk, join matches into a reusable buffer and emit. Probe rows
+// are read where they lie — through the chunk's selection and projection
+// map — and only a match is ever copied, once, into its output tuple. One
 // instance per partition worker; buffers are reused across chunks.
 type probeState struct {
 	ctx        *Context
 	ht         *hashTable
-	pCols      []int
+	pCols      []int // probe key columns, schema offsets
 	buildFirst bool
 	sink       Sink
 	p          int
 
 	arena      types.Arena
 	rows       []types.Tuple
+	phys       []int // scratch: pCols mapped through the current chunk's Proj
 	probeRows  int64
 	probeBytes int64
 }
@@ -48,11 +51,8 @@ func (w *probeState) consume(c *Chunk) error {
 	// reusable buffer whose capacity converges after a few chunks, and the
 	// arena grows geometrically — so the streaming probe pays one pass over
 	// the buckets, not two.
-	if c.Sel != nil {
-		w.rows = w.ht.joinSelInto(w.rows[:0], &w.arena, c.Rows, c.Sel, c.Hashes, w.pCols, w.buildFirst)
-	} else {
-		w.rows = w.ht.joinInto(w.rows[:0], &w.arena, c.Rows, c.Hashes, w.pCols, w.buildFirst)
-	}
+	pCols := physCols(c.Proj, w.pCols, &w.phys)
+	w.rows = w.ht.joinInto(w.rows[:0], &w.arena, c.Rows, c.Sel, c.Proj, c.Hashes, pCols, w.buildFirst)
 	if len(w.rows) == 0 {
 		return nil
 	}
@@ -188,10 +188,6 @@ func hashJoinStreamCore(ctx *Context, build *Relation, bHash [][]uint64, bSize [
 	n := len(build.Parts)
 	acct := ctx.Accounting()
 	budget := ctx.Cluster.MemoryPerNodeBytes()
-	// Per-row probe sizes feed the simulated spill model; the real-spill
-	// join meters actual run files instead, and with no budget the model is
-	// inert, so neither needs them.
-	wantSizes := !realSpill && budget > 0
 
 	worker := func(p int, st probeStream, hint int64) error {
 		if realSpill {
@@ -231,11 +227,25 @@ func hashJoinStreamCore(ctx *Context, build *Relation, bHash [][]uint64, bSize [
 				return err
 			}
 			hint := probe.PartBytesHint(p)
-			st := &localStream{cur: cur, keyCols: pCols, wantSizes: wantSizes && hint < 0}
+			// Per-row probe sizes feed only the simulated spill model
+			// (meterSpill), which is inert with no budget and for a build
+			// partition that fits it; the real-spill join meters actual run
+			// files instead. A probe that cannot spill is never sized.
+			wantSizes := hint < 0 && !realSpill && budget > 0 && build.PartBytes(p) > budget
+			st := &localStream{cur: cur, keys: keyHasher{keyCols: pCols}, wantSizes: wantSizes}
 			return worker(p, st, hint)
 		})
 	}
-	return runScatter(ctx, probe, pCols, func(p int, st probeStream) error {
+	// The consumers read per-row sizes under the same condition as the local
+	// probe above: the real-spill join budgets by them, the simulated model
+	// needs them for a build partition over budget, nobody else looks.
+	wantSizes := realSpill
+	if !wantSizes && budget > 0 {
+		for p := 0; p < n && !wantSizes; p++ {
+			wantSizes = build.PartBytes(p) > budget
+		}
+	}
+	return runScatter(ctx, probe, pCols, wantSizes, func(p int, st probeStream) error {
 		return worker(p, st, -1)
 	})
 }
@@ -326,14 +336,17 @@ func BroadcastJoinStream(ctx *Context, build *Relation, probe Source, buildKeys,
 		return err
 	}
 
+	// Probe sizes feed only the simulated spill model, which is inert unless
+	// the broadcast build side exceeds the per-node budget.
 	budget := ctx.Cluster.MemoryPerNodeBytes()
+	modelSpill := budget > 0 && buildBytes > budget
 	return forEachPart(n, func(p int) error {
 		cur, err := probe.Open(p)
 		if err != nil {
 			return err
 		}
 		hint := probe.PartBytesHint(p)
-		st := &localStream{cur: cur, keyCols: pCols, wantSizes: budget > 0 && hint < 0}
+		st := &localStream{cur: cur, keys: keyHasher{keyCols: pCols}, wantSizes: modelSpill && hint < 0}
 		w := &probeState{
 			ctx:   ctx,
 			ht:    ht,

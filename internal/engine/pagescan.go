@@ -265,8 +265,9 @@ func pagedScanInto(ctx *Context, ds *storage.Dataset, sp *scanPrep) (*Relation, 
 				return err
 			}
 			// Chunks window the cursor's reused row buffer; copy the headers
-			// out so the next page cannot overwrite them.
-			rows = ch.appendLive(rows)
+			// out so the next page cannot overwrite them. Paged rows are
+			// built at projected width — no map, so no arena to narrow into.
+			rows = ch.appendLive(rows, nil)
 		}
 		out.Parts[p] = rows
 		return nil

@@ -334,7 +334,7 @@ func registerTyped(t testing.TB, ctx *Context, name string, pk []string, schema 
 // TestStreamMatchesBatchSelChunks pins the selection-vector chunk form
 // end-to-end: a filter without projection emits stored windows with a Sel
 // sidecar, which must flow through the scatter exchange, the local join
-// pipeline (joinSelInto), and columnar key hashing with results and counters
+// pipeline (joinInto over a selection), and columnar key hashing with results and counters
 // identical to the dense batch reference. Covers the vectorized int and
 // string kernels, NULLs in filtered columns, and the scalar fallback for UDF
 // predicates.
@@ -405,7 +405,7 @@ func TestStreamMatchesBatchSelChunks(t *testing.T) {
 			})
 			t.Run("int-filter-prepartitioned", func(t *testing.T) {
 				// Probe pre-partitioned on the join key: sel chunks skip the
-				// exchange and hit joinSelInto directly.
+				// exchange and hit the probe loop directly.
 				filt := &expr.Compare{Op: expr.CmpGe,
 					L: &expr.Column{Qualifier: "f", Name: "pay"}, R: &expr.Literal{Val: types.Int(300)}}
 				runBothModes(t, 4, loadInt,

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"dynopt/internal/expr"
 	"dynopt/internal/faults"
@@ -156,11 +157,7 @@ func scanInto(ctx *Context, ds *storage.Dataset, sp *scanPrep) (*Relation, error
 				}
 			}
 			if sp.projIdx != nil {
-				pt := arena.Make(len(sp.projIdx))
-				for i, idx := range sp.projIdx {
-					pt[i] = t[idx]
-				}
-				rows = append(rows, pt)
+				rows = append(rows, arena.Gather(t, sp.projIdx))
 			} else {
 				rows = append(rows, t)
 			}
@@ -204,6 +201,44 @@ type scanSource struct {
 	ctx  *Context
 	ds   *storage.Dataset
 	prep *scanPrep
+
+	// idle holds the window scratch of cursors that reached the end of their
+	// partition. Partitions are opened a few at a time (one per worker), so a
+	// scan gathers and filters through as many scratch sets as cursors are
+	// open at once, not one per partition.
+	mu   sync.Mutex
+	idle []*scanScratch
+}
+
+// scanScratch is what a resident cursor reuses from window to window: the
+// chunk reader with its column-vector buffers, and the selection buffer.
+type scanScratch struct {
+	r   *storage.ChunkReader
+	sel []int32
+}
+
+// scratch returns a scratch set reading partition p: an idle one rebound,
+// else a fresh one.
+func (s *scanSource) scratch(p int) *scanScratch {
+	s.mu.Lock()
+	var sc *scanScratch
+	if n := len(s.idle); n > 0 {
+		sc, s.idle = s.idle[n-1], s.idle[:n-1]
+	}
+	s.mu.Unlock()
+	if sc == nil {
+		return &scanScratch{r: s.ds.ChunkReader(p, s.ctx.chunkRows())}
+	}
+	s.ds.Rebind(sc.r, p)
+	return sc
+}
+
+// release takes back the scratch of a cursor that will produce no more
+// chunks; its last chunk is dead by the Cursor contract.
+func (s *scanSource) release(sc *scanScratch) {
+	s.mu.Lock()
+	s.idle = append(s.idle, sc)
+	s.mu.Unlock()
 }
 
 func (s *scanSource) Schema() *types.Schema { return s.prep.outSchema }
@@ -228,11 +263,7 @@ func (s *scanSource) Open(p int) (Cursor, error) {
 	if s.ds.IsPaged() {
 		return newPagedCursor(s.ctx, s.ds, s.prep, p), nil
 	}
-	cur := &scanCursor{ctx: s.ctx, prep: s.prep, r: s.ds.ChunkReader(p, s.ctx.chunkRows())}
-	if !s.ctx.NoVec {
-		cur.cols = cur.r
-	}
-	return cur, nil
+	return &scanCursor{ctx: s.ctx, src: s, prep: s.prep, scanScratch: s.scratch(p)}, nil
 }
 
 // materialize runs the scan as the batch pass instead of streaming —
@@ -242,24 +273,23 @@ func (s *scanSource) materialize(ctx *Context) (*Relation, error) {
 	return scanInto(ctx, s.ds, s.prep)
 }
 
-// scanCursor streams one partition, fusing filter and projection into the
-// decode pass. A filter-only scan never copies tuple headers: the predicate
-// (vectorized over the reader's column vectors when a kernel compiled,
-// row-at-a-time otherwise) marks live rows in a reused selection vector and
-// the chunk goes out as Rows+Sel over the stored window. Only a projection
-// gathers survivors densely, carving projected tuples from a growing arena
-// whose filled chunks become garbage once downstream consumers drop them.
+// scanCursor streams one partition of a resident dataset. It never copies a
+// row or a tuple header: every chunk is the stored window itself. The
+// predicate (vectorized over the reader's column vectors when a kernel
+// compiled, row-at-a-time otherwise) marks live rows in a reused selection
+// vector, and the projection rides along as the chunk's column map
+// (Chunk.Proj) — the stored rows are already in memory, so a projected copy
+// would save nothing and cost an allocation per scanned row. A row is
+// narrowed to its projected width only where a consumer keeps it
+// (Chunk.appendLive) or a join writes it into an output tuple.
 type scanCursor struct {
 	ctx  *Context
+	src  *scanSource
 	prep *scanPrep
-	r    *storage.ChunkReader
-	// cols is the reader's columnar face, nil under Context.NoVec so emitted
-	// chunks carry no column source and downstream stays fully scalar.
-	cols  types.ColSource
-	arena types.Arena
-	rows  []types.Tuple
-	sel   []int32
-	c     Chunk
+	// The reader and the selection buffer, on loan from the source until the
+	// partition ends (nil afterwards).
+	*scanScratch
+	c Chunk
 }
 
 // filterWindow runs the fused predicate over the window and returns the
@@ -295,13 +325,14 @@ func (c *scanCursor) Next() (*Chunk, error) {
 		if err := c.ctx.Err(); err != nil {
 			return nil, err
 		}
-		win, ok := c.r.Next()
-		if !ok {
+		if c.scanScratch == nil {
 			return nil, io.EOF
 		}
-		if c.prep.passThrough() {
-			c.c = Chunk{Rows: win, Cols: c.cols}
-			return &c.c, nil
+		win, ok := c.r.Next()
+		if !ok {
+			c.src.release(c.scanScratch)
+			c.scanScratch = nil
+			return nil, io.EOF
 		}
 		var sel []int32
 		if c.prep.pred != nil {
@@ -313,35 +344,18 @@ func (c *scanCursor) Next() (*Chunk, error) {
 			if len(sel) == 0 {
 				continue // a fully filtered window yields no chunk; keep pulling
 			}
-		}
-		if c.prep.projIdx == nil {
-			// Filter without projection: emit the stored window with its
-			// selection — no tuple-header copies. A full pass drops the
-			// selection so downstream stays on the dense fast path.
+			// A full pass drops the selection so downstream stays on the
+			// dense fast path.
 			if len(sel) == len(win) {
 				sel = nil
 			}
-			c.c = Chunk{Rows: win, Sel: sel, Cols: c.cols}
-			return &c.c, nil
 		}
-		c.rows = c.rows[:0]
-		gather := func(t types.Tuple) {
-			pt := c.arena.Make(len(c.prep.projIdx))
-			for i, idx := range c.prep.projIdx {
-				pt[i] = t[idx]
-			}
-			c.rows = append(c.rows, pt)
+		c.c = Chunk{Rows: win, Sel: sel, Proj: c.prep.projIdx}
+		// Under Context.NoVec chunks carry no column source, so downstream
+		// stays fully scalar.
+		if !c.ctx.NoVec {
+			c.c.Cols = c.r
 		}
-		if sel != nil {
-			for _, r := range sel {
-				gather(win[r])
-			}
-		} else {
-			for _, t := range win {
-				gather(t)
-			}
-		}
-		c.c = Chunk{Rows: c.rows}
 		return &c.c, nil
 	}
 }

@@ -89,35 +89,34 @@ func (s *memSeq) next() (types.Tuple, uint64, int64, error) {
 
 // chunkSeq streams a probe chunk stream row-at-a-time for the spill join:
 // the adapter between the stage pipeline's chunked probe delivery and the
-// DHHJ's row-granular build/probe loops.
+// DHHJ's row-granular build/probe loops. Any of its rows may be headed for a
+// run file, so each arriving chunk is flattened and narrowed to schema width
+// here, once, and the rows then align with the chunk's sidecars.
 type chunkSeq struct {
-	st probeStream
-	c  *Chunk
-	i  int
+	st    probeStream
+	c     *Chunk
+	rows  []types.Tuple // c's live rows at schema width
+	i     int
+	buf   []types.Tuple
+	arena types.Arena
 }
 
 func (s *chunkSeq) next() (types.Tuple, uint64, int64, error) {
 	//dynopt:cancel-ok row-granular adapter: the DHHJ build/probe loops downstream check ctx.Err() on a row stride
-	for s.c == nil || s.i >= s.c.Live() {
+	for s.i >= len(s.rows) {
 		c, err := s.st.next()
 		if err != nil {
 			return nil, 0, 0, err // io.EOF passes through as the clean end
 		}
-		s.c, s.i = c, 0
+		s.c, s.rows, s.i = c, c.dense(&s.buf, &s.arena), 0
 	}
-	// i walks the live rows: sidecars index directly, the tuple through the
-	// selection when one is present.
 	i := s.i
 	s.i++
 	sz := int64(-1)
 	if s.c.Sizes != nil {
 		sz = s.c.Sizes[i]
 	}
-	r := i
-	if s.c.Sel != nil {
-		r = int(s.c.Sel[i])
-	}
-	return s.c.Rows[r], s.c.Hashes[i], sz, nil
+	return s.rows[i], s.c.Hashes[i], sz, nil
 }
 
 // fileSeq streams a run file, recomputing each row's key prehash (run
@@ -235,7 +234,7 @@ func spillJoinPartition(ctx *Context, p int, outWidth int,
 			var arena types.Arena
 			arena.Reserve(cnt * outWidth)
 			rows := make([]types.Tuple, 0, cnt)
-			return ht.joinInto(rows, &arena, pRows, pHash, pCols, buildFirst), nil
+			return ht.joinInto(rows, &arena, pRows, nil, nil, pHash, pCols, buildFirst), nil
 		}
 		// Cross-query pressure: the bytes were charged by the failed
 		// Reserve, so undo before taking the spilling path (which holds

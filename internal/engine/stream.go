@@ -36,16 +36,15 @@ type probeStream interface {
 
 // localStream adapts a partition cursor into a probe stream, computing key
 // prehashes (and per-row encoded sizes when metering needs them) chunk by
-// chunk into reusable buffers. Selection vectors pass through untouched —
-// the prehash and size sidecars are computed for the live rows only, via
-// the columnar hash when the cursor attached column vectors.
+// chunk into reusable buffers. Selection vectors and projection maps pass
+// through untouched — the prehash and size sidecars are computed for the
+// live rows only and over the projected columns only, via the columnar hash
+// when the cursor attached column vectors.
 type localStream struct {
 	cur       Cursor
-	keyCols   []int
+	keys      keyHasher
 	wantSizes bool
-	hashBuf   []uint64
 	sizeBuf   []int64
-	vecBuf    []*types.ColVec
 	c         Chunk
 }
 
@@ -54,20 +53,21 @@ func (s *localStream) next() (*Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.hashBuf, s.vecBuf = chunkKeyHashes(c, s.keyCols, s.hashBuf, s.vecBuf)
-	sc := Chunk{Rows: c.Rows, Sel: c.Sel, Hashes: s.hashBuf, Sizes: c.Sizes}
+	sc := Chunk{Rows: c.Rows, Sel: c.Sel, Proj: c.Proj, Hashes: s.keys.hash(c), Sizes: c.Sizes}
 	if s.wantSizes && sc.Sizes == nil {
 		if cap(s.sizeBuf) < c.Live() {
 			s.sizeBuf = make([]int64, 0, c.Live())
 		}
 		s.sizeBuf = s.sizeBuf[:0]
 		if c.Sel != nil {
+			//dynopt:hotpath
 			for _, r := range c.Sel {
-				s.sizeBuf = append(s.sizeBuf, int64(c.Rows[r].EncodedSize())) //dynopt:size-ok seeds the per-chunk Sizes cache every downstream consumer reuses
+				s.sizeBuf = append(s.sizeBuf, int64(c.Rows[r].EncodedSizeCols(c.Proj))) //dynopt:size-ok seeds the per-chunk Sizes cache every downstream consumer reuses
 			}
 		} else {
+			//dynopt:hotpath
 			for _, t := range c.Rows {
-				s.sizeBuf = append(s.sizeBuf, int64(t.EncodedSize())) //dynopt:size-ok seeds the per-chunk Sizes cache every downstream consumer reuses
+				s.sizeBuf = append(s.sizeBuf, int64(t.EncodedSizeCols(c.Proj))) //dynopt:size-ok seeds the per-chunk Sizes cache every downstream consumer reuses
 			}
 		}
 		sc.Sizes = s.sizeBuf
@@ -88,16 +88,18 @@ type scatterExchange struct {
 	chans     [][]chan *Chunk // [src][dst]
 	free      chan *Chunk
 	done      chan struct{}
-	rows      int // per-chunk row capacity (the execution's chunkRows)
+	rows      int  // per-chunk row capacity (the execution's chunkRows)
+	sizes     bool // shipped chunks carry per-row encoded sizes
 	closeOnce sync.Once
 }
 
-func newScatterExchange(n, rows int) *scatterExchange {
+func newScatterExchange(n, rows int, sizes bool) *scatterExchange {
 	ex := &scatterExchange{
 		chans: make([][]chan *Chunk, n),
 		free:  make(chan *Chunk, n*n*(exchangeChanDepth+2)),
 		done:  make(chan struct{}),
 		rows:  rows,
+		sizes: sizes,
 	}
 	for s := range ex.chans {
 		ex.chans[s] = make([]chan *Chunk, n)
@@ -116,11 +118,14 @@ func (ex *scatterExchange) get() *Chunk {
 		c.Rows, c.Hashes, c.Sizes = c.Rows[:0], c.Hashes[:0], c.Sizes[:0]
 		return c
 	default:
-		return &Chunk{
+		c := &Chunk{
 			Rows:   make([]types.Tuple, 0, ex.rows),
 			Hashes: make([]uint64, 0, ex.rows),
-			Sizes:  make([]int64, 0, ex.rows),
 		}
+		if ex.sizes {
+			c.Sizes = make([]int64, 0, ex.rows)
+		}
+		return c
 	}
 }
 
@@ -140,12 +145,15 @@ func (ex *scatterExchange) cancel() {
 	ex.closeOnce.Do(func() { close(ex.done) })
 }
 
-// produce runs source partition src: pull chunks, hash and size every row
-// once, route rows into per-destination buffers, and ship each buffer when
-// it fills. Rows staying on their source partition are not metered as
-// shuffle — identical to the batch exchange's accounting. The producer
-// closes its destination channels on every exit path so consumers always
-// see a clean end of stream.
+// produce runs source partition src: pull chunks, hash every row once, size
+// the ones that need it, route rows into per-destination buffers, and ship
+// each buffer when it fills. Only tuple headers move: a projected chunk's
+// stored rows ship as they are, with the source's column map on the buffer,
+// and are sized over their projected columns — the bytes a narrowed row would
+// have shipped. Rows staying on their source partition are not metered as
+// shuffle — identical to the batch exchange's accounting. The producer closes
+// its destination channels on every exit path so consumers always see a
+// clean end of stream.
 func (ex *scatterExchange) produce(ctx *Context, src int, cur Cursor, keyCols []int) error {
 	n := len(ex.chans)
 	defer func() {
@@ -154,9 +162,10 @@ func (ex *scatterExchange) produce(ctx *Context, src int, cur Cursor, keyCols []
 		}
 	}()
 	bufs := make([]*Chunk, n)
+	keys := keyHasher{keyCols: keyCols}
 	var hashBuf []uint64
-	var vecBuf []*types.ColVec
-	var localRows, totalRows, localBytes, totalBytes int64
+	var proj []int // the current chunk's column map
+	var shuffleRows, shuffleBytes int64
 	// The flush select also watches the caller's cancellation: with a
 	// stalled (injected or genuinely wedged) consumer the bounded channel
 	// never drains, and without this case a QueryOptions.Timeout would
@@ -182,26 +191,32 @@ func (ex *scatterExchange) produce(ctx *Context, src int, cur Cursor, keyCols []
 	}
 	// route places one live row (whose prehash sits at sidecar index k) into
 	// its destination buffer, flushing the buffer when it fills. Declared
-	// once per producer — the chunk loop below reassigns hashBuf and the
-	// closure reads it through the captured variable.
+	// once per producer — the chunk loop below reassigns hashBuf and proj and
+	// the closure reads them through the captured variables.
 	route := func(k int, t types.Tuple) error {
 		h := hashBuf[k]
 		d := int(h % uint64(n))
-		sz := int64(t.EncodedSize()) //dynopt:size-ok scatter seeds shuffle metering and downstream size hints in one walk
-		totalRows++
-		totalBytes += sz
-		if d == src {
-			localRows++
-			localBytes += sz
+		// A row is sized when it moves (shuffle metering) or when the
+		// consumers asked for sizes; one that stays put unasked is not read.
+		var sz int64
+		if d != src || ex.sizes {
+			sz = int64(t.EncodedSizeCols(proj)) //dynopt:size-ok scatter seeds shuffle metering and downstream size hints in one walk
+		}
+		if d != src {
+			shuffleRows++
+			shuffleBytes += sz
 		}
 		b := bufs[d]
 		if b == nil {
 			b = ex.get()
+			b.Proj = proj
 			bufs[d] = b
 		}
 		b.Rows = append(b.Rows, t)
 		b.Hashes = append(b.Hashes, h)
-		b.Sizes = append(b.Sizes, sz)
+		if ex.sizes {
+			b.Sizes = append(b.Sizes, sz)
+		}
 		if len(b.Rows) == ex.rows {
 			return flush(d)
 		}
@@ -218,7 +233,7 @@ func (ex *scatterExchange) produce(ctx *Context, src int, cur Cursor, keyCols []
 		if err != nil {
 			return err
 		}
-		hashBuf, vecBuf = chunkKeyHashes(c, keyCols, hashBuf, vecBuf)
+		hashBuf, proj = keys.hash(c), c.Proj
 		if c.Sel != nil {
 			//dynopt:hotpath
 			for k, r := range c.Sel {
@@ -243,8 +258,8 @@ func (ex *scatterExchange) produce(ctx *Context, src int, cur Cursor, keyCols []
 		}
 	}
 	acct := ctx.Accounting()
-	acct.ShuffleRows.Add(totalRows - localRows)
-	acct.ShuffleBytes.Add(totalBytes - localBytes)
+	acct.ShuffleRows.Add(shuffleRows)
+	acct.ShuffleBytes.Add(shuffleBytes)
 	return nil
 }
 
@@ -310,9 +325,12 @@ func (m *mergeStream) next() (*Chunk, error) {
 // they spend most of their life blocked on channels). The first consumer
 // error cancels the producers; the lowest-partition error wins, with
 // producer errors taking precedence over the cancellations they cause.
-func runScatter(ctx *Context, src Source, keyCols []int, consume func(p int, st probeStream) error) error {
+// A row that changes partition is sized for shuffle metering either way;
+// wantSizes sizes every row and ships the sizes to the consumers, aligned
+// with the rows.
+func runScatter(ctx *Context, src Source, keyCols []int, wantSizes bool, consume func(p int, st probeStream) error) error {
 	n := src.Parts()
-	ex := newScatterExchange(n, ctx.chunkRows())
+	ex := newScatterExchange(n, ctx.chunkRows(), wantSizes)
 	consErrs := make([]error, n)
 	var wg sync.WaitGroup
 	for d := 0; d < n; d++ {
@@ -372,7 +390,8 @@ func runScatter(ctx *Context, src Source, keyCols []int, consume func(p int, st 
 // replicateExchange broadcasts one merged stream to every destination — the
 // streaming counterpart of gathering a relation and handing every partition
 // the same slice. One producer pulls the source partitions in order; each
-// chunk's headers are copied once and shared read-only by all consumers.
+// chunk's live rows are copied once — narrowed to schema width if the source
+// projects — and shared read-only by all consumers.
 type replicateExchange struct {
 	chans     []chan *Chunk
 	done      chan struct{}
@@ -405,6 +424,7 @@ func (ex *replicateExchange) produce(ctx *Context, src Source) (totalRows, total
 	if ctx.Cancel != nil {
 		cancelled = ctx.Cancel.Done()
 	}
+	var arena types.Arena
 	for p := 0; p < src.Parts(); p++ {
 		cur, err := src.Open(p)
 		if err != nil {
@@ -426,10 +446,11 @@ func (ex *replicateExchange) produce(ctx *Context, src Source) (totalRows, total
 			if err := ctx.Faults.Fire(faults.Point("exchange.produce")); err != nil {
 				return totalRows, totalBytes, err
 			}
-			// Flatten any selection on the copy the consumers share: the
-			// broadcast copies headers anyway, so dead rows are dropped here
-			// rather than shipped to every destination.
-			out := &Chunk{Rows: c.appendLive(make([]types.Tuple, 0, c.Live()))}
+			// Flatten any selection and projection map on the copy the
+			// consumers share: the broadcast copies rows anyway, so dead rows
+			// and dead columns are dropped here rather than shipped to every
+			// destination.
+			out := &Chunk{Rows: c.appendLive(make([]types.Tuple, 0, c.Live()), &arena)}
 			totalRows += int64(len(out.Rows))
 			if hint < 0 {
 				for _, t := range out.Rows {
@@ -548,6 +569,7 @@ func materializeSource(ctx *Context, src Source) (*Relation, error) {
 			return err
 		}
 		var rows []types.Tuple
+		var arena types.Arena
 		for {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -559,7 +581,7 @@ func materializeSource(ctx *Context, src Source) (*Relation, error) {
 			if err != nil {
 				return err
 			}
-			rows = c.appendLive(rows)
+			rows = c.appendLive(rows, &arena)
 		}
 		out.Parts[p] = rows
 		return nil
@@ -594,11 +616,11 @@ func collectExchanged(ctx *Context, src Source, keyCols []int, wantSizes bool) (
 			return err
 		}
 		bs := make([]bucket, n)
-		var hashBuf []uint64
-		var vecBuf []*types.ColVec
+		keys := keyHasher{keyCols: keyCols}
+		var dense []types.Tuple
+		var arena types.Arena
 		var totalRows, totalBytes int64
-		place := func(k int, t types.Tuple) {
-			h := hashBuf[k]
+		place := func(h uint64, t types.Tuple) {
 			d := int(h % uint64(n))
 			sz := int64(t.EncodedSize()) //dynopt:size-ok collect path seeds shuffle metering for exchanged partitions in one walk
 			totalRows++
@@ -622,15 +644,11 @@ func collectExchanged(ctx *Context, src Source, keyCols []int, wantSizes bool) (
 			if err != nil {
 				return err
 			}
-			hashBuf, vecBuf = chunkKeyHashes(c, keyCols, hashBuf, vecBuf)
-			if c.Sel != nil {
-				for k, r := range c.Sel {
-					place(k, c.Rows[r])
-				}
-				continue
-			}
-			for r, t := range c.Rows {
-				place(r, t)
+			// Hash in place, then flatten: the buckets keep these rows under a
+			// hash table, so this is where a projected row is narrowed.
+			hashes := keys.hash(c)
+			for k, t := range c.dense(&dense, &arena) {
+				place(hashes[k], t)
 			}
 		}
 		buckets[s] = bs

@@ -14,14 +14,19 @@ import (
 // of scope.
 var meterSizePackages = []string{"internal/engine", "internal/core", "internal/optimizer"}
 
+// sizeWalks are the per-row size walks the rule covers: Tuple/Value.EncodedSize,
+// its projected form EncodedSizeCols (the size of a stored row over a
+// chunk's column map), and the legacy bytesOf.
+var sizeWalks = map[string]bool{"EncodedSize": true, "EncodedSizeCols": true, "bytesOf": true}
+
 // MeterSize enforces the cached-size metering rule: no direct
-// Tuple/Value.EncodedSize (or legacy bytesOf) calls in operator packages.
-// The one pass that legitimately walks rows to seed a size cache or a
-// metering counter carries //dynopt:size-ok <reason>.
+// Tuple/Value.EncodedSize, Tuple.EncodedSizeCols (or legacy bytesOf) calls
+// in operator packages. The one pass that legitimately walks rows to seed a
+// size cache or a metering counter carries //dynopt:size-ok <reason>.
 var MeterSize = &analysis.Analyzer{
 	Name: "metersize",
 	Doc: "operator packages must meter via cached Relation.ByteSize/PartBytes/Dataset sizes, " +
-		"not direct EncodedSize walks; mark sanctioned cache-seeding passes //dynopt:size-ok <reason>",
+		"not direct EncodedSize/EncodedSizeCols walks; mark sanctioned cache-seeding passes //dynopt:size-ok <reason>",
 	Run: runMeterSize,
 }
 
@@ -50,7 +55,7 @@ func runMeterSize(pass *analysis.Pass) (any, error) {
 			case *ast.Ident:
 				name = fun.Name
 			}
-			if name != "EncodedSize" && name != "bytesOf" {
+			if !sizeWalks[name] {
 				return true
 			}
 			if dir, ok := dirs.covering(call.Pos(), dirSizeOK); ok {

@@ -12,6 +12,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -36,6 +37,7 @@ type GK struct {
 	mu      sync.Mutex
 	eps     float64
 	entries []gkEntry
+	spare   []gkEntry // the previous summary's storage: flush merges into it and swaps
 	n       int64
 	buf     []float64 // insertion buffer, flushed in sorted batches
 	bufCap  int
@@ -77,13 +79,15 @@ func (g *GK) Insert(v float64) {
 }
 
 // flush merges buffered observations into the summary in one sorted pass,
-// then compresses. The caller must hold g.mu.
+// then compresses. The merge writes into the storage of the summary before
+// last and the two swap, so a sketch in steady state flushes without
+// allocating. The caller must hold g.mu.
 func (g *GK) flush() {
 	if len(g.buf) == 0 {
 		return
 	}
 	sort.Float64s(g.buf)
-	merged := make([]gkEntry, 0, len(g.entries)+len(g.buf))
+	merged := slices.Grow(g.spare[:0], len(g.entries)+len(g.buf))
 	bi, ei := 0, 0
 	for bi < len(g.buf) || ei < len(g.entries) {
 		if ei >= len(g.entries) || (bi < len(g.buf) && g.buf[bi] < g.entries[ei].Value) {
@@ -102,7 +106,7 @@ func (g *GK) flush() {
 			ei++
 		}
 	}
-	g.entries = merged
+	g.entries, g.spare = merged, g.entries[:0]
 	g.buf = g.buf[:0]
 	g.compress()
 }

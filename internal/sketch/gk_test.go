@@ -244,3 +244,124 @@ func TestGKString(t *testing.T) {
 		t.Error("String() empty")
 	}
 }
+
+// flushAllocating is the flush this package shipped before the summary
+// storage was retained: the same sorted merge into a freshly made slice. It
+// is the reference TestGKFlushMatchesAllocatingMerge holds the swapping
+// flush to, entry for entry.
+func flushAllocating(g *GK) {
+	if len(g.buf) == 0 {
+		return
+	}
+	sort.Float64s(g.buf)
+	merged := make([]gkEntry, 0, len(g.entries)+len(g.buf))
+	bi, ei := 0, 0
+	for bi < len(g.buf) || ei < len(g.entries) {
+		if ei >= len(g.entries) || (bi < len(g.buf) && g.buf[bi] < g.entries[ei].Value) {
+			var delta int64
+			if len(merged) > 0 && (ei < len(g.entries) || bi < len(g.buf)-1) {
+				delta = int64(2 * g.eps * float64(g.n))
+			}
+			merged = append(merged, gkEntry{Value: g.buf[bi], G: 1, Delta: delta})
+			g.n++
+			bi++
+		} else {
+			merged = append(merged, g.entries[ei])
+			ei++
+		}
+	}
+	g.entries = merged
+	g.buf = g.buf[:0]
+	g.compress()
+}
+
+// TestGKFlushMatchesAllocatingMerge feeds seeded streams to a sketch flushed
+// by the retained-storage merge and to one flushed by the allocating
+// reference, and requires the summaries to stay identical: entries, count,
+// codec bytes and quantiles. A flush that read an entry after the swap had
+// recycled its storage would diverge here.
+func TestGKFlushMatchesAllocatingMerge(t *testing.T) {
+	const n = 30000
+	rng := rand.New(rand.NewSource(11))
+	random := make([]float64, n)
+	for i := range random {
+		random[i] = rng.NormFloat64() * 1e3
+	}
+	sorted := append([]float64(nil), random...)
+	sort.Float64s(sorted)
+	reversed := make([]float64, n)
+	for i, v := range sorted {
+		reversed[n-1-i] = v
+	}
+	equal := make([]float64, n)
+	for i := range equal {
+		equal[i] = 42
+	}
+	few := make([]float64, n)
+	for i := range few {
+		few[i] = float64(rng.Intn(7))
+	}
+	streams := map[string][]float64{
+		"random": random, "sorted": sorted, "reversed": reversed, "all-equal": equal, "few-distinct": few,
+	}
+	for name, xs := range streams {
+		for _, eps := range []float64{0.05, 0.01, 0.001} {
+			got, want := NewGK(eps), NewGK(eps)
+			for i, v := range xs {
+				got.Insert(v)
+				want.buf = append(want.buf, v)
+				if len(want.buf) >= want.bufCap {
+					flushAllocating(want)
+				}
+				// Queries flush too; interleave some so partial buffers merge.
+				if i%7919 == 0 {
+					got.Quantile(0.5)
+					flushAllocating(want)
+				}
+			}
+			got.Quantile(0.5)
+			flushAllocating(want)
+			if got.n != want.n || len(got.entries) != len(want.entries) {
+				t.Fatalf("%s eps %g: n %d/%d entries %d/%d", name, eps, got.n, want.n, len(got.entries), len(want.entries))
+			}
+			for i := range want.entries {
+				if got.entries[i] != want.entries[i] {
+					t.Fatalf("%s eps %g: entry %d = %+v, want %+v", name, eps, i, got.entries[i], want.entries[i])
+				}
+			}
+			if g, w := got.Encode(nil), want.Encode(nil); string(g) != string(w) {
+				t.Errorf("%s eps %g: codec bytes differ", name, eps)
+			}
+			for _, phi := range []float64{0, 0.1, 0.5, 0.9, 0.99, 1} {
+				g, _ := got.Quantile(phi)
+				w, _ := want.Quantile(phi)
+				if g != w {
+					t.Errorf("%s eps %g: quantile(%g) = %v, want %v", name, eps, phi, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestGKInsertSteadyStateDoesNotAllocate bounds Insert on a warmed-up
+// sketch: the buffer, the summary and its spare are all retained, so a run
+// of inserts spanning many flushes allocates (next to) nothing. Before the
+// spare was retained every flush made a new summary.
+func TestGKInsertSteadyStateDoesNotAllocate(t *testing.T) {
+	g := NewGK(0.01)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200000; i++ {
+		g.Insert(rng.Float64())
+	}
+	const perRun = 10000 // 50 flushes at bufCap 200
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < perRun; i++ {
+			g.Insert(rng.Float64())
+		}
+	})
+	// The summary still grows logarithmically with n, so an occasional
+	// regrowth is legitimate; one per flush is not.
+	if allocs > 2 {
+		t.Errorf("steady-state Insert: %.1f allocations per %d inserts, want <= 2", allocs, perRun)
+	}
+}

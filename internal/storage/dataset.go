@@ -91,6 +91,14 @@ func (d *Dataset) ChunkReader(p, size int) *ChunkReader {
 	return &ChunkReader{part: d.Parts[p], size: size, cols: types.NewColCache(d.Schema)}
 }
 
+// Rebind points a reader that has finished its partition at partition p of
+// the same dataset, keeping its window size and its column-vector buffers: a
+// scan whose partitions are read one after another gathers into one set of
+// vectors instead of allocating a set per partition.
+func (d *Dataset) Rebind(r *ChunkReader, p int) {
+	r.part, r.off = d.Parts[p], 0
+}
+
 // Next returns the next window of rows, or false at the end of the
 // partition. Empty partitions return false immediately.
 func (r *ChunkReader) Next() ([]types.Tuple, bool) {

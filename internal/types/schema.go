@@ -161,6 +161,22 @@ func (t Tuple) EncodedSize() int {
 	return n
 }
 
+// EncodedSizeCols is EncodedSize over the listed columns only — what the
+// tuple would occupy once narrowed to them; a nil list sizes the whole
+// tuple.
+//
+//dynopt:hotpath
+func (t Tuple) EncodedSizeCols(cols []int) int {
+	if cols == nil {
+		return t.EncodedSize()
+	}
+	n := 0
+	for _, c := range cols {
+		n += t[c].EncodedSize()
+	}
+	return n
+}
+
 // Clone returns a copy of the tuple with its own backing array.
 func (t Tuple) Clone() Tuple {
 	out := make(Tuple, len(t))

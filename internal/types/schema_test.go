@@ -128,6 +128,34 @@ func TestTupleEncodedSize(t *testing.T) {
 	}
 }
 
+// The column-map forms must agree with narrowing first: sizing over a map is
+// the size of the gathered tuple, and ConcatCols is Concat of the gathered
+// sides, for every mix of mapped and whole sides.
+func TestColumnMapHelpersMatchNarrowFirst(t *testing.T) {
+	l := Tuple{Int(1), Str("left"), Null(), Float(2.5), Bool(true)}
+	r := Tuple{Str(""), Int(7), Str("a longer string value")}
+	maps := [][]int{nil, {}, {0}, {4, 1}, {3, 2, 1, 0}, {1, 1}}
+	var a Arena
+	narrow := func(t Tuple, cols []int) Tuple {
+		if cols == nil {
+			return t
+		}
+		return a.Gather(t, cols)
+	}
+	for _, lm := range maps {
+		nl := narrow(l, lm)
+		if got, want := l.EncodedSizeCols(lm), nl.EncodedSize(); got != want {
+			t.Errorf("EncodedSizeCols(%v) = %d, gathered tuple sizes %d", lm, got, want)
+		}
+		for _, rm := range [][]int{nil, {2}, {2, 0}} {
+			got, want := a.ConcatCols(l, lm, r, rm), a.Concat(nl, narrow(r, rm))
+			if got.String() != want.String() {
+				t.Errorf("ConcatCols(%v, %v) = %s, want %s", lm, rm, got, want)
+			}
+		}
+	}
+}
+
 func TestHashKeysCompositeConsistency(t *testing.T) {
 	f := func(a, b int64) bool {
 		t1 := Tuple{Int(a), Int(b), Str("pad")}
@@ -161,5 +189,33 @@ func TestTupleString(t *testing.T) {
 	tu := Tuple{Int(1), Str("a")}
 	if got := tu.String(); got != "[1, 'a']" {
 		t.Errorf("Tuple.String() = %q", got)
+	}
+}
+
+// An arena wastes only the unused tail of its last chunk, and a chunk is at
+// most an eighth of what the arena already holds (never under the minimum):
+// whatever the output size, the bytes allocated stay within an eighth of
+// the bytes handed out, plus one minimum chunk.
+func TestArenaSlackIsBounded(t *testing.T) {
+	row := Tuple{Int(1), Int(2), Int(3), Int(4), Int(5)}
+	for _, rows := range []int{1, 40, 52, 1000, 1700, 2108, 40000} {
+		var a Arena
+		for i := 0; i < rows; i++ {
+			a.Concat(row, row[:2])
+		}
+		used := rows * 7
+		if limit := used + used/arenaSlackFrac + arenaMinChunk; a.held > limit {
+			t.Errorf("%d rows: arena holds %d values for %d handed out, limit %d", rows, a.held, used, limit)
+		}
+	}
+	// A tuple wider than the next chunk gets a chunk of its own size, and a
+	// reservation is exact.
+	var a Arena
+	if got := a.Make(3 * arenaMinChunk); len(got) != 3*arenaMinChunk || a.held != 3*arenaMinChunk {
+		t.Errorf("wide tuple: len %d, held %d", len(got), a.held)
+	}
+	a.Reserve(10000)
+	if a.held != 3*arenaMinChunk+10000 {
+		t.Errorf("after Reserve(10000): held %d", a.held)
 	}
 }
