@@ -1,8 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation,
-// plus micro-benchmarks for the substrate hot paths. Figure/Table benches
-// run at scale factor 1 so `go test -bench=.` completes quickly; the
-// full-scale sweeps (SF 1/5/25 standing in for 10/100/1000 GB) are produced
-// by `go run ./cmd/joinbench -all`.
+// plus micro-benchmarks for the sketch, hash and parse hot paths (the join
+// operators are timed on workload data by benchmark/'s layer pass).
+// Figure/Table benches run at scale factor 1 so `go test -bench=.` completes
+// quickly; the full-scale sweeps (SF 1/5/25 standing in for 10/100/1000 GB)
+// are produced by `go run ./cmd/joinbench -all`.
 package dynopt
 
 import (
@@ -13,7 +14,6 @@ import (
 
 	"dynopt/internal/bench"
 	"dynopt/internal/core"
-	"dynopt/internal/engine"
 	"dynopt/internal/sketch"
 	"dynopt/internal/sqlpp"
 	"dynopt/internal/types"
@@ -117,23 +117,6 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBroadcastThreshold sweeps the broadcast budget — the
-// ablation for the paper's claim that post-predicate broadcast decisions
-// drive much of the improvement.
-func BenchmarkAblationBroadcastThreshold(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.AblationBroadcastThreshold(benchSF, benchNodes,
-			[]int64{0, 128 << 10, 8 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 12 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-	}
-}
-
 // --- substrate micro-benchmarks ---
 
 // BenchmarkGKInsert measures quantile-sketch insertion (the ingestion-time
@@ -163,95 +146,6 @@ func BenchmarkValueHash(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = t.HashKeys(keys)
-	}
-}
-
-func benchEngineCtx(b *testing.B, rows int) *engine.Context {
-	b.Helper()
-	ctx, err := bench.NewMicroCtx(rows, benchNodes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ctx
-}
-
-// BenchmarkHashJoin measures the repartitioning hash join end to end.
-func BenchmarkHashJoin(b *testing.B) {
-	for _, rows := range []int{10000, 50000} {
-		b.Run(strconv.Itoa(rows), func(b *testing.B) {
-			ctx := benchEngineCtx(b, rows)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fact, _ := engine.ScanByName(ctx, "fact", "f", nil, nil)
-				dim, _ := engine.ScanByName(ctx, "dim", "d", nil, nil)
-				out, err := engine.HashJoin(ctx, fact, dim, []string{"f.fk"}, []string{"d.id"}, false)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if out.RowCount() != int64(rows) {
-					b.Fatalf("rows = %d", out.RowCount())
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBroadcastJoin measures the broadcast join end to end.
-func BenchmarkBroadcastJoin(b *testing.B) {
-	ctx := benchEngineCtx(b, 50000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fact, _ := engine.ScanByName(ctx, "fact", "f", nil, nil)
-		dim, _ := engine.ScanByName(ctx, "dim", "d", nil, nil)
-		out, err := engine.BroadcastJoin(ctx, fact, dim, []string{"f.fk"}, []string{"d.id"}, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.RowCount() != 50000 {
-			b.Fatalf("rows = %d", out.RowCount())
-		}
-	}
-}
-
-// BenchmarkIndexNLJoin measures the indexed nested-loop join end to end.
-func BenchmarkIndexNLJoin(b *testing.B) {
-	ctx := benchEngineCtx(b, 50000)
-	ds, _ := ctx.Catalog.Get("fact")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dim, _ := engine.ScanByName(ctx, "dim", "d", nil, nil)
-		out, err := engine.IndexNLJoin(ctx, dim, ds, "f", []string{"d.id"}, []string{"fk"}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.RowCount() != 50000 {
-			b.Fatalf("rows = %d", out.RowCount())
-		}
-	}
-}
-
-// BenchmarkRepartition measures the hash-exchange (shuffle) path in
-// isolation: the fact table is partitioned on id and exchanged onto fk, so
-// every row is hashed and ~(n-1)/n of them move.
-func BenchmarkRepartition(b *testing.B) {
-	ctx := benchEngineCtx(b, 50000)
-	fact, err := engine.ScanByName(ctx, "fact", "f", nil, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := engine.Repartition(ctx, fact, []string{"f.fk"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.RowCount() != 50000 {
-			b.Fatalf("rows = %d", out.RowCount())
-		}
 	}
 }
 

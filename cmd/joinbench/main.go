@@ -1,39 +1,17 @@
-// Command joinbench regenerates the paper's evaluation artifacts:
+// Command joinbench regenerates the paper's evaluation artifacts in
+// simulated seconds:
 //
-//	joinbench -fig 6            Figure 6 (overhead decomposition, both halves)
-//	joinbench -fig 7            Figure 7 (six strategies, hash+broadcast)
-//	joinbench -fig 8            Figure 8 (with secondary indexes + INLJ)
-//	joinbench -table 1          Table 1 (average improvement ratios)
-//	joinbench -joinjson FILE    join micro-benchmark snapshot (ns/op,
-//	                            allocs/op for repartition/hash/broadcast/INLJ)
-//	joinbench -spilljson FILE   memory-governed join sweep: per-node budget
-//	                            from ample down to 1/8 of the build side,
-//	                            real disk spilling, invariants checked
-//	joinbench -pipejson FILE    streaming-pipeline comparison: Figure-7
-//	                            queries end-to-end in batch vs chunked
-//	                            streaming mode, rows+counters equality
-//	                            checked, wall-clock and alloc medians
-//	joinbench -servejson FILE   plan-memo serving bench: repeated
-//	                            parameterized shapes with rotating bindings,
-//	                            cold (dynamic loop) vs hot (memo replay)
-//	                            queries/sec, hit-rate and row equality
-//	                            checked
-//	joinbench -vecjson FILE     vectorization snapshot: scalar-vs-vector
-//	                            predicate and hash micros plus the Figure-7
-//	                            queries streamed with column-major execution
-//	                            off and on, rows+counters equality checked
-//	joinbench -storagejson FILE disk-native storage sweep: cold-vs-warm
-//	                            paged scans through the byte-budgeted page
-//	                            cache, zone-map pruning on a selective
-//	                            filter (>=50% of pages skipped, checked),
-//	                            and the access-path pick priced against
-//	                            its forced alternative (>=2x, checked)
-//	joinbench -all              everything
+//	joinbench -fig 6      Figure 6 (overhead decomposition, both halves)
+//	joinbench -fig 7      Figure 7 (six strategies, hash+broadcast)
+//	joinbench -fig 8      Figure 8 (with secondary indexes + INLJ)
+//	joinbench -table 1    Table 1 (average improvement ratios)
+//	joinbench -all        everything
 //
 // Flags -sf (comma-separated scale factors, default 1,5,25 standing in for
 // the paper's 10/100/1000 GB) and -nodes (default 10, the paper's cluster
-// size) control the setup. -cpuprofile/-memprofile write pprof profiles so
-// pipeline regressions are diagnosable straight from the bench harness.
+// size) control the setup. -cpuprofile/-memprofile write pprof profiles of
+// the run. Wall-clock performance is measured by benchmark/ (see
+// BENCHMARK.json), not here.
 package main
 
 import (
@@ -52,15 +30,6 @@ func main() {
 	fig := flag.Int("fig", 0, "figure to regenerate (6, 7, or 8)")
 	table := flag.Int("table", 0, "table to regenerate (1)")
 	all := flag.Bool("all", false, "regenerate every figure and table")
-	ablation := flag.Bool("ablation", false, "broadcast-threshold ablation sweep")
-	joinJSON := flag.String("joinjson", "", "write a join micro-benchmark snapshot (ns/op, allocs/op) to this file")
-	spillJSON := flag.String("spilljson", "", "write a memory-budget spill sweep snapshot to this file")
-	pipeJSON := flag.String("pipejson", "", "write a streaming-vs-batch pipeline comparison snapshot to this file")
-	serveJSON := flag.String("servejson", "", "write a cold-vs-hot plan-memo serving snapshot to this file")
-	vecJSON := flag.String("vecjson", "", "write a scalar-vs-vector execution snapshot to this file")
-	storageJSON := flag.String("storagejson", "", "write a disk-native storage sweep snapshot to this file")
-	pipeRuns := flag.Int("runs", 5, "runs per mode for the -pipejson and -servejson medians")
-	joinRows := flag.Int("joinrows", 50000, "fact rows for the -joinjson and -spilljson benchmarks")
 	sfFlag := flag.String("sf", "1,5,25", "comma-separated scale factors")
 	nodes := flag.Int("nodes", 10, "simulated cluster nodes")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -112,112 +81,6 @@ func main() {
 	if *all || *fig == 8 {
 		ran = true
 		runFigure8(sfs, *nodes)
-	}
-	if *all || *ablation {
-		ran = true
-		fmt.Println("== Ablation: broadcast threshold sweep (dynamic strategy) ==")
-		rows, err := bench.AblationBroadcastThreshold(sfs[0], *nodes,
-			[]int64{0, 16 << 10, 128 << 10, 1 << 20, 8 << 20})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(bench.FormatAblation(rows))
-	}
-	if *joinJSON != "" {
-		ran = true
-		fmt.Printf("== Join micro-benchmarks (%d fact rows, %d nodes) -> %s ==\n",
-			*joinRows, *nodes, *joinJSON)
-		res, err := bench.WriteJoinMicrosJSON(*joinJSON, *joinRows, *nodes)
-		if err != nil {
-			fatal(err)
-		}
-		for _, r := range res {
-			fmt.Printf("  %-14s %12.0f ns/op %8d allocs/op %10d B/op\n",
-				r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
-		}
-	}
-	if *spillJSON != "" {
-		ran = true
-		fmt.Printf("== Memory-governed join sweep (%d fact rows, %d nodes) -> %s ==\n",
-			*joinRows, *nodes, *spillJSON)
-		pts, err := bench.WriteSpillJSON(*spillJSON, *joinRows, *nodes)
-		if err != nil {
-			fatal(err)
-		}
-		for _, p := range pts {
-			fmt.Printf("  %-6s budget %8d B/node  spill %9d B %7d rows  peak %8d/%8d B  sim %7.3fs wall %6.3fs\n",
-				p.Name, p.BudgetBytes, p.SpillBytes, p.SpillRows,
-				p.PeakGrantBytes, p.GrantCapacity, p.SimSeconds, p.WallSeconds)
-		}
-	}
-	if *pipeJSON != "" {
-		ran = true
-		fmt.Printf("== Streaming pipeline vs batch (sf %d, %d nodes, %d runs) -> %s ==\n",
-			sfs[0], *nodes, *pipeRuns, *pipeJSON)
-		pts, err := bench.WritePipelineJSON(*pipeJSON, sfs[0], *nodes, *pipeRuns)
-		if err != nil {
-			fatal(err)
-		}
-		for _, p := range pts {
-			fmt.Printf("  %-4s batch %8.2f ms  stream %8.2f ms  %+6.1f%%   alloc %10d -> %10d B (%+.1f%%)\n",
-				p.Query, p.BatchMedianMs, p.StreamMedianMs, p.ImprovementPct,
-				p.BatchAllocBytes, p.StreamAllocBytes, p.AllocSavedPct)
-		}
-	}
-	if *serveJSON != "" {
-		ran = true
-		fmt.Printf("== Plan-memo serving bench (sf %d, %d nodes, %d runs) -> %s ==\n",
-			sfs[0], *nodes, *pipeRuns, *serveJSON)
-		pts, err := bench.WriteServeJSON(*serveJSON, sfs[0], *nodes, *pipeRuns)
-		if err != nil {
-			fatal(err)
-		}
-		for _, p := range pts {
-			fmt.Printf("  %-5s %2d bindings  cold %7.1f q/s  hot %7.1f q/s  %+6.1f%%  hit %.0f%%  fallbacks %d\n",
-				p.Query, p.Bindings, p.ColdQPS, p.HotQPS, p.SpeedupPct, 100*p.HitRate, p.Fallbacks)
-		}
-	}
-	if *vecJSON != "" {
-		ran = true
-		fmt.Printf("== Vectorized execution vs scalar (sf %d, %d nodes, %d runs) -> %s ==\n",
-			sfs[0], *nodes, *pipeRuns, *vecJSON)
-		rep, err := bench.WriteVectorJSON(*vecJSON, sfs[0], *nodes, *pipeRuns)
-		if err != nil {
-			fatal(err)
-		}
-		for _, m := range rep.FilterMicros {
-			fmt.Printf("  filter %-14s sel %4.0f%%  scalar %6.2f ns/row  vector %6.2f ns/row  %5.2fx\n",
-				m.Name, 100*m.Selectivity, m.ScalarNsPerRow, m.VectorNsPerRow, m.Speedup)
-		}
-		for _, m := range rep.HashMicros {
-			fmt.Printf("  %-21s row %6.2f ns/row  columnar %6.2f ns/row  %5.2fx\n",
-				m.Name, m.ScalarNsPerRow, m.VectorNsPerRow, m.Speedup)
-		}
-		for _, p := range rep.E2E {
-			fmt.Printf("  %-4s scalar %8.2f ms  vector %8.2f ms  %+6.1f%%   alloc %10d -> %10d B\n",
-				p.Query, p.ScalarMedianMs, p.VectorMedianMs, p.ImprovementPct,
-				p.ScalarAllocBytes, p.VectorAllocBytes)
-		}
-	}
-	if *storageJSON != "" {
-		ran = true
-		fmt.Printf("== Disk-native storage sweep (%d fact rows, %d nodes) -> %s ==\n",
-			*joinRows, *nodes, *storageJSON)
-		snap, err := bench.WriteStorageJSON(*storageJSON, *joinRows, *nodes, 64)
-		if err != nil {
-			fatal(err)
-		}
-		for _, s := range snap.Scans {
-			fmt.Printf("  scan cache %-5s %8d B %5d pages  cold %5d miss %5d hit %6.3fs  warm %5d miss %5d hit %6.3fs\n",
-				s.Name, s.CacheBytes, s.Pages, s.Cold.CacheMisses, s.Cold.CacheHits, s.Cold.WallSeconds,
-				s.Warm.CacheMisses, s.Warm.CacheHits, s.Warm.WallSeconds)
-		}
-		fmt.Printf("  prune %d/%d pages (%.0f%%), %d of %d rows selected\n",
-			snap.Prune.PagesPruned, snap.Prune.PagesTotal, 100*snap.Prune.PruneRatio,
-			snap.Prune.SelectedRows, snap.Prune.TotalRows)
-		fmt.Printf("  access path: %d outer rows vs %d pages  index %.4fs (%d lookups)  scan %.4fs  %.1fx\n",
-			snap.Access.OuterRows, snap.Access.InnerPages, snap.Access.IndexSimSeconds,
-			snap.Access.IndexLookups, snap.Access.ScanSimSeconds, snap.Access.Speedup)
 	}
 	if !ran {
 		flag.Usage()

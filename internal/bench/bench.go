@@ -7,7 +7,8 @@
 // 10/100/1000 GB datasets. Reported "sim" seconds price the metered work
 // (shuffles, broadcasts, materialization I/O, probes, index lookups,
 // re-optimization latency) on the simulated shared-nothing cluster; wall
-// seconds are host time. Shape — who wins, by what factor, where broadcasts
+// time is measured by benchmark/ (its adhoc workload is Figure 7 on the
+// clock, with variance). Shape — who wins, by what factor, where broadcasts
 // stop — is the reproduction target, not absolute numbers.
 package bench
 
@@ -45,9 +46,6 @@ func Queries() []Query {
 	}
 }
 
-// DefaultScaleFactors maps to the paper's 10/100/1000 GB series.
-func DefaultScaleFactors() []int { return []int{1, 5, 25} }
-
 // Env is one loaded workload instance reused across strategy runs: each run
 // clones the base catalog onto a fresh cluster so metering is isolated and
 // temps never leak.
@@ -57,16 +55,9 @@ type Env struct {
 	udfs    *expr.Registry
 	indexed bool
 	// Batch runs every strategy in whole-relation batch mode instead of the
-	// chunked streaming pipeline — the reference the equivalence tests and
-	// the pipeline benchmark compare against.
+	// chunked streaming pipeline — the reference the root equivalence tests
+	// compare against.
 	Batch bool
-	// NoVec disables column-major execution (vector predicate kernels and
-	// columnar key hashing) while staying on the streaming pipeline — the
-	// ablation the vectorization benchmark prices.
-	NoVec bool
-	// pageCache is the shared page cache ConvertPaged installed (nil while
-	// resident or uncached).
-	pageCache *storage.PageCache
 }
 
 // NewEnv loads both workloads at sf on an n-node layout. withIndexes adds
@@ -101,13 +92,14 @@ func NewEnv(sf, nodes int, withIndexes bool) (*Env, error) {
 // under dir and reattaches the catalog to the page files through one shared
 // page cache of cacheBytes (0 = uncached). Fresh contexts scan pages from
 // then on; secondary indexes are rebuilt from the persisted sidecars. The
-// paged-vs-resident equivalence suite and the storage benchmark use this to
-// run the identical workload against both storage layouts. reg, when
-// non-nil, wires fault injection into every page file the conversion opens
-// (the paged corruption chaos suite arms page.corrupt through it).
+// paged-vs-resident equivalence suite uses this to run the identical
+// workload against both storage layouts. reg, when non-nil, wires fault
+// injection into every page file the conversion opens (the paged corruption
+// chaos suite arms page.corrupt through it).
 func (e *Env) ConvertPaged(dir string, rowsPerPage int, cacheBytes int64, reg *faults.Registry) error {
+	var cache *storage.PageCache
 	if cacheBytes > 0 {
-		e.pageCache = storage.NewPageCache(cacheBytes)
+		cache = storage.NewPageCache(cacheBytes)
 	}
 	for _, name := range e.base.BaseNames() {
 		ds, ok := e.base.Get(name)
@@ -118,7 +110,7 @@ func (e *Env) ConvertPaged(dir string, rowsPerPage int, cacheBytes int64, reg *f
 		if err := storage.WritePaged(dir, ds, st, rowsPerPage); err != nil {
 			return err
 		}
-		pds, pst, err := storage.OpenPaged(dir, name, e.pageCache, reg)
+		pds, pst, err := storage.OpenPaged(dir, name, cache, reg)
 		if err != nil {
 			return err
 		}
@@ -152,13 +144,9 @@ func (e *Env) Fresh() *engine.Context {
 		UDFs:      e.udfs,
 		Params:    map[string]types.Value{},
 		Batch:     e.Batch,
-		NoVec:     e.NoVec,
 		PageStats: &storage.PageScanStats{},
 	}
 }
-
-// PageCache returns the shared cache ConvertPaged installed (nil before).
-func (e *Env) PageCache() *storage.PageCache { return e.pageCache }
 
 // algoConfig returns the experiment's algorithm rule configuration.
 func (e *Env) algoConfig() core.AlgoConfig {

@@ -3,9 +3,11 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"dynopt/internal/core"
 )
 
-func TestQueriesAndScaleFactors(t *testing.T) {
+func TestQueries(t *testing.T) {
 	qs := Queries()
 	if len(qs) != 4 {
 		t.Fatalf("queries = %d", len(qs))
@@ -21,9 +23,6 @@ func TestQueriesAndScaleFactors(t *testing.T) {
 		if !names[want] {
 			t.Errorf("missing %s", want)
 		}
-	}
-	if len(DefaultScaleFactors()) != 3 {
-		t.Error("want 3 scale factors (10/100/1000 GB stand-ins)")
 	}
 }
 
@@ -195,5 +194,40 @@ func TestTable1Ratios(t *testing.T) {
 	}
 	if out := FormatTable1(t1); !strings.Contains(out, "x") {
 		t.Errorf("FormatTable1:\n%s", out)
+	}
+}
+
+// TestAblationBroadcastThreshold pins the paper's claim that broadcast
+// opportunities (unlocked by accurate post-predicate sizes) drive much of
+// the improvement: on every evaluation query the default threshold
+// broadcasts something and costs fewer simulated seconds than threshold 0,
+// which plans hash-only.
+func TestAblationBroadcastThreshold(t *testing.T) {
+	env, err := NewEnv(1, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(q Query, threshold int64) *core.Report {
+		cfg := core.DefaultConfig()
+		cfg.Algo.BroadcastThresholdBytes = threshold
+		rep, err := env.RunOne(&core.Dynamic{Cfg: cfg}, q.SQL)
+		if err != nil {
+			t.Fatalf("%s threshold %d: %v", q.Name, threshold, err)
+		}
+		return rep
+	}
+	for _, q := range Queries() {
+		hashOnly := run(q, 0)
+		def := run(q, core.DefaultAlgoConfig().BroadcastThresholdBytes)
+		if strings.Contains(hashOnly.Compact(), "⋈b") {
+			t.Errorf("%s: threshold 0 still broadcast: %s", q.Name, hashOnly.Compact())
+		}
+		if !strings.Contains(def.Compact(), "⋈b") {
+			t.Errorf("%s: default threshold never broadcast: %s", q.Name, def.Compact())
+		}
+		if def.SimSeconds >= hashOnly.SimSeconds {
+			t.Errorf("%s: broadcasts (%.3fs) did not beat hash-only (%.3fs)",
+				q.Name, def.SimSeconds, hashOnly.SimSeconds)
+		}
 	}
 }

@@ -144,8 +144,6 @@ type CompareRow struct {
 	SF    int
 	// Sim seconds per strategy, keyed by strategy name.
 	Sim map[string]float64
-	// Wall seconds per strategy.
-	Wall map[string]float64
 	// Plan per strategy (compact notation).
 	Plan map[string]string
 }
@@ -172,7 +170,6 @@ func compare(sfs []int, nodes int, indexes bool) ([]CompareRow, error) {
 			row := CompareRow{
 				Query: q.Name, SF: sf,
 				Sim:  map[string]float64{},
-				Wall: map[string]float64{},
 				Plan: map[string]string{},
 			}
 			for _, s := range env.Strategies() {
@@ -181,7 +178,6 @@ func compare(sfs []int, nodes int, indexes bool) ([]CompareRow, error) {
 					return nil, fmt.Errorf("%s sf%d: %w", q.Name, sf, err)
 				}
 				row.Sim[s.Name()] = rep.SimSeconds
-				row.Wall[s.Name()] = rep.Wall.Seconds()
 				row.Plan[s.Name()] = rep.Compact()
 			}
 			rows = append(rows, row)

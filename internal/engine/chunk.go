@@ -273,7 +273,7 @@ type relationSource struct {
 // SourceOf returns a streaming view over a materialized relation, windowed
 // at the execution's configured chunk capacity.
 func SourceOf(ctx *Context, rel *Relation) Source {
-	return &relationSource{rel: rel, rows: ctx.chunkRows(), noVec: ctx.NoVec}
+	return &relationSource{rel: rel, rows: ctx.chunkRows(), noVec: ctx.noVec}
 }
 
 func (s *relationSource) Schema() *types.Schema { return s.rel.Schema }

@@ -60,12 +60,12 @@ type Context struct {
 	// once so every operator can trust chunkRows() > 0. Tests shrink it to
 	// push chunk-boundary edge cases through the real configuration path.
 	ChunkRows int
-	// NoVec disables column-major execution: scans stop attaching column
-	// sources to their chunks and predicates never compile to vector kernels,
-	// forcing the row-at-a-time scalar paths everywhere. Results and counters
-	// are identical either way — this is the ablation knob the vectorization
-	// benchmark uses to price the kernels, not a semantic switch.
-	NoVec bool
+	// noVec is an in-package test hook: scans stop attaching column sources
+	// to their chunks and predicates never compile to vector kernels, forcing
+	// the row-at-a-time scalar fallbacks everywhere. Results and counters
+	// must be identical either way; the engine's own tests set it to pin
+	// that, nothing else can.
+	noVec bool
 	// Faults is the query's fault-injection registry (nil in production):
 	// the engine-layer injection points — exchange sends and receives,
 	// scan-cursor opens, probe drains, sink seals — fire against it.
@@ -74,7 +74,7 @@ type Context struct {
 	// prunes, cache traffic — when any scanned dataset is paged. Nil skips
 	// observation. Deliberately outside the metered cost counters: paged and
 	// resident runs charge identical Accounting figures, and these feed the
-	// optimizer's access-path selection and the benchmark reports instead.
+	// optimizer's access-path selection and the query's page metrics instead.
 	PageStats *storage.PageScanStats
 }
 

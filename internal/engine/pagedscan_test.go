@@ -135,3 +135,36 @@ func TestPagedScanPrunesWholePages(t *testing.T) {
 		t.Errorf("PagesRead = %d, want 1", st.PagesRead.Load())
 	}
 }
+
+// TestPagedScanWarmRepeatIsCacheResident: under a page cache sized to the
+// dataset's bytes, a cold full scan cannot hit the cache, its warm repeat
+// cannot miss it, and both return the resident scan's rows.
+func TestPagedScanWarmRepeatIsCacheResident(t *testing.T) {
+	ctx := testCtx(t, 4)
+	register(t, ctx, "t", []string{"id"}, []string{"id", "grp", "pay"}, seqTable(5000, 10))
+	ds, _ := ctx.Catalog.Get("t")
+	pctx := pagedCopy(t, ctx, "t", 64, ds.ByteSize())
+	resident, err := ScanByName(ctx, "t", "a", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sortedRelRows(resident)
+	for _, pass := range []string{"cold", "warm"} {
+		st := &storage.PageScanStats{}
+		pctx.PageStats = st
+		rel, err := ScanByName(pctx, "t", "a", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sortedRelRows(rel), want) {
+			t.Errorf("%s: paged rows diverged from resident", pass)
+		}
+		hits, misses := st.CacheHits.Load(), st.CacheMisses.Load()
+		if pass == "cold" && (hits != 0 || misses == 0) {
+			t.Errorf("cold scan: %d cache hits, %d misses; want 0 hits and every page a miss", hits, misses)
+		}
+		if pass == "warm" && (misses != 0 || hits == 0) {
+			t.Errorf("warm scan under a full-budget cache: %d misses, %d hits; want 0 misses", misses, hits)
+		}
+	}
+}

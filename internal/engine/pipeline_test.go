@@ -61,7 +61,9 @@ func collectStream(nparts int, run func(mk SinkFactory) error) (*Relation, error
 // runBothModes executes the batch and streaming forms of the same join job
 // on fresh but identically loaded contexts and requires identical rows
 // (order included), identical schema and partitioning metadata, and
-// identical counters.
+// identical counters. The streaming form runs twice — with the vector
+// kernels and with the noVec hook forcing the scalar fallbacks — and both
+// are held to the batch reference.
 func runBothModes(t *testing.T, nodes int, load func(ctx *Context),
 	batchJob func(ctx *Context) (*Relation, error), streamJob func(ctx *Context) (*Relation, error)) {
 	t.Helper()
@@ -69,34 +71,38 @@ func runBothModes(t *testing.T, nodes int, load func(ctx *Context),
 		rel  *Relation
 		snap cluster.Snapshot
 	}
-	run := func(batch bool, job func(ctx *Context) (*Relation, error)) res {
+	run := func(mode string, job func(ctx *Context) (*Relation, error)) res {
 		ctx := testCtx(t, nodes)
-		ctx.Batch = batch
+		ctx.Batch, ctx.noVec = mode == "batch", mode == "stream-scalar"
 		load(ctx)
 		rel, err := job(ctx)
 		if err != nil {
-			t.Fatalf("batch=%v: %v", batch, err)
+			t.Fatalf("%s: %v", mode, err)
 		}
 		return res{rel: rel, snap: ctx.Cluster.Acct().Snapshot()}
 	}
-	b, s := run(true, batchJob), run(false, streamJob)
-	if b.snap != s.snap {
-		t.Errorf("counters diverged\nbatch:  %+v\nstream: %+v", b.snap, s.snap)
-	}
-	br, sr := relRows(b.rel), relRows(s.rel)
-	if len(br) != len(sr) {
-		t.Fatalf("row count diverged: batch %d, stream %d", len(br), len(sr))
-	}
-	for i := range br {
-		if br[i] != sr[i] {
-			t.Fatalf("row %d diverged:\nbatch:  %s\nstream: %s", i, br[i], sr[i])
+	b := run("batch", batchJob)
+	br := relRows(b.rel)
+	for _, mode := range []string{"stream", "stream-scalar"} {
+		s := run(mode, streamJob)
+		if b.snap != s.snap {
+			t.Errorf("counters diverged\nbatch:  %+v\n%s: %+v", b.snap, mode, s.snap)
 		}
-	}
-	if b.rel.Schema.String() != s.rel.Schema.String() {
-		t.Errorf("schema diverged: %s vs %s", b.rel.Schema, s.rel.Schema)
-	}
-	if fmt.Sprint(b.rel.PartCols) != fmt.Sprint(s.rel.PartCols) {
-		t.Errorf("PartCols diverged: %v vs %v", b.rel.PartCols, s.rel.PartCols)
+		sr := relRows(s.rel)
+		if len(br) != len(sr) {
+			t.Fatalf("row count diverged: batch %d, %s %d", len(br), mode, len(sr))
+		}
+		for i := range br {
+			if br[i] != sr[i] {
+				t.Fatalf("row %d diverged:\nbatch:  %s\n%s: %s", i, br[i], mode, sr[i])
+			}
+		}
+		if b.rel.Schema.String() != s.rel.Schema.String() {
+			t.Errorf("%s: schema diverged: %s vs %s", mode, b.rel.Schema, s.rel.Schema)
+		}
+		if fmt.Sprint(b.rel.PartCols) != fmt.Sprint(s.rel.PartCols) {
+			t.Errorf("%s: PartCols diverged: %v vs %v", mode, b.rel.PartCols, s.rel.PartCols)
+		}
 	}
 }
 

@@ -420,7 +420,7 @@ func TestProjectionMapMatchesNarrowFirst(t *testing.T) {
 			for _, mc := range cases {
 				run := func(narrow bool) ([]string, any) {
 					ctx := testCtx(t, mapNodes)
-					ctx.ChunkRows, ctx.NoVec = mc.chunkRows, mc.noVec
+					ctx.ChunkRows, ctx.noVec = mc.chunkRows, mc.noVec
 					if cons.prep != nil {
 						cons.prep(t, ctx)
 					}

@@ -51,7 +51,7 @@ func prepareScan(ctx *Context, ds *storage.Dataset, alias string, filter expr.Ex
 		// compile refusal (unsupported node, unresolved column) silently
 		// keeps the scalar path, and the kernels themselves fall back per
 		// chunk when a column gathers mixed-kind.
-		if !ctx.NoVec {
+		if !ctx.noVec {
 			if vp, ok, verr := expr.CompileVec(filter, env); verr == nil && ok {
 				sp.vpred = vp
 			}
@@ -351,9 +351,9 @@ func (c *scanCursor) Next() (*Chunk, error) {
 			}
 		}
 		c.c = Chunk{Rows: win, Sel: sel, Proj: c.prep.projIdx}
-		// Under Context.NoVec chunks carry no column source, so downstream
-		// stays fully scalar.
-		if !c.ctx.NoVec {
+		// Under the noVec test hook chunks carry no column source, so
+		// downstream stays fully scalar.
+		if !c.ctx.noVec {
 			c.c.Cols = c.r
 		}
 		return &c.c, nil

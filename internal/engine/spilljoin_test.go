@@ -51,11 +51,13 @@ func rowsEqual(t *testing.T, got, want []string) {
 	}
 }
 
-// TestRealSpillJoin50kIdenticalResults is the acceptance bench: a 50k-row
-// build side joined under a budget of 1/8 of its per-node bytes must spill
-// for real and produce exactly the rows of the in-memory join, with
-// SpillBytes equal to the actual run-file bytes written and peak resident
-// build memory within the grant.
+// TestRealSpillJoin50kIdenticalResults walks a 50k-row build side down the
+// memory-budget ladder — 4x, 1x, 1/2, 1/4, 1/8 of its per-node bytes — with
+// real disk spilling. Every step must produce exactly the rows of the
+// in-memory join, meter SpillBytes equal to the run-file bytes actually
+// written, keep peak resident build memory within the grant and hand the
+// grant back empty; the ample step stays resident, a tighter budget never
+// spills less, and the tightest step pays for its I/O in simulated seconds.
 func TestRealSpillJoin50kIdenticalResults(t *testing.T) {
 	const nodes = 4
 	build := func(ctx *Context) (*Relation, *Relation) {
@@ -82,34 +84,61 @@ func TestRealSpillJoin50kIdenticalResults(t *testing.T) {
 	}
 	want := sortedRows(memRel)
 
-	// Real spill: budget 1/8 of the per-node build-side bytes.
-	ctx := testCtx(t, nodes)
-	f, d := build(ctx)
-	buildDS, _ := ctx.Catalog.Get("fact")
-	budget := buildDS.ByteSize() / nodes / 8
-	ctx.Cluster.SetMemoryPerNodeBytes(budget)
-	sm, _ := realSpillCtx(t, ctx)
+	// Budgets in eighths of the build side's per-node bytes, ample first.
+	steps := []struct {
+		name    string
+		eighths int64
+	}{{"4x", 32}, {"1x", 8}, {"0.5x", 4}, {"0.25x", 2}, {"0.125x", 1}}
+	var spilled []cluster.Snapshot
+	var sims []float64
+	for _, st := range steps {
+		t.Run(st.name, func(t *testing.T) {
+			ctx := testCtx(t, nodes)
+			f, d := build(ctx)
+			buildDS, _ := ctx.Catalog.Get("fact")
+			ctx.Cluster.SetMemoryPerNodeBytes(buildDS.ByteSize() / nodes * st.eighths / 8)
+			sm, _ := realSpillCtx(t, ctx)
 
-	before := ctx.Cluster.Acct().Snapshot()
-	rel, err := HashJoin(ctx, f, d, joinKeys("f", "k"), joinKeys("d", "k"), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1 := ctx.Cluster.Acct().Snapshot().Sub(before)
+			before := ctx.Cluster.Acct().Snapshot()
+			rel, err := HashJoin(ctx, f, d, joinKeys("f", "k"), joinKeys("d", "k"), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diff := ctx.Cluster.Acct().Snapshot().Sub(before)
+			spilled = append(spilled, diff)
+			sims = append(sims, ctx.Cluster.Model().SimSeconds(diff, nodes))
 
-	rowsEqual(t, sortedRows(rel), want)
-	if d1.SpillBytes == 0 || d1.SpillRows == 0 {
-		t.Fatalf("1/8 budget did not spill: %+v", d1)
+			rowsEqual(t, sortedRows(rel), want)
+			if got := sm.BytesWritten(); diff.SpillBytes != got {
+				t.Errorf("SpillBytes = %d, actual run-file bytes written = %d", diff.SpillBytes, got)
+			}
+			capacity := ctx.Cluster.Governor().Capacity()
+			if peak := ctx.Grant.Peak(); peak > capacity {
+				t.Errorf("peak resident build memory %d exceeded the grant capacity %d", peak, capacity)
+			}
+			if held := ctx.Grant.Used(); held != 0 {
+				t.Errorf("join left %d bytes held on the grant", held)
+			}
+		})
 	}
-	if got := sm.BytesWritten(); d1.SpillBytes != got {
-		t.Errorf("SpillBytes = %d, actual run-file bytes written = %d", d1.SpillBytes, got)
+	if len(spilled) != len(steps) {
+		return // a step failed before it was metered
 	}
-	capacity := ctx.Cluster.Governor().Capacity()
-	if peak := ctx.Grant.Peak(); peak > capacity {
-		t.Errorf("peak resident build memory %d exceeded the grant capacity %d", peak, capacity)
+	last := len(steps) - 1
+	if spilled[0].SpillBytes != 0 {
+		t.Errorf("ample budget spilled %d bytes", spilled[0].SpillBytes)
 	}
-	if held := ctx.Grant.Used(); held != 0 {
-		t.Errorf("join left %d bytes held on the grant", held)
+	if spilled[last].SpillBytes == 0 || spilled[last].SpillRows == 0 {
+		t.Errorf("1/8 budget did not spill: %+v", spilled[last])
+	}
+	for i := 1; i <= last; i++ {
+		if spilled[i].SpillBytes < spilled[i-1].SpillBytes {
+			t.Errorf("%s spilled %d bytes, less than %s's %d",
+				steps[i].name, spilled[i].SpillBytes, steps[i-1].name, spilled[i-1].SpillBytes)
+		}
+	}
+	if sims[last] <= sims[0] {
+		t.Errorf("spilling run (%v sim s) not more expensive than resident run (%v sim s)", sims[last], sims[0])
 	}
 }
 

@@ -120,7 +120,6 @@ func shadowDynamicPlan(ctx *engine.Context, sql string, cfg core.Config) (*plan.
 		UDFs:      ctx.UDFs,
 		Params:    ctx.Params,
 		ChunkRows: ctx.ChunkRows,
-		NoVec:     ctx.NoVec,
 	}
 	d := &core.Dynamic{Cfg: cfg}
 	_, rep, err := d.Run(scratch, sql)
