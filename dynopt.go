@@ -427,6 +427,14 @@ func (db *DB) AttachPaged(name string) error {
 // the cluster (round-robin when pk is nil), collecting ingestion-time
 // statistics — the upfront statistics that seed every optimizer's first
 // plan.
+//
+// The DB copies what it loads: each partition's rows go into one contiguous
+// block of values the dataset owns, so the caller may refill, re-slice or
+// drop rows (and every tuple in it) as soon as CreateDataset returns — a
+// loader can push batch after batch through one buffer. The other side of
+// the same coin: a result row that aliases stored values (a retained
+// `SELECT *` row) keeps its whole partition's block reachable, even after
+// DropDataset, until the row itself is released.
 func (db *DB) CreateDataset(name string, schema *Schema, pk []string, rows []Tuple) error {
 	ds, st, err := storage.Build(name, schema, pk, rows, db.ctx.Cluster.Nodes())
 	if err != nil {

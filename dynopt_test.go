@@ -275,3 +275,50 @@ func TestAggregateQueryViaAPI(t *testing.T) {
 		t.Errorf("columns = %v", res.Columns)
 	}
 }
+
+// TestCreateDatasetCopiesRows: the DB owns what it loaded. A caller that
+// refills, re-slices or clears the rows it passed to CreateDataset — a bulk
+// loader reusing one batch buffer — changes neither the answer nor the
+// metered cost of a later query.
+func TestCreateDatasetCopiesRows(t *testing.T) {
+	load := func(reuse bool) *Result {
+		db := Open(Config{Nodes: 4})
+		rows := make([]Tuple, 500)
+		for i := range rows {
+			rows[i] = Tuple{Int(int64(i)), Int(int64(i % 7)), Str("pad")}
+		}
+		if err := db.CreateDataset("a", NewSchema(F("id", KindInt), F("grp", KindInt), F("pad", KindString)), []string{"id"}, rows); err != nil {
+			t.Fatal(err)
+		}
+		if reuse {
+			for i := range rows {
+				rows[i][0], rows[i][1], rows[i][2] = Int(-1), Null(), Str("reused")
+			}
+			rows[0] = rows[0][:1]
+			clear(rows[1:])
+		}
+		// The same buffer, refilled, loads the second table.
+		rows = rows[:7]
+		for i := range rows {
+			rows[i] = Tuple{Int(int64(i)), Int(int64(i * 100)), Str("b")}
+		}
+		if err := db.CreateDataset("b", NewSchema(F("grp", KindInt), F("score", KindInt), F("pad", KindString)), []string{"grp"}, rows); err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.Query(`SELECT a.id, b.score FROM a a, b b WHERE a.grp = b.grp AND b.score >= 300`, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want, got := load(false), load(true)
+	if len(want.Rows) == 0 {
+		t.Fatal("vacuous: the query returned nothing")
+	}
+	if rowsKey(want) != rowsKey(got) {
+		t.Errorf("rows changed when the caller reused its slice after CreateDataset: %d rows, want %d", len(got.Rows), len(want.Rows))
+	}
+	if want.Metrics.Counters != got.Metrics.Counters {
+		t.Errorf("counters changed when the caller reused its slice:\nwant %+v\n got %+v", want.Metrics.Counters, got.Metrics.Counters)
+	}
+}

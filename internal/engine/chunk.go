@@ -34,10 +34,10 @@ func (c *Context) chunkRows() int {
 // Chunk is one batch of tuples flowing through a stage pipeline, with
 // optional sidecars the producer computed anyway: a selection vector, a
 // projection map, typed column vectors, join-key prehashes (exchange
-// scatter), and per-row encoded byte sizes (shuffle metering). A chunk
-// handed out by a Cursor is valid only until the next Next call; consumers
-// that retain rows copy them out through appendLive (the values themselves
-// live in arena or dataset storage and stay valid).
+// scatter), and encoded byte sizes — per row, or one for all (shuffle
+// metering). A chunk handed out by a Cursor is valid only until the next
+// Next call; consumers that retain rows copy them out through appendLive
+// (the values themselves live in arena or dataset storage and stay valid).
 //
 // Selection semantics: when Sel is non-nil it lists the live row indexes
 // into Rows, ascending — the fused scan filter marks rows instead of
@@ -51,19 +51,28 @@ func (c *Context) chunkRows() int {
 // stored row is already in memory and a narrowed copy of a row the join
 // drops is pure garbage. Cols stays physical: Cols.Col(Proj[i]) is schema
 // column i. Sizes are over the projected columns only, so every metered
-// byte is what a narrowed row would have weighed. Consumers that only look
-// at rows (key hashing, key comparison, sizing, the probe loop, the scatter)
-// read through the map, resolved per chunk and never per row; a join writes
-// its output tuple in one step from the build row, the stored probe row and
-// the map. Consumers that keep rows (sinks, build sides, the replicated
-// INLJ outer, the spilling join) narrow them at their boundary through
-// appendLive — the only place a projected row is ever built.
+// byte is what a narrowed row would have weighed — and when every stored
+// row of the scanned partition weighs the same over those columns, the
+// chunk says so once (RowBytes) and no row is read just to be sized.
+// Consumers that only look at rows (key hashing, key comparison, sizing,
+// the probe loop, the scatter) read through the map, resolved per chunk and
+// never per row; a join writes its output tuple in one step from the build
+// row, the stored probe row and the map. Consumers that keep rows (sinks,
+// build sides, the replicated INLJ outer, the spilling join) narrow them at
+// their boundary through appendLive — the only place a projected row is
+// ever built.
 type Chunk struct {
 	Rows   []types.Tuple
 	Sel    []int32  // live row indexes into Rows, ascending; nil = all rows live
 	Proj   []int    // schema column -> offset into each row; nil = rows are at schema width
 	Hashes []uint64 // key prehashes aligned with live rows, nil when not computed
 	Sizes  []int64  // encoded byte sizes aligned with live rows, nil when not computed
+	// RowBytes, when > 0, is the encoded size of every live row over the
+	// projected columns — EncodedSizeCols(Proj) without the walk. A resident
+	// base scan sets it from the partition's width profile
+	// (storage.Dataset.RowBytes); 0 means sizes differ or are unknown, and
+	// whoever needs one walks the row. A sidecar like Sizes, not an option.
+	RowBytes int64
 	// Cols serves typed column vectors over Rows (NOT selection-filtered and
 	// NOT projected: vectors align with Rows and are indexed by stored column
 	// offset; consumers apply Sel and Proj themselves). Nil when the producer

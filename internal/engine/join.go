@@ -303,16 +303,18 @@ func (ht *hashTable) joinInto(out []types.Tuple, arena *types.Arena, probeRows [
 		bCol0, pCol0 = ht.keyCols[0], probeCols[0]
 	}
 	for k, h := range hashes {
-		r := k
-		if sel != nil {
-			r = int(sel[k])
-		}
-		pt := probeRows[r]
 		b := h & mask
 		for _, ri := range idx[starts[b]:starts[b+1]] {
 			if hs[ri] != h {
 				continue
 			}
+			// Only a full-hash match touches the probe row, or even its
+			// header: a row that matches nothing is never loaded.
+			r := k
+			if sel != nil {
+				r = int(sel[k])
+			}
+			pt := probeRows[r]
 			bt := bRows[ri]
 			if singleKey {
 				if !bt[bCol0].Equal(pt[pCol0]) {

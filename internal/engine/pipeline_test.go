@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -63,9 +64,10 @@ func collectStream(nparts int, run func(mk SinkFactory) error) (*Relation, error
 // (order included), identical schema and partitioning metadata, and
 // identical counters. The streaming form runs twice — with the vector
 // kernels and with the noVec hook forcing the scalar fallbacks — and both
-// are held to the batch reference.
+// are held to the batch reference, whose counters are returned so a caller
+// can check the job metered what it meant to.
 func runBothModes(t *testing.T, nodes int, load func(ctx *Context),
-	batchJob func(ctx *Context) (*Relation, error), streamJob func(ctx *Context) (*Relation, error)) {
+	batchJob func(ctx *Context) (*Relation, error), streamJob func(ctx *Context) (*Relation, error)) cluster.Snapshot {
 	t.Helper()
 	type res struct {
 		rel  *Relation
@@ -104,6 +106,7 @@ func runBothModes(t *testing.T, nodes int, load func(ctx *Context),
 			t.Errorf("%s: PartCols diverged: %v vs %v", mode, b.rel.PartCols, s.rel.PartCols)
 		}
 	}
+	return b.snap
 }
 
 // TestStreamMatchesBatchChunkBoundaries sweeps the streaming joins across
@@ -453,6 +456,280 @@ func TestStreamMatchesBatchSelChunks(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestStreamRowBytesMeteringMatchesBatch holds Chunk.RowBytes to the batch
+// exchange, which walks every row it meters: a projected fact table whose
+// every projected column is fixed-width (the scan stamps RowBytes and no
+// streaming consumer reads a row to size it) and the same table with NULLs
+// in a projected column (RowBytes is 0 and every consumer walks), through
+// each place that sizes a chunk's live rows — the scatter's route, the local
+// probe's size fill, the build side's collect, the replicated outer's sum —
+// under a memory budget small enough that the simulated spill model reads
+// the probe sizes too.
+func TestStreamRowBytesMeteringMatchesBatch(t *testing.T) {
+	leakcheck.Check(t)
+	withChunkCap(t, 16)
+	schema := types.NewSchema(
+		types.Field{Name: "id", Kind: types.KindInt},
+		types.Field{Name: "fk", Kind: types.KindInt},
+		types.Field{Name: "pay", Kind: types.KindInt},
+		types.Field{Name: "note", Kind: types.KindString},
+	)
+	project := []string{"pay", "id", "fk"} // drops the one variable-width column
+	dim := make([][]int64, 40)
+	for i := range dim {
+		dim[i] = []int64{int64(i), int64(i * 3)}
+	}
+	for _, tc := range []struct {
+		name      string
+		nullEvery int
+	}{{"fixed-width", 0}, {"null-in-projection", 5}} {
+		t.Run(tc.name, func(t *testing.T) {
+			load := func(ctx *Context) {
+				rows := make([]types.Tuple, 400)
+				for i := range rows {
+					pay := types.Int(int64(i * 10))
+					if tc.nullEvery > 0 && i%tc.nullEvery == 0 {
+						pay = types.Null()
+					}
+					rows[i] = types.Tuple{types.Int(int64(i)), types.Int(int64(i % 40)), pay, types.Str("note"[:i%5])}
+				}
+				fact := registerTyped(t, ctx, "fact", []string{"id"}, schema, rows)
+				register(t, ctx, "dim", []string{"id"}, []string{"id", "attr"}, dim)
+				ctx.Cluster.SetMemoryPerNodeBytes(64)
+				// The case is what it says: the scan knows the projected width
+				// of every partition exactly when no projected value is NULL.
+				want := int64(27)
+				if tc.nullEvery > 0 {
+					want = 0
+				}
+				for p := range fact.Parts {
+					if rb := fact.RowBytes(p, []int{2, 0, 1}); rb != want {
+						t.Fatalf("partition %d: RowBytes over the projection = %d, want %d", p, rb, want)
+					}
+				}
+			}
+			// hashJobs joins fact (projected) with dim on fKey = d.id; build
+			// names the side under the hash table.
+			hashJobs := func(fKey string, buildFact bool) (batch, stream func(ctx *Context) (*Relation, error)) {
+				batch = func(ctx *Context) (*Relation, error) {
+					f, err := ScanByName(ctx, "fact", "f", nil, project)
+					if err != nil {
+						return nil, err
+					}
+					d, err := ScanByName(ctx, "dim", "d", nil, nil)
+					if err != nil {
+						return nil, err
+					}
+					return HashJoin(ctx, f, d, []string{fKey}, []string{"d.id"}, buildFact)
+				}
+				stream = func(ctx *Context) (*Relation, error) {
+					fds, _ := ctx.Catalog.Get("fact")
+					dds, _ := ctx.Catalog.Get("dim")
+					return collectStream(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
+						fsrc, err := ScanSource(ctx, fds, "f", nil, project)
+						if err != nil {
+							return err
+						}
+						dsrc, err := ScanSource(ctx, dds, "d", nil, nil)
+						if err != nil {
+							return err
+						}
+						if buildFact {
+							return HashJoinStreamSources(ctx, fsrc, dsrc, []string{fKey}, []string{"d.id"}, true, mk)
+						}
+						return HashJoinStreamSources(ctx, dsrc, fsrc, []string{"d.id"}, []string{fKey}, false, mk)
+					})
+				}
+				return batch, stream
+			}
+			t.Run("scattered-probe", func(t *testing.T) {
+				batch, stream := hashJobs("f.fk", false)
+				if snap := runBothModes(t, 4, load, batch, stream); snap.ShuffleBytes == 0 || snap.SpillBytes == 0 {
+					t.Fatalf("vacuous: nothing shuffled or nothing spilled: %+v", snap)
+				}
+			})
+			t.Run("local-probe", func(t *testing.T) {
+				batch, stream := hashJobs("f.id", false)
+				if snap := runBothModes(t, 4, load, batch, stream); snap.ShuffleBytes != 0 || snap.SpillBytes == 0 {
+					t.Fatalf("vacuous: the probe moved or nothing spilled: %+v", snap)
+				}
+			})
+			t.Run("collected-build", func(t *testing.T) {
+				batch, stream := hashJobs("f.fk", true)
+				if snap := runBothModes(t, 4, load, batch, stream); snap.ShuffleBytes == 0 || snap.SpillBytes == 0 {
+					t.Fatalf("vacuous: nothing shuffled or nothing spilled: %+v", snap)
+				}
+			})
+			t.Run("broadcast-probe", func(t *testing.T) {
+				snap := runBothModes(t, 4, load,
+					func(ctx *Context) (*Relation, error) {
+						f, err := ScanByName(ctx, "fact", "f", nil, project)
+						if err != nil {
+							return nil, err
+						}
+						d, err := ScanByName(ctx, "dim", "d", nil, nil)
+						if err != nil {
+							return nil, err
+						}
+						return BroadcastJoin(ctx, f, d, []string{"f.fk"}, []string{"d.id"}, false)
+					},
+					func(ctx *Context) (*Relation, error) {
+						fds, _ := ctx.Catalog.Get("fact")
+						dds, _ := ctx.Catalog.Get("dim")
+						return collectStream(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
+							build, err := Scan(ctx, dds, "d", nil, nil)
+							if err != nil {
+								return err
+							}
+							fsrc, err := ScanSource(ctx, fds, "f", nil, project)
+							if err != nil {
+								return err
+							}
+							return BroadcastJoinStream(ctx, build, fsrc, []string{"d.id"}, []string{"f.fk"}, false, mk)
+						})
+					})
+				if snap.SpillBytes == 0 {
+					t.Fatalf("vacuous: nothing spilled: %+v", snap)
+				}
+			})
+			t.Run("replicated-outer", func(t *testing.T) {
+				loadIdx := func(ctx *Context) {
+					load(ctx)
+					ds, _ := ctx.Catalog.Get("dim")
+					if _, err := storage.BuildIndex(ds, "id"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				snap := runBothModes(t, 4, loadIdx,
+					func(ctx *Context) (*Relation, error) {
+						dds, _ := ctx.Catalog.Get("dim")
+						f, err := ScanByName(ctx, "fact", "f", nil, project)
+						if err != nil {
+							return nil, err
+						}
+						return IndexNLJoin(ctx, f, dds, "d", []string{"f.fk"}, []string{"id"}, nil)
+					},
+					func(ctx *Context) (*Relation, error) {
+						fds, _ := ctx.Catalog.Get("fact")
+						dds, _ := ctx.Catalog.Get("dim")
+						return collectStream(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
+							fsrc, err := ScanSource(ctx, fds, "f", nil, project)
+							if err != nil {
+								return err
+							}
+							return IndexNLJoinStream(ctx, fsrc, dds, "d", []string{"f.fk"}, []string{"id"}, nil, mk)
+						})
+					})
+				if snap.BroadcastBytes == 0 {
+					t.Fatalf("vacuous: no outer bytes replicated: %+v", snap)
+				}
+			})
+		})
+	}
+}
+
+// TestScanChunkRowBytes pins Chunk.RowBytes at its one producer: every chunk
+// of a resident base scan carries the partition's width profile folded
+// through the scan's projection — non-zero exactly when every projected
+// value of the partition has one encoded size, and then equal to
+// EncodedSizeCols(Proj) of every live row — while temps and paged scans,
+// which have no profile, leave it 0.
+func TestScanChunkRowBytes(t *testing.T) {
+	withChunkCap(t, 16)
+	ctx := testCtx(t, 3)
+	schema := types.NewSchema(
+		types.Field{Name: "id", Kind: types.KindInt},
+		types.Field{Name: "f", Kind: types.KindFloat},
+		types.Field{Name: "holey", Kind: types.KindInt},
+		types.Field{Name: "tag", Kind: types.KindString},
+		types.Field{Name: "name", Kind: types.KindString},
+	)
+	rows := make([]types.Tuple, 300)
+	for i := range rows {
+		holey := types.Int(int64(i))
+		if i%10 == 7 {
+			holey = types.Null()
+		}
+		rows[i] = types.Tuple{types.Int(int64(i)), types.Float(float64(i) / 3), holey, types.Str("tag"), types.Str("name"[:1+i%4])}
+	}
+	base := registerTyped(t, ctx, "t", []string{"id"}, schema, rows)
+	filter := &expr.Compare{Op: expr.CmpLt,
+		L: &expr.Column{Qualifier: "a", Name: "id"}, R: &expr.Literal{Val: types.Int(150)}}
+
+	// scan checks the contract on every chunk of the scan and requires each
+	// to carry RowBytes = want.
+	scan := func(ctx *Context, ds *storage.Dataset, filter expr.Expr, project []string, want int64) {
+		t.Helper()
+		src, err := ScanSource(ctx, ds, "a", filter, project)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks := 0
+		for p := 0; p < src.Parts(); p++ {
+			cur, err := src.Open(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				c, err := cur.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				chunks++
+				if c.RowBytes != want {
+					t.Fatalf("%s project %v (filtered: %v): a chunk of partition %d carries RowBytes = %d, want %d",
+						ds.Name, project, filter != nil, p, c.RowBytes, want)
+				}
+				if c.RowBytes == 0 {
+					continue
+				}
+				for k := 0; k < c.Live(); k++ {
+					r := k
+					if c.Sel != nil {
+						r = int(c.Sel[k])
+					}
+					got := int64(c.Rows[r].EncodedSizeCols(c.Proj)) //dynopt:size-ok the reference walk RowBytes stands in for
+					if got != c.RowBytes {
+						t.Fatalf("project %v: live row %s weighs %d, chunk says RowBytes = %d", project, c.Rows[r], got, c.RowBytes)
+					}
+				}
+			}
+		}
+		if chunks == 0 {
+			t.Fatalf("%s project %v: the scan produced no chunk", ds.Name, project)
+		}
+	}
+	for _, tc := range []struct {
+		project []string
+		want    int64
+	}{
+		{[]string{"f", "id"}, 18},
+		{[]string{"tag", "id"}, 13}, // strings of one length are a fixed width too
+		{[]string{"id", "holey"}, 0},
+		{[]string{"name"}, 0},
+		{nil, 0},
+	} {
+		scan(ctx, base, nil, tc.project, tc.want)
+		scan(ctx, base, filter, tc.project, tc.want)
+	}
+
+	rel, err := Scan(ctx, base, "a", nil, []string{"f", "id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	temp, _, err := Materialize(ctx, rel, "tmp_fixed", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan(ctx, temp, nil, nil, 0)
+	pctx := pagedCopy(t, ctx, "t", 64, 0)
+	pds, _ := pctx.Catalog.Get("t")
+	scan(pctx, pds, nil, []string{"f", "id"}, 0)
 }
 
 // TestStreamSpillSelChunks drives sel chunks into the spilling DHHJ probe:

@@ -263,7 +263,8 @@ func (s *scanSource) Open(p int) (Cursor, error) {
 	if s.ds.IsPaged() {
 		return newPagedCursor(s.ctx, s.ds, s.prep, p), nil
 	}
-	return &scanCursor{ctx: s.ctx, src: s, prep: s.prep, scanScratch: s.scratch(p)}, nil
+	return &scanCursor{ctx: s.ctx, src: s, prep: s.prep, scanScratch: s.scratch(p),
+		rowBytes: s.ds.RowBytes(p, s.prep.projIdx)}, nil
 }
 
 // materialize runs the scan as the batch pass instead of streaming —
@@ -289,7 +290,11 @@ type scanCursor struct {
 	// The reader and the selection buffer, on loan from the source until the
 	// partition ends (nil afterwards).
 	*scanScratch
-	c Chunk
+	// rowBytes is the partition's width profile folded through the
+	// projection: the projected encoded size every stored row shares, 0 when
+	// they differ. Stamped on every chunk as Chunk.RowBytes.
+	rowBytes int64
+	c        Chunk
 }
 
 // filterWindow runs the fused predicate over the window and returns the
@@ -350,7 +355,7 @@ func (c *scanCursor) Next() (*Chunk, error) {
 				sel = nil
 			}
 		}
-		c.c = Chunk{Rows: win, Sel: sel, Proj: c.prep.projIdx}
+		c.c = Chunk{Rows: win, Sel: sel, Proj: c.prep.projIdx, RowBytes: c.rowBytes}
 		// Under the noVec test hook chunks carry no column source, so
 		// downstream stays fully scalar.
 		if !c.ctx.noVec {

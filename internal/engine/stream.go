@@ -53,13 +53,18 @@ func (s *localStream) next() (*Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := Chunk{Rows: c.Rows, Sel: c.Sel, Proj: c.Proj, Hashes: s.keys.hash(c), Sizes: c.Sizes}
+	sc := Chunk{Rows: c.Rows, Sel: c.Sel, Proj: c.Proj, Hashes: s.keys.hash(c), Sizes: c.Sizes, RowBytes: c.RowBytes}
 	if s.wantSizes && sc.Sizes == nil {
 		if cap(s.sizeBuf) < c.Live() {
 			s.sizeBuf = make([]int64, 0, c.Live())
 		}
 		s.sizeBuf = s.sizeBuf[:0]
-		if c.Sel != nil {
+		if c.RowBytes > 0 {
+			s.sizeBuf = s.sizeBuf[:c.Live()]
+			for k := range s.sizeBuf {
+				s.sizeBuf[k] = c.RowBytes
+			}
+		} else if c.Sel != nil {
 			//dynopt:hotpath
 			for _, r := range c.Sel {
 				s.sizeBuf = append(s.sizeBuf, int64(c.Rows[r].EncodedSizeCols(c.Proj))) //dynopt:size-ok seeds the per-chunk Sizes cache every downstream consumer reuses
@@ -164,7 +169,8 @@ func (ex *scatterExchange) produce(ctx *Context, src int, cur Cursor, keyCols []
 	bufs := make([]*Chunk, n)
 	keys := keyHasher{keyCols: keyCols}
 	var hashBuf []uint64
-	var proj []int // the current chunk's column map
+	var proj []int     // the current chunk's column map
+	var rowBytes int64 // the current chunk's RowBytes
 	var shuffleRows, shuffleBytes int64
 	// The flush select also watches the caller's cancellation: with a
 	// stalled (injected or genuinely wedged) consumer the bounded channel
@@ -191,15 +197,16 @@ func (ex *scatterExchange) produce(ctx *Context, src int, cur Cursor, keyCols []
 	}
 	// route places one live row (whose prehash sits at sidecar index k) into
 	// its destination buffer, flushing the buffer when it fills. Declared
-	// once per producer — the chunk loop below reassigns hashBuf and proj and
-	// the closure reads them through the captured variables.
+	// once per producer — the chunk loop below reassigns hashBuf, proj and
+	// rowBytes and the closure reads them through the captured variables.
 	route := func(k int, t types.Tuple) error {
 		h := hashBuf[k]
 		d := int(h % uint64(n))
 		// A row is sized when it moves (shuffle metering) or when the
-		// consumers asked for sizes; one that stays put unasked is not read.
-		var sz int64
-		if d != src || ex.sizes {
+		// consumers asked for sizes; one that stays put unasked is not read,
+		// and neither is one whose chunk knows what every row weighs.
+		sz := rowBytes
+		if sz == 0 && (d != src || ex.sizes) {
 			sz = int64(t.EncodedSizeCols(proj)) //dynopt:size-ok scatter seeds shuffle metering and downstream size hints in one walk
 		}
 		if d != src {
@@ -233,7 +240,7 @@ func (ex *scatterExchange) produce(ctx *Context, src int, cur Cursor, keyCols []
 		if err != nil {
 			return err
 		}
-		hashBuf, proj = keys.hash(c), c.Proj
+		hashBuf, proj, rowBytes = keys.hash(c), c.Proj, c.RowBytes
 		if c.Sel != nil {
 			//dynopt:hotpath
 			for k, r := range c.Sel {
@@ -452,9 +459,13 @@ func (ex *replicateExchange) produce(ctx *Context, src Source) (totalRows, total
 			// destination.
 			out := &Chunk{Rows: c.appendLive(make([]types.Tuple, 0, c.Live()), &arena)}
 			totalRows += int64(len(out.Rows))
-			if hint < 0 {
+			switch {
+			case hint >= 0: // the partition's total is known
+			case c.RowBytes > 0:
+				partBytes += c.RowBytes * int64(len(out.Rows))
+			default:
 				for _, t := range out.Rows {
-					partBytes += int64(t.EncodedSize()) //dynopt:size-ok fallback when the producer attached no size hint; replicate meters bytes shipped per node
+					partBytes += int64(t.EncodedSize()) //dynopt:size-ok fallback when the producer attached neither a size hint nor a row width; replicate meters bytes shipped per node
 				}
 			}
 			for _, ch := range ex.chans {
@@ -620,9 +631,13 @@ func collectExchanged(ctx *Context, src Source, keyCols []int, wantSizes bool) (
 		var dense []types.Tuple
 		var arena types.Arena
 		var totalRows, totalBytes int64
+		var rowBytes int64 // the current chunk's RowBytes
 		place := func(h uint64, t types.Tuple) {
 			d := int(h % uint64(n))
-			sz := int64(t.EncodedSize()) //dynopt:size-ok collect path seeds shuffle metering for exchanged partitions in one walk
+			sz := rowBytes
+			if sz == 0 {
+				sz = int64(t.EncodedSize()) //dynopt:size-ok collect path seeds shuffle metering for exchanged partitions in one walk
+			}
 			totalRows++
 			totalBytes += sz
 			b := &bs[d]
@@ -647,6 +662,7 @@ func collectExchanged(ctx *Context, src Source, keyCols []int, wantSizes bool) (
 			// Hash in place, then flatten: the buckets keep these rows under a
 			// hash table, so this is where a projected row is narrowed.
 			hashes := keys.hash(c)
+			rowBytes = c.RowBytes
 			for k, t := range c.dense(&dense, &arena) {
 				place(hashes[k], t)
 			}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dynopt/internal/stats"
 	"dynopt/internal/types"
@@ -34,6 +35,87 @@ type Dataset struct {
 	// slices (partition count preserved for every len(Parts) caller) and row
 	// access routes through the page file. See paged.go.
 	paged *PagedData
+
+	// layout, one entry per partition, is what Build knows about how a
+	// resident base dataset's rows lie in memory. Nil for temps (their rows
+	// are the producing operator's arena tuples) and for paged datasets.
+	layout []partLayout
+}
+
+// partLayout describes one resident base partition. Its rows are carved, in
+// partition order, out of one value slab Build allocated (row i+1 starts
+// where row i ends), so a partition scan is a sequential walk and the
+// collector marks one object per partition instead of one per row. Beside
+// the slab the layout carries two things derived from the rows, immutable
+// once published because the rows are.
+type partLayout struct {
+	// widths[c] is the encoded size every value of column c shares, 0 when
+	// they differ — the width profile a scan folds through its projection
+	// (RowBytes) so fixed-width rows are never read just to be weighed.
+	widths []int32
+
+	// kept[c] is column c of the whole partition as a typed vector, gathered
+	// the first time a reader asks for it (under mu) and then shared
+	// read-only by every reader until the dataset is dropped. Only int and
+	// float columns are kept: their vectors are pointer-free, so the mirror
+	// costs the collector nothing, where a kept string column would be a
+	// second copy of every string header for it to walk.
+	kept []atomic.Pointer[types.ColVec]
+	mu   sync.Mutex
+}
+
+// keptKind reports whether columns of schema kind k are kept as whole-
+// partition vectors.
+func keptKind(k types.Kind) bool { return k == types.KindInt || k == types.KindFloat }
+
+// col returns column c of the whole partition, gathering it on first use. A
+// column that gathers Mixed is kept as the bare marker: readers fall back to
+// the per-window gather, which reports Mixed only for the windows that are.
+//
+//dynopt:hotpath
+func (l *partLayout) col(part []types.Tuple, c int, kind types.Kind) *types.ColVec {
+	if v := l.kept[c].Load(); v != nil {
+		return v
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if v := l.kept[c].Load(); v != nil {
+		return v
+	}
+	v := new(types.ColVec) //dynopt:alloc-ok one vector per partition column for the life of the dataset
+	v.Gather(part, c, kind)
+	if v.Mixed {
+		*v = types.ColVec{Kind: kind, Mixed: true}
+	}
+	l.kept[c].Store(v)
+	return v
+}
+
+// RowBytes returns the encoded size every row of resident base partition p
+// shares over the listed columns (nil: the whole row), or 0 when its rows
+// differ or the dataset carries no width profile (temps, paged datasets).
+func (d *Dataset) RowBytes(p int, cols []int) int64 {
+	if d.layout == nil {
+		return 0
+	}
+	widths := d.layout[p].widths
+	var n int64
+	if cols == nil {
+		for _, w := range widths {
+			if w == 0 {
+				return 0
+			}
+			n += int64(w)
+		}
+		return n
+	}
+	for _, c := range cols {
+		if widths[c] == 0 {
+			return 0
+		}
+		n += int64(widths[c])
+	}
+	return n
 }
 
 // RowCount returns the total number of rows across partitions.
@@ -71,24 +153,37 @@ func (d *Dataset) PartitionFields() []string { return d.PrimaryKey }
 // storage face of the engine's chunk pipeline. The returned windows alias
 // the stored rows (zero-copy); callers must treat them as read-only.
 //
-// The reader is also the window's columnar decoder: Col gathers a column of
-// the current window into a typed vector (cached per window, buffers reused
-// across windows), which is what the engine's vectorized predicate kernels
-// and the columnar join-key prehash read instead of row-form values.
+// The reader is also the window's columnar decoder: Col serves a column of
+// the current window as a typed vector, which is what the engine's
+// vectorized predicate kernels and the columnar join-key prehash read
+// instead of row-form values. Where the vector comes from depends on the
+// dataset's Temp flag, its residency and the column's schema kind, nothing
+// a caller sets: an int or float column of a resident base partition is a
+// zero-copy window of the partition's kept vector (partLayout.kept); every
+// other column — strings, and all columns of a temp, which is read once or
+// twice and dies with its query — is gathered from the window's rows, at
+// most once per window, into buffers reused across windows.
 type ChunkReader struct {
-	part []types.Tuple
-	size int
-	off  int
-	cols *types.ColCache
+	schema *types.Schema
+	part   []types.Tuple
+	size   int // rows per window; 0 = the whole partition in one window
+	lo     int // start of the current window
+	off    int // end of the current window: where the next one starts
+	cols   *types.ColCache
+
+	// lay is the partition's layout when its numeric columns are served from
+	// kept vectors, nil otherwise; views[i] is then the vector Col(i) hands
+	// out, re-pointed at the current window on every call.
+	lay   *partLayout
+	views []types.ColVec
 }
 
 // ChunkReader returns a reader over partition p yielding at most size rows
 // per chunk. size < 1 yields the whole partition in one chunk.
 func (d *Dataset) ChunkReader(p, size int) *ChunkReader {
-	if size < 1 {
-		size = len(d.Parts[p])
-	}
-	return &ChunkReader{part: d.Parts[p], size: size, cols: types.NewColCache(d.Schema)}
+	r := &ChunkReader{schema: d.Schema, size: max(size, 0), cols: types.NewColCache(d.Schema)}
+	d.Rebind(r, p)
+	return r
 }
 
 // Rebind points a reader that has finished its partition at partition p of
@@ -96,7 +191,13 @@ func (d *Dataset) ChunkReader(p, size int) *ChunkReader {
 // scan whose partitions are read one after another gathers into one set of
 // vectors instead of allocating a set per partition.
 func (d *Dataset) Rebind(r *ChunkReader, p int) {
-	r.part, r.off = d.Parts[p], 0
+	r.part, r.lo, r.off, r.lay = d.Parts[p], 0, 0, nil
+	if d.layout != nil && !d.Temp {
+		r.lay = &d.layout[p]
+		if r.views == nil {
+			r.views = make([]types.ColVec, d.Schema.Len())
+		}
+	}
 }
 
 // Next returns the next window of rows, or false at the end of the
@@ -105,19 +206,30 @@ func (r *ChunkReader) Next() ([]types.Tuple, bool) {
 	if r.off >= len(r.part) {
 		return nil, false
 	}
-	end := r.off + r.size
-	if end > len(r.part) {
-		end = len(r.part)
+	end := len(r.part)
+	if r.size > 0 && r.off+r.size < end {
+		end = r.off + r.size
 	}
 	w := r.part[r.off:end]
-	r.off = end
+	r.lo, r.off = r.off, end
 	r.cols.SetWindow(w)
 	return w, true
 }
 
-// Col implements types.ColSource over the current window: column i decoded
-// to a typed vector, gathered on first request per window.
-func (r *ChunkReader) Col(i int) *types.ColVec { return r.cols.Col(i) }
+// Col implements types.ColSource over the current window: column i as a
+// typed vector, valid until the window advances.
+//
+//dynopt:hotpath
+func (r *ChunkReader) Col(i int) *types.ColVec {
+	if kind := r.schema.Fields[i].Kind; r.lay != nil && keptKind(kind) {
+		if full := r.lay.col(r.part, i, kind); !full.Mixed {
+			v := &r.views[i]
+			*v = full.Window(r.lo, r.off)
+			return v
+		}
+	}
+	return r.cols.Col(i)
+}
 
 // HasIndex reports whether a secondary index exists on the field.
 func (d *Dataset) HasIndex(field string) bool {
@@ -129,15 +241,12 @@ func (d *Dataset) HasIndex(field string) bool {
 // key across nparts partitions (round-robin when pk is empty), and every
 // field is fed through the statistics collectors during the load — the
 // "upfront statistics gained during loading" of §7 that seed the first plan.
+//
+// The dataset owns its rows: each partition's rows are copied, in placement
+// order, into one value slab (see partLayout), so the caller may reuse or
+// mutate its slice afterwards, and a retained stored row keeps its whole
+// partition's slab reachable.
 func Build(name string, schema *types.Schema, pk []string, rows []types.Tuple, nparts int) (*Dataset, *stats.DatasetStats, error) {
-	return build(name, schema, pk, rows, nparts, true)
-}
-
-// build is Build with the statistics pass optional: BuildParallel skips the
-// serial sketch collection here and runs its own partition-parallel one
-// (the size cache is always seeded either way). With collectStats false the
-// returned stats carry only the row/byte totals.
-func build(name string, schema *types.Schema, pk []string, rows []types.Tuple, nparts int, collectStats bool) (*Dataset, *stats.DatasetStats, error) {
 	if nparts < 1 {
 		nparts = 1
 	}
@@ -147,6 +256,7 @@ func build(name string, schema *types.Schema, pk []string, rows []types.Tuple, n
 		PrimaryKey: pk,
 		Parts:      make([][]types.Tuple, nparts),
 		Indexes:    map[string]*Index{},
+		layout:     make([]partLayout, nparts),
 	}
 	var pkIdx []int
 	for _, f := range pk {
@@ -156,9 +266,10 @@ func build(name string, schema *types.Schema, pk []string, rows []types.Tuple, n
 		}
 		pkIdx = append(pkIdx, i)
 	}
+	width := schema.Len()
 	for i, row := range rows {
-		if len(row) != schema.Len() {
-			return nil, nil, fmt.Errorf("storage: row %d has %d values, schema has %d", i, len(row), schema.Len())
+		if len(row) != width {
+			return nil, nil, fmt.Errorf("storage: row %d has %d values, schema has %d", i, len(row), width)
 		}
 	}
 	// Bulk-prehash the primary key once per row, count occupancy, and
@@ -178,67 +289,47 @@ func build(name string, schema *types.Schema, pk []string, rows []types.Tuple, n
 	for i := range rows {
 		counts[partOf(i)]++
 	}
+	slabs := make([][]types.Value, nparts)
 	for p := range ds.Parts {
 		ds.Parts[p] = make([]types.Tuple, 0, counts[p])
+		slabs[p] = make([]types.Value, 0, counts[p]*width)
+		ds.layout[p].widths = make([]int32, width)
+		ds.layout[p].kept = make([]atomic.Pointer[types.ColVec], width)
 	}
-	// One EncodedSize walk per row covers both the statistics byte totals and
-	// the dataset's partition size cache — ByteSize/PartBytes never re-walk
-	// the tuples afterwards.
+	// One walk per row copies it into its partition's slab, sizes it value by
+	// value — feeding the statistics byte totals, the partition size cache
+	// (ByteSize/PartBytes never re-walk the tuples) and the width profile —
+	// and observes it, in input order, so the sketches do not depend on
+	// where the row was placed.
 	st := stats.NewDatasetStats(name)
 	partBytes := make([]int64, nparts)
 	var totalBytes int64
 	//dynopt:hotpath
 	for i, row := range rows {
 		p := partOf(i)
-		ds.Parts[p] = append(ds.Parts[p], row)
-		sz := int64(row.EncodedSize())
+		lo := len(slabs[p])
+		slabs[p] = append(slabs[p], row...)
+		// Capacity-clamped like an arena tuple: an append to a stored row
+		// reallocates instead of overwriting its neighbour.
+		stored := types.Tuple(slabs[p][lo : lo+width : lo+width])
+		widths, first := ds.layout[p].widths, len(ds.Parts[p]) == 0
+		ds.Parts[p] = append(ds.Parts[p], stored)
+		var sz int64
+		for c := range stored {
+			w := int32(stored[c].EncodedSize())
+			sz += int64(w)
+			if first {
+				widths[c] = w
+			} else if widths[c] != w {
+				widths[c] = 0
+			}
+		}
 		partBytes[p] += sz
 		totalBytes += sz
-		if collectStats {
-			st.ObserveTupleSized(schema, row, nil, sz)
-		}
-	}
-	if !collectStats {
-		st.RecordCount = int64(len(rows))
-		st.ByteSize = totalBytes
+		st.ObserveTupleSized(schema, stored, nil, sz)
 	}
 	ds.SeedSizes(partBytes, totalBytes)
 	return ds, st, nil
-}
-
-// BuildParallel is Build with partition-parallel statistics collection: each
-// partition runs its own collectors, merged at the end. Semantically
-// identical to Build; used by large ingests and exercised by tests to verify
-// sketch mergeability.
-func BuildParallel(name string, schema *types.Schema, pk []string, rows []types.Tuple, nparts int) (*Dataset, *stats.DatasetStats, error) {
-	// Skip the serial sketch pass: the per-partition goroutines below are
-	// the only ones feeding the collectors, so no row is observed twice.
-	ds, _, err := build(name, schema, pk, rows, nparts, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	partStats := make([]*stats.DatasetStats, len(ds.Parts))
-	var wg sync.WaitGroup
-	for p := range ds.Parts {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			st := stats.NewDatasetStats(name)
-			for _, row := range ds.Parts[p] {
-				st.ObserveTupleSized(schema, row, nil, 0)
-			}
-			// Byte totals come from the size cache Build already seeded; the
-			// per-partition observation loop only feeds the sketches.
-			st.ByteSize = ds.PartBytes(p)
-			partStats[p] = st
-		}(p)
-	}
-	wg.Wait()
-	merged := stats.NewDatasetStats(name)
-	for _, st := range partStats {
-		merged.Merge(st)
-	}
-	return ds, merged, nil
 }
 
 // Index is a secondary index: per partition, row offsets sorted by key, with

@@ -111,34 +111,6 @@ func TestBuildZeroPartsClamps(t *testing.T) {
 	}
 }
 
-func TestBuildParallelMatchesSequentialStats(t *testing.T) {
-	sch := intSchema("id", "grp")
-	rows := genRows(5000)
-	_, seq, err := Build("t", sch, []string{"id"}, rows, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, par, err := BuildParallel("t", sch, []string{"id"}, rows, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.RecordCount != par.RecordCount || seq.ByteSize != par.ByteSize {
-		t.Errorf("counts differ: seq=%d/%d par=%d/%d",
-			seq.RecordCount, seq.ByteSize, par.RecordCount, par.ByteSize)
-	}
-	// HLL merge is exact (register max), so distinct estimates must agree.
-	if seq.Field("id").DistinctCount() != par.Field("id").DistinctCount() {
-		t.Errorf("distinct(id): seq=%d par=%d",
-			seq.Field("id").DistinctCount(), par.Field("id").DistinctCount())
-	}
-	// GK merge is approximate; medians must be close.
-	sm, _ := seq.Field("id").Quantiles.Quantile(0.5)
-	pm, _ := par.Field("id").Quantiles.Quantile(0.5)
-	if pm < sm-300 || pm > sm+300 {
-		t.Errorf("median: seq=%v par=%v", sm, pm)
-	}
-}
-
 func TestIndexLookup(t *testing.T) {
 	sch := intSchema("id", "grp")
 	ds, _, err := Build("t", sch, []string{"id"}, genRows(1000), 4)

@@ -81,6 +81,7 @@ func AttachPages(ds *Dataset, file *PageFile, cache *PageCache) *PagedData {
 		total += part.EncBytes
 	}
 	ds.Parts = make([][]types.Tuple, n)
+	ds.layout = nil
 	ds.paged = pg
 	ds.sizes = types.SizeCache{}
 	ds.SeedSizes(partBytes, total)

@@ -106,6 +106,23 @@ func (v *ColVec) Gather(rows []Tuple, col int, want Kind) {
 	}
 }
 
+// Window returns rows [lo, hi) of a cleanly gathered vector as a vector over
+// the same backing arrays — how a column gathered once for a whole partition
+// serves each scan window without a copy. Views are read-only, and clamped
+// to the window so a Gather into one reallocates instead of overwriting v.
+func (v *ColVec) Window(lo, hi int) ColVec {
+	w := ColVec{Kind: v.Kind, Null: v.Null[lo:hi:hi]}
+	switch v.Kind {
+	case KindInt:
+		w.Ints = v.Ints[lo:hi:hi]
+	case KindFloat:
+		w.Floats = v.Floats[lo:hi:hi]
+	case KindString:
+		w.Strs = v.Strs[lo:hi:hi]
+	}
+	return w
+}
+
 // ColSource provides columnar access to the current row window. Col returns
 // the vector for schema column offset i, valid until the window advances;
 // a Mixed result (or nil source) means the consumer must use the row form.
