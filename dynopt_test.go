@@ -96,6 +96,32 @@ func TestQueryUnknownStrategy(t *testing.T) {
 	}
 }
 
+// TestStatementErrorsAreTheUsers: a statement that does not parse, or names a
+// dataset that does not exist, fails with sqlpp's own error under every
+// strategy and under Explain — not blamed on the optimizer's "reconstructed
+// query", which the user's first parse is not.
+func TestStatementErrorsAreTheUsers(t *testing.T) {
+	db := testDB(t)
+	for _, tc := range []struct{ name, sql, want string }{
+		{"malformed", "SELEC oops FROM", "sqlpp: line 1 col 1: expected SELECT, found SELEC"},
+		{"unknown-dataset", "SELECT x.a FROM nosuch x", `sqlpp: unknown dataset "nosuch"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, s := range []Strategy{StrategyDynamic, StrategyCostBased, StrategyBestOrder,
+				StrategyWorstOrder, StrategyPilotRun, StrategyIngres} {
+				_, err := db.Query(tc.sql, &QueryOptions{Strategy: s})
+				if err == nil || err.Error() != tc.want {
+					t.Errorf("%s: error %q, want %q", s, err, tc.want)
+				}
+			}
+			_, err := db.Explain(tc.sql, nil)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("Explain: error %q, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestRegisterUDFAndParams(t *testing.T) {
 	db := testDB(t)
 	err := db.RegisterUDF("grp_of", func(args []Value) (Value, error) {

@@ -54,10 +54,6 @@ type Env struct {
 	base    *catalog.Catalog
 	udfs    *expr.Registry
 	indexed bool
-	// Batch runs every strategy in whole-relation batch mode instead of the
-	// chunked streaming pipeline — the reference the root equivalence tests
-	// compare against.
-	Batch bool
 }
 
 // NewEnv loads both workloads at sf on an n-node layout. withIndexes adds
@@ -143,7 +139,6 @@ func (e *Env) Fresh() *engine.Context {
 		Catalog:   e.base.CloneBases(),
 		UDFs:      e.udfs,
 		Params:    map[string]types.Value{},
-		Batch:     e.Batch,
 		PageStats: &storage.PageScanStats{},
 	}
 }

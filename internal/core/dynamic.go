@@ -113,7 +113,7 @@ func (d *Dynamic) Body(ctx *engine.Context, sql string, r *Report) (*engine.Resu
 		onlineStats: d.Cfg.OnlineStats,
 	}
 	defer rs.cleanup()
-	if err := rs.reanalyze(); err != nil {
+	if err := rs.analyze(); err != nil {
 		return nil, err
 	}
 	if err := rs.initFragments(); err != nil {

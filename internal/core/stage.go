@@ -74,18 +74,29 @@ type runState struct {
 	lastStageRows int64
 }
 
-// reanalyze re-parses the current SQL text and re-runs semantic analysis —
-// the loop back through the SQL++ parser in Figure 2.
-func (rs *runState) reanalyze() error {
+// analyze parses the current SQL text and runs semantic analysis. On the
+// user's own statement its errors are the user's: they go back as sqlpp
+// reports them, as under the static strategies.
+func (rs *runState) analyze() error {
 	q, err := sqlpp.Parse(rs.sql)
 	if err != nil {
-		return fmt.Errorf("core: re-parse of reconstructed query failed: %w\n%s", err, rs.sql)
+		return err
 	}
 	g, err := sqlpp.Analyze(q, rs.ctx.Catalog.Resolver())
 	if err != nil {
-		return fmt.Errorf("core: re-analysis of reconstructed query failed: %w\n%s", err, rs.sql)
+		return err
 	}
 	rs.g = g
+	return nil
+}
+
+// reanalyze is analyze on a query this run reconstructed — the loop back
+// through the SQL++ parser in Figure 2. A failure here is the optimizer's,
+// and says so, with the text it produced.
+func (rs *runState) reanalyze() error {
+	if err := rs.analyze(); err != nil {
+		return fmt.Errorf("core: reconstructed query failed to re-parse and re-analyze: %w\n%s", err, rs.sql)
+	}
 	return nil
 }
 
@@ -169,9 +180,9 @@ func (rs *runState) pushDownPredicates(all bool) (int, error) {
 // its full local filter and the needed-column projection, materialize as a
 // temp with statistics on every retained column (they all participate in the
 // remaining query, by construction of the projection list), and reconstruct
-// the query text. In streaming mode the scan's decode pass feeds the Sink
-// chunk-by-chunk — filter, projection, statistics, and write metering in
-// one pass, with no intermediate relation.
+// the query text. The scan's decode pass feeds the Sink chunk-by-chunk —
+// filter, projection, statistics, and write metering in one pass, with no
+// intermediate relation.
 func (rs *runState) executePushDown(alias string) error {
 	info := rs.currentTable(alias)
 	if info == nil {
@@ -182,45 +193,29 @@ func (rs *runState) executePushDown(alias string) error {
 		return err
 	}
 	tempName := rs.ctx.TempName("pred_" + alias)
+	src, err := engine.ScanSource(rs.ctx, ds, alias, info.Filter, info.Project)
+	if err != nil {
+		return err
+	}
 	// Collect statistics on every retained column: the projection is
 	// exactly the set of columns the remaining query touches (§5.1).
 	// Disabled in cardinality-only configurations and during memo replay
 	// (the remembered plan needs no fresh sketches; row counts are always
 	// kept, which is what a post-fallback planner falls back to).
-	statsFor := func(sch *types.Schema) map[string]bool {
-		if !rs.onlineStats || rs.replay {
-			return nil
+	var statsFields map[string]bool
+	if rs.onlineStats && !rs.replay {
+		statsFields = map[string]bool{}
+		for _, f := range src.Schema().Fields {
+			statsFields[sqlpp.FlattenName(f.Qualifier, f.Name)] = true
 		}
-		fields := map[string]bool{}
-		for _, f := range sch.Fields {
-			fields[sqlpp.FlattenName(f.Qualifier, f.Name)] = true
-		}
-		return fields
 	}
-	var tds *storage.Dataset
-	var tst *stats.DatasetStats
-	if rs.ctx.Batch {
-		rel, err := engine.Scan(rs.ctx, ds, alias, info.Filter, info.Project)
-		if err != nil {
-			return err
-		}
-		tds, tst, err = engine.Materialize(rs.ctx, rel, tempName, statsFor(rel.Schema))
-		if err != nil {
-			return err
-		}
-	} else {
-		src, err := engine.ScanSource(rs.ctx, ds, alias, info.Filter, info.Project)
-		if err != nil {
-			return err
-		}
-		sink := engine.NewStreamSink(rs.ctx, src.Schema(), src.Parts(), tempName, statsFor(src.Schema()), src.PartCols())
-		if err := engine.RunToSink(rs.ctx, src, sink); err != nil {
-			return err
-		}
-		tds, tst, err = sink.Finish()
-		if err != nil {
-			return err
-		}
+	sink := engine.NewStreamSink(rs.ctx, src.Schema(), src.Parts(), tempName, statsFields, src.PartCols())
+	if err := engine.RunToSink(rs.ctx, src, sink); err != nil {
+		return err
+	}
+	tds, tst, err := sink.Finish()
+	if err != nil {
+		return err
 	}
 	// The flattened names are alias_col; rename back to bare col so the
 	// reconstructed query's alias.col references still resolve: the
@@ -431,9 +426,9 @@ func (rs *runState) sideScanPenalty(info *TableInfo) int64 {
 // side — the Planner in the dynamic loop, the memo entry during replay),
 // execute it, materialize the result with online statistics on the join
 // keys of the remaining query, register the temp, and reconstruct the query
-// text. In streaming mode the join's output chunks flow straight into the
-// Sink, so the stage's statistics, metering, and temp write happen in the
-// pass that produces each chunk.
+// text. The join's output chunks flow straight into the Sink, so the stage's
+// statistics, metering, and temp write happen in the pass that produces each
+// chunk.
 func (rs *runState) executeJoinStage(edge *sqlpp.JoinEdge, estCard int64, tables Tables, onlineStats bool, algo plan.Algo, buildLeft bool) error {
 	lt := tables[edge.LeftAlias]
 	rt := tables[edge.RightAlias]
@@ -471,25 +466,9 @@ func (rs *runState) executeJoinStage(edge *sqlpp.JoinEdge, estCard int64, tables
 		pagesBefore = rs.ctx.PageStats.PagesTotal.Load()
 		prunedBefore = rs.ctx.PageStats.PagesPruned.Load()
 	}
-	var err error
-	var tds *storage.Dataset
-	var tst *stats.DatasetStats
-	var relSchema *types.Schema
-	if rs.ctx.Batch {
-		rel, err := rs.runJoinJob(edge, lt, rt, algo, buildLeft)
-		if err != nil {
-			return err
-		}
-		relSchema = rel.Schema
-		tds, tst, err = engine.Materialize(rs.ctx, rel, tempName, statsFields)
-		if err != nil {
-			return err
-		}
-	} else {
-		tds, tst, relSchema, err = rs.runJoinJobStream(edge, lt, rt, algo, buildLeft, tempName, statsFields)
-		if err != nil {
-			return err
-		}
+	tds, tst, relSchema, err := rs.runJoinJobStream(edge, lt, rt, algo, buildLeft, tempName, statsFields)
+	if err != nil {
+		return err
 	}
 	// Figure-2 feedback: what this stage actually spilled informs the next
 	// stage's join pick.
@@ -574,73 +553,13 @@ func (rs *runState) executeJoinStage(edge *sqlpp.JoinEdge, estCard int64, tables
 	return rs.reanalyze()
 }
 
-// runJoinJob executes the physical join between two current tables,
-// pipelining their scans into the join operators.
-func (rs *runState) runJoinJob(edge *sqlpp.JoinEdge, lt, rt *TableInfo, algo plan.Algo, buildLeft bool) (*engine.Relation, error) {
-	lkeys := make([]string, len(edge.LeftFields))
-	rkeys := make([]string, len(edge.RightFields))
-	for i := range edge.LeftFields {
-		lkeys[i] = edge.LeftAlias + "." + edge.LeftFields[i]
-		rkeys[i] = edge.RightAlias + "." + edge.RightFields[i]
-	}
-	switch algo {
-	case plan.AlgoIndexNL:
-		// Build (broadcast) side is executed as a scan; the inner is probed
-		// through its index in place.
-		outerInfo, innerInfo := lt, rt
-		outerKeys, innerFields := lkeys, edge.RightFields
-		if !buildLeft {
-			outerInfo, innerInfo = rt, lt
-			outerKeys, innerFields = rkeys, edge.LeftFields
-		}
-		innerDS, err := datasetOf(rs.ctx.Catalog, innerInfo)
-		if err != nil {
-			return nil, err
-		}
-		outerDS, err := datasetOf(rs.ctx.Catalog, outerInfo)
-		if err != nil {
-			return nil, err
-		}
-		outer, err := engine.Scan(rs.ctx, outerDS, outerInfo.Alias, outerInfo.Filter, outerInfo.Project)
-		if err != nil {
-			return nil, err
-		}
-		// The result is outer⧺inner; both halves carry their alias
-		// qualifiers, so downstream flattening and reconstruction are
-		// orientation-independent.
-		return engine.IndexNLJoin(rs.ctx, outer, innerDS, innerInfo.Alias, outerKeys, innerFields, innerInfo.Filter)
-	default:
-		lds, err := datasetOf(rs.ctx.Catalog, lt)
-		if err != nil {
-			return nil, err
-		}
-		rds, err := datasetOf(rs.ctx.Catalog, rt)
-		if err != nil {
-			return nil, err
-		}
-		left, err := engine.Scan(rs.ctx, lds, lt.Alias, lt.Filter, lt.Project)
-		if err != nil {
-			return nil, err
-		}
-		right, err := engine.Scan(rs.ctx, rds, rt.Alias, rt.Filter, rt.Project)
-		if err != nil {
-			return nil, err
-		}
-		if algo == plan.AlgoBroadcast {
-			return engine.BroadcastJoin(rs.ctx, left, right, lkeys, rkeys, buildLeft)
-		}
-		return engine.HashJoin(rs.ctx, left, right, lkeys, rkeys, buildLeft)
-	}
-}
-
 // runJoinJobStream executes one stage as a single chunked pipeline: the
 // build side scans into a relation (a hash table must hold it anyway), the
 // probe side streams scan→exchange→probe chunk-by-chunk, and the output
 // flows into a StreamSink that observes statistics, meters the temp write,
 // and lands the partitions — the whole stage is one pass over the probe
-// side with no probe relation and no sink re-walk. Metering totals are
-// identical to runJoinJob+Materialize; only the materializations between
-// re-optimization points remain.
+// side with no probe relation and no sink re-walk; only the
+// materializations between re-optimization points remain.
 func (rs *runState) runJoinJobStream(edge *sqlpp.JoinEdge, lt, rt *TableInfo, algo plan.Algo, buildLeft bool,
 	tempName string, statsFields map[string]bool) (*storage.Dataset, *stats.DatasetStats, *types.Schema, error) {
 	lkeys := make([]string, len(edge.LeftFields))

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"io"
+	"slices"
 
 	"dynopt/internal/types"
 )
@@ -223,20 +224,71 @@ type Sink interface {
 // it exactly once before the first Emit.
 type SinkFactory func(schema *types.Schema, partCols []int) (Sink, error)
 
-// relationSink collects output chunks into partition slices — the adapter
-// that lets the Relation-in/Relation-out join entry points run the
-// streaming executors underneath.
-type relationSink struct {
-	parts [][]types.Tuple
+// partBlocks holds each partition's tuple headers as a sink receives them:
+// one exact-size copy per Emit, joined into the partition slice once, at its
+// final length. Appending to one growing slice would re-copy the partition at
+// every growth step: about three times its final size in allocation, for
+// headers that are a quarter of a narrow row's bytes.
+type partBlocks [][][]types.Tuple
+
+// add keeps a copy of rows as partition p's next block. Called concurrently
+// for different partitions, in order within one.
+func (b partBlocks) add(p int, rows []types.Tuple) {
+	if len(rows) > 0 {
+		b[p] = append(b[p], slices.Clone(rows))
+	}
 }
 
-func newRelationSink(nparts int) *relationSink {
-	return &relationSink{parts: make([][]types.Tuple, nparts)}
+// join returns the partition slices. A partition that received one block is
+// that block, as it is; one that received nothing stays nil.
+func (b partBlocks) join() [][]types.Tuple {
+	parts := make([][]types.Tuple, len(b))
+	for p, blocks := range b {
+		switch len(blocks) {
+		case 0:
+		case 1:
+			parts[p] = blocks[0]
+		default:
+			var total int
+			for _, blk := range blocks {
+				total += len(blk)
+			}
+			rows := make([]types.Tuple, 0, total)
+			for _, blk := range blocks {
+				rows = append(rows, blk...)
+			}
+			parts[p] = rows
+		}
+	}
+	return parts
+}
+
+// relationSink lands a join's output as a Relation: every plan-tree join
+// whose result feeds another operator, and the relation-in entry points.
+type relationSink struct {
+	blocks partBlocks
 }
 
 func (s *relationSink) Emit(p int, rows []types.Tuple) error {
-	s.parts[p] = append(s.parts[p], rows...)
+	s.blocks.add(p, rows)
 	return nil
+}
+
+// collectJoin runs a streaming join into a relationSink of nparts partitions
+// and returns what landed, with the schema and partitioning the join
+// announced to its sink factory.
+func collectJoin(nparts int, run func(mk SinkFactory) error) (*Relation, error) {
+	sink := &relationSink{blocks: make(partBlocks, nparts)}
+	out := &Relation{}
+	err := run(func(schema *types.Schema, partCols []int) (Sink, error) {
+		out.Schema, out.PartCols = schema, partCols
+		return sink, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.Parts = sink.blocks.join()
+	return out, nil
 }
 
 // RunToSink streams a source straight into a sink, partition-parallel —
@@ -291,8 +343,7 @@ func (s *relationSource) PartCols() []int       { return s.rel.PartCols }
 
 // PartBytesHint reports cached sizes only: forcing the relation's lazy size
 // pass here would re-add the whole-relation walk streaming exists to avoid.
-// Consumers fall back to summing per-row sizes, which costs the same walk
-// the batch path would have paid lazily.
+// Consumers that need sizes fall back to summing them per row.
 func (s *relationSource) PartBytesHint(p int) int64 {
 	return s.rel.sizes.PartIfKnown(p)
 }

@@ -49,13 +49,7 @@ type Context struct {
 	// Grant is this query's reservation against the cluster memory governor.
 	// Nil (single-client and test contexts) disables governance metering.
 	Grant *cluster.Grant
-	// Batch disables the chunked streaming pipeline and runs every operator
-	// in whole-relation batch mode — the reference implementation the
-	// streaming property tests compare against. Both modes meter identical
-	// counters and produce identical rows; streaming (the default) avoids
-	// materializing probe sides and re-walking sink inputs.
-	Batch bool
-	// ChunkRows is the streaming pipeline's chunk capacity in rows. Zero or
+	// ChunkRows is the pipeline's chunk capacity in rows. Zero or
 	// negative selects defaultChunkRows; Open validates the configured value
 	// once so every operator can trust chunkRows() > 0. Tests shrink it to
 	// push chunk-boundary edge cases through the real configuration path.

@@ -17,58 +17,32 @@ import (
 // and materializes between stages. Interior projections (Join.Keep) are
 // applied in the same pipelined pass as the join that produces them.
 //
-// In streaming mode, leaf probe (and hash-build) sides feed their joins as
-// chunk sources — the scan's decode pass fuses into the exchange and probe
-// loops, so a leaf under a join never materializes as a Relation of its
-// own. Interior join results still materialize: a parent join must hold
-// its build side, and probe-side results window straight out of it.
+// Both children of a join feed it as chunk sources: a leaf's scan fuses into
+// the exchange and probe loops, so a leaf under a join never materializes as
+// a Relation of its own; an interior join's result lands — a parent join
+// must hold its build side — and windows straight out of where it landed.
 func Execute(ctx *Context, n *plan.Node) (*Relation, error) {
 	if n.Leaf != nil {
 		return ScanByName(ctx, n.Leaf.Dataset, n.Leaf.Alias, n.Leaf.Filter, n.Leaf.Project)
 	}
 	j := n.Join
 	var rel *Relation
+	var err error
 	switch j.Algo {
 	case plan.AlgoHash, plan.AlgoBroadcast:
-		var err error
-		if ctx.Batch {
-			rel, err = executeHashLikeBatch(ctx, j)
-		} else {
-			rel, err = executeHashLikeStreamed(ctx, j)
-		}
-		if err != nil {
-			return nil, err
-		}
+		rel, err = executeHashLike(ctx, j)
 	case plan.AlgoIndexNL:
-		var err error
 		rel, err = executeIndexNL(ctx, j)
-		if err != nil {
-			return nil, err
-		}
 	default:
 		return nil, fmt.Errorf("engine: unknown join algorithm %v", j.Algo)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if j.Keep != nil {
 		return ProjectColumns(rel, j.Keep)
 	}
 	return rel, nil
-}
-
-// executeHashLikeBatch is the whole-relation reference: both children
-// materialize, then the batch join runs.
-func executeHashLikeBatch(ctx *Context, j *plan.Join) (*Relation, error) {
-	left, err := Execute(ctx, j.Left)
-	if err != nil {
-		return nil, err
-	}
-	right, err := Execute(ctx, j.Right)
-	if err != nil {
-		return nil, err
-	}
-	if j.Algo == plan.AlgoHash {
-		return hashJoinBatch(ctx, left, right, j.LeftKeys, j.RightKeys, j.BuildLeft)
-	}
-	return broadcastJoinBatch(ctx, left, right, j.LeftKeys, j.RightKeys, j.BuildLeft)
 }
 
 // sourceForNode turns a plan child into a chunk source: leaves stream
@@ -89,53 +63,36 @@ func sourceForNode(ctx *Context, n *plan.Node) (Source, error) {
 	return SourceOf(ctx, rel), nil
 }
 
-// executeHashLikeStreamed wires a hash or broadcast join node as a stage
-// pipeline when its probe child is a leaf — the case where streaming wins,
-// because the leaf's scan fuses into the exchange and probe loops instead
-// of materializing. Joins over two interior results fall back to the batch
-// join: both inputs are already materialized, so there is no pass to save
-// and the chunked handoff would be pure overhead.
-func executeHashLikeStreamed(ctx *Context, j *plan.Join) (*Relation, error) {
+// executeHashLike wires a hash or broadcast join node as a stage pipeline
+// over its children's sources and lands the output.
+func executeHashLike(ctx *Context, j *plan.Join) (*Relation, error) {
 	buildNode, probeNode := j.Left, j.Right
 	buildKeys, probeKeys := j.LeftKeys, j.RightKeys
 	if !j.BuildLeft {
 		buildNode, probeNode = j.Right, j.Left
 		buildKeys, probeKeys = j.RightKeys, j.LeftKeys
 	}
-	if probeNode.Leaf == nil {
-		return executeHashLikeBatch(ctx, j)
-	}
 	probe, err := sourceForNode(ctx, probeNode)
 	if err != nil {
 		return nil, err
 	}
-	var rsink *relationSink
-	var outSchema *types.Schema
-	var outPC []int
-	mk := func(sch *types.Schema, partCols []int) (Sink, error) {
-		rsink = newRelationSink(probe.Parts())
-		outSchema, outPC = sch, partCols
-		return rsink, nil
-	}
 	if j.Algo == plan.AlgoHash {
-		buildSrc, err := sourceForNode(ctx, buildNode)
+		build, err := sourceForNode(ctx, buildNode)
 		if err != nil {
 			return nil, err
 		}
-		err = HashJoinStreamSources(ctx, buildSrc, probe, buildKeys, probeKeys, j.BuildLeft, mk)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		build, err := Execute(ctx, buildNode)
-		if err != nil {
-			return nil, err
-		}
-		if err := BroadcastJoinStream(ctx, build, probe, buildKeys, probeKeys, j.BuildLeft, mk); err != nil {
-			return nil, err
-		}
+		return collectJoin(probe.Parts(), func(mk SinkFactory) error {
+			return HashJoinStreamSources(ctx, build, probe, buildKeys, probeKeys, j.BuildLeft, mk)
+		})
 	}
-	return &Relation{Schema: outSchema, Parts: rsink.parts, PartCols: outPC}, nil
+	// A broadcast build side is replicated whole: it lands first.
+	build, err := Execute(ctx, buildNode)
+	if err != nil {
+		return nil, err
+	}
+	return collectJoin(probe.Parts(), func(mk SinkFactory) error {
+		return BroadcastJoinStream(ctx, build, probe, buildKeys, probeKeys, j.BuildLeft, mk)
+	})
 }
 
 // ProjectColumns narrows a relation to the named qualified columns, keeping
@@ -218,46 +175,24 @@ func executeIndexNL(ctx *Context, j *plan.Join) (*Relation, error) {
 	for i, k := range innerKeys {
 		bare[i] = stripAlias(k, leaf.Alias)
 	}
-	var rel *Relation
-	var outerWidth int
-	if ctx.Batch || outerNode.Leaf == nil {
-		// An interior outer is already materialized: stream nothing.
-		outer, err := Execute(ctx, outerNode)
-		if err != nil {
-			return nil, err
-		}
-		outerWidth = outer.Schema.Len()
-		rel, err = indexNLJoinBatch(ctx, outer, ds, leaf.Alias, outerKeys, bare, leaf.Filter)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// The outer streams: a leaf outer's scan fuses into the replicate
-		// pipeline and is never materialized.
-		outer, err := sourceForNode(ctx, outerNode)
-		if err != nil {
-			return nil, err
-		}
-		outerWidth = outer.Schema().Len()
-		var rsink *relationSink
-		var outSchema *types.Schema
-		var outPC []int
-		mk := func(sch *types.Schema, partCols []int) (Sink, error) {
-			rsink = newRelationSink(len(ds.Parts))
-			outSchema, outPC = sch, partCols
-			return rsink, nil
-		}
-		if err := IndexNLJoinStream(ctx, outer, ds, leaf.Alias, outerKeys, bare, leaf.Filter, mk); err != nil {
-			return nil, err
-		}
-		rel = &Relation{Schema: outSchema, Parts: rsink.parts, PartCols: outPC}
+	// The outer streams: a leaf outer's scan fuses into the replicate
+	// pipeline and is never materialized.
+	outer, err := sourceForNode(ctx, outerNode)
+	if err != nil {
+		return nil, err
+	}
+	rel, err := collectJoin(len(ds.Parts), func(mk SinkFactory) error {
+		return IndexNLJoinStream(ctx, outer, ds, leaf.Alias, outerKeys, bare, leaf.Filter, mk)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if j.BuildLeft {
 		return rel, nil // already outer⧺inner = left⧺right
 	}
 	// Plan orientation is left⧺right but IndexNLJoin emitted outer⧺inner =
 	// right⧺left; swap the halves to keep downstream key offsets valid.
-	return swapSides(rel, outerWidth), nil
+	return swapSides(rel, outer.Schema().Len()), nil
 }
 
 func stripAlias(qualified, alias string) string {

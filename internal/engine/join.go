@@ -256,29 +256,6 @@ func buildTable(rows []types.Tuple, hashes []uint64, keyCols []int) *hashTable {
 	return ht
 }
 
-// countMatches returns the number of full-hash matches for the probe rows:
-// the output-size hint that lets HashJoin/BroadcastJoin allocate the row
-// headers and the tuple arena once, sized from match counts instead of grown
-// per row. The pre-verification counting pass costs a fraction of the probe
-// itself (bucket arrays are compact and cache-resident), and 64-bit hash
-// collisions between unequal keys can only overcount — the count is a
-// capacity, not a length, so that is harmless.
-//
-//dynopt:hotpath
-func (ht *hashTable) countMatches(hashes []uint64) int {
-	starts, idx, hs := ht.starts, ht.idx, ht.hashes
-	cnt := 0
-	for _, h := range hashes {
-		b := h & ht.mask
-		for _, ri := range idx[starts[b]:starts[b+1]] {
-			if hs[ri] == h {
-				cnt++
-			}
-		}
-	}
-	return cnt
-}
-
 // joinInto streams probe rows through the table, appending one build⧺probe
 // (or probe⧺build, per buildFirst) arena tuple per match to out and
 // returning it. The probe side is read where it lies: with sel, probe row k
@@ -333,229 +310,37 @@ func (ht *hashTable) joinInto(out []types.Tuple, arena *types.Arena, probeRows [
 	return out
 }
 
-// HashJoin is the repartitioning dynamic hash join of §3: both inputs are
-// hash-exchanged on the join keys (skipped for pre-partitioned inputs), then
-// each partition builds a table over the build side and streams the probe
-// side through it. Output tuples are left⧺right regardless of build side;
-// the output stays partitioned on the join keys.
-//
-// Both inputs arrive materialized here, so there is no scan to fuse into
-// the pipeline and the whole-relation batch implementation is the right
-// one; the chunked streaming executors (HashJoinStream and friends) serve
-// the scan-fed stage pipelines instead, with identical rows, order, and
-// metering.
+// HashJoin is the repartitioning dynamic hash join of §3 over two relations
+// that already landed: both inputs are hash-exchanged on the join keys
+// (skipped for pre-partitioned inputs), then each partition builds a table
+// over the build side and streams the probe side through it. Output tuples
+// are left⧺right regardless of build side; the output stays partitioned on
+// the join keys. It is HashJoinStream over the probe relation's windows,
+// collected.
 func HashJoin(ctx *Context, left, right *Relation, leftKeys, rightKeys []string, buildLeft bool) (*Relation, error) {
-	return hashJoinBatch(ctx, left, right, leftKeys, rightKeys, buildLeft)
-}
-
-func hashJoinBatch(ctx *Context, left, right *Relation, leftKeys, rightKeys []string, buildLeft bool) (*Relation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	build, probe, buildKeys, probeKeys := left, right, leftKeys, rightKeys
+	if !buildLeft {
+		build, probe, buildKeys, probeKeys = right, left, rightKeys, leftKeys
 	}
-	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
-		return nil, fmt.Errorf("engine: hash join needs aligned non-empty keys, got %v / %v", leftKeys, rightKeys)
-	}
-	if len(left.Parts) != len(right.Parts) {
-		return nil, fmt.Errorf("engine: partition count mismatch %d vs %d", len(left.Parts), len(right.Parts))
-	}
-	lCols, err := resolveKeys(left.Schema, leftKeys)
-	if err != nil {
-		return nil, err
-	}
-	rCols, err := resolveKeys(right.Schema, rightKeys)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkPartRows(left.Parts); err != nil {
-		return nil, err
-	}
-	if err := checkPartRows(right.Parts); err != nil {
-		return nil, err
-	}
-	realSpill := ctx.RealSpill()
-	// In real-spill mode the exchange also hands the build side's per-row
-	// encoded sizes downstream, so the spill join's budget accounting never
-	// re-walks EncodedSize.
-	left, lHash, lSize, err := repartition(ctx, left, lCols, realSpill && buildLeft)
-	if err != nil {
-		return nil, err
-	}
-	right, rHash, rSize, err := repartition(ctx, right, rCols, realSpill && !buildLeft)
-	if err != nil {
-		return nil, err
-	}
-
-	n := len(left.Parts)
-	acct := ctx.Accounting()
-	outSchema := left.Schema.Concat(right.Schema)
-	out := &Relation{Schema: outSchema, Parts: make([][]types.Tuple, n)}
-	err = forEachPart(n, func(p int) error {
-		if realSpill {
-			// Real memory governance: the dynamic hybrid hash join holds at
-			// most the per-node budget of build rows resident, evicting
-			// overflow sub-partitions to run files (spilljoin.go).
-			var rows []types.Tuple
-			var err error
-			if buildLeft {
-				rows, err = spillJoinPartition(ctx, p, outSchema.Len(),
-					left.Parts[p], lHash[p], partSizes(lSize, p), lCols, left.PartBytes(p),
-					right.Parts[p], rHash[p], rCols, true)
-			} else {
-				rows, err = spillJoinPartition(ctx, p, outSchema.Len(),
-					right.Parts[p], rHash[p], partSizes(rSize, p), rCols, right.PartBytes(p),
-					left.Parts[p], lHash[p], lCols, false)
-			}
-			out.Parts[p] = rows
-			return err
-		}
-		// Output building is arena-backed and sized from the match count:
-		// one header slice and one Value chunk per partition, allocated
-		// exactly, replacing a Concat allocation per output row.
-		var arena types.Arena
-		if buildLeft {
-			ht := buildTable(left.Parts[p], lHash[p], lCols)
-			acct.BuildRows.Add(int64(len(left.Parts[p])))
-			acct.ProbeRows.Add(int64(len(right.Parts[p])))
-			meterSpill(ctx, left.PartBytes(p), right.PartBytes(p),
-				int64(len(left.Parts[p])), int64(len(right.Parts[p])))
-			cnt := ht.countMatches(rHash[p])
-			arena.Reserve(cnt * outSchema.Len())
-			rows := make([]types.Tuple, 0, cnt)
-			out.Parts[p] = ht.joinInto(rows, &arena, right.Parts[p], nil, nil, rHash[p], rCols, true)
-		} else {
-			ht := buildTable(right.Parts[p], rHash[p], rCols)
-			acct.BuildRows.Add(int64(len(right.Parts[p])))
-			acct.ProbeRows.Add(int64(len(left.Parts[p])))
-			meterSpill(ctx, right.PartBytes(p), left.PartBytes(p),
-				int64(len(right.Parts[p])), int64(len(left.Parts[p])))
-			cnt := ht.countMatches(lHash[p])
-			arena.Reserve(cnt * outSchema.Len())
-			rows := make([]types.Tuple, 0, cnt)
-			out.Parts[p] = ht.joinInto(rows, &arena, left.Parts[p], nil, nil, lHash[p], lCols, false)
-		}
-		return nil
+	return collectJoin(len(probe.Parts), func(mk SinkFactory) error {
+		return HashJoinStream(ctx, build, SourceOf(ctx, probe), buildKeys, probeKeys, buildLeft, mk)
 	})
-	if err != nil {
-		return nil, err
-	}
-	out.PartCols = lCols // left keys positions are unchanged in concat schema
-	return out, nil
 }
 
 // BroadcastJoin replicates the (small) build side to every partition of the
 // probe side — metering (n-1)× its bytes as broadcast traffic — then joins
 // locally with no movement of the probe side (§3). buildLeft selects which
 // input is replicated; output tuples remain left⧺right and inherit the probe
-// side's partitioning. Both inputs arrive materialized, so the batch
-// implementation runs; BroadcastJoinStream serves scan-fed pipelines.
+// side's partitioning. It is BroadcastJoinStream over the probe relation's
+// windows, collected.
 func BroadcastJoin(ctx *Context, left, right *Relation, leftKeys, rightKeys []string, buildLeft bool) (*Relation, error) {
-	return broadcastJoinBatch(ctx, left, right, leftKeys, rightKeys, buildLeft)
-}
-
-func broadcastJoinBatch(ctx *Context, left, right *Relation, leftKeys, rightKeys []string, buildLeft bool) (*Relation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
-		return nil, fmt.Errorf("engine: broadcast join needs aligned non-empty keys, got %v / %v", leftKeys, rightKeys)
-	}
-	if len(left.Parts) != len(right.Parts) {
-		return nil, fmt.Errorf("engine: partition count mismatch %d vs %d", len(left.Parts), len(right.Parts))
-	}
-	lCols, err := resolveKeys(left.Schema, leftKeys)
-	if err != nil {
-		return nil, err
-	}
-	rCols, err := resolveKeys(right.Schema, rightKeys)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkPartRows(left.Parts); err != nil {
-		return nil, err
-	}
-	if err := checkPartRows(right.Parts); err != nil {
-		return nil, err
-	}
-	build, probe := left, right
-	bCols, pCols := lCols, rCols
+	build, probe, buildKeys, probeKeys := left, right, leftKeys, rightKeys
 	if !buildLeft {
-		build, probe = right, left
-		bCols, pCols = rCols, lCols
+		build, probe, buildKeys, probeKeys = right, left, rightKeys, leftKeys
 	}
-	if ctx.RealSpill() {
-		// Under real memory governance an over-budget build side may not be
-		// copied to every node: every copy would blow the per-node grant at
-		// once, with nothing to evict (broadcast tables cannot spill without
-		// losing matches). Fall back to the partitioned hybrid hash join,
-		// which spills gracefully. The same fallback fires when the
-		// governor is out of aggregate capacity.
-		budget := ctx.Cluster.MemoryPerNodeBytes()
-		bb := build.ByteSize()
-		hold := bb * int64(len(probe.Parts))
-		if bb > budget {
-			return HashJoin(ctx, left, right, leftKeys, rightKeys, buildLeft)
-		}
-		if !ctx.Grant.Reserve(hold) {
-			ctx.Grant.Release(hold)
-			return HashJoin(ctx, left, right, leftKeys, rightKeys, buildLeft)
-		}
-		defer ctx.Grant.Release(hold)
-	}
-
-	n := len(probe.Parts)
-	acct := ctx.Accounting()
-	// Replicate the build side: every partition receives all build rows it
-	// does not already host. The build side's byte size is computed once and
-	// reused for both broadcast metering and the spill check below.
-	all := make([]types.Tuple, 0, build.RowCount())
-	for _, p := range build.Parts {
-		all = append(all, p...)
-	}
-	if len(all) > maxPartRows {
-		return nil, fmt.Errorf("engine: broadcast build side has %d rows, exceeding the %d-row limit of int32 row indexing", len(all), maxPartRows)
-	}
-	buildBytes := build.ByteSize()
-	if n > 1 {
-		acct.BroadcastRows.Add(int64(len(all)) * int64(n-1))
-		acct.BroadcastBytes.Add(buildBytes * int64(n-1))
-	}
-	ht := buildTable(all, types.HashKeysInto(all, bCols, nil), bCols)
-	acct.BuildRows.Add(int64(len(all)) * int64(n)) // each partition builds its copy
-
-	outSchema := left.Schema.Concat(right.Schema)
-	out := &Relation{Schema: outSchema, Parts: make([][]types.Tuple, n)}
-	err = forEachPart(n, func(p int) error {
-		acct.ProbeRows.Add(int64(len(probe.Parts[p])))
-		// Each partition holds a full copy of the broadcast build side.
-		meterSpill(ctx, buildBytes, probe.PartBytes(p),
-			int64(len(all)), int64(len(probe.Parts[p])))
-		// The probe side never went through an exchange, so prehash it here
-		// (once per row), then size the output from the match count.
-		hs := types.HashKeysInto(probe.Parts[p], pCols, nil)
-		cnt := ht.countMatches(hs)
-		var arena types.Arena
-		arena.Reserve(cnt * outSchema.Len())
-		rows := make([]types.Tuple, 0, cnt)
-		out.Parts[p] = ht.joinInto(rows, &arena, probe.Parts[p], nil, nil, hs, pCols, buildLeft)
-		return nil
+	return collectJoin(len(probe.Parts), func(mk SinkFactory) error {
+		return BroadcastJoinStream(ctx, build, SourceOf(ctx, probe), buildKeys, probeKeys, buildLeft, mk)
 	})
-	if err != nil {
-		return nil, err
-	}
-	// The probe side did not move; its partitioning columns survive at
-	// shifted offsets when the probe is the right input.
-	if probe.PartCols != nil {
-		offset := 0
-		if buildLeft {
-			offset = left.Schema.Len()
-		}
-		cols := make([]int, len(probe.PartCols))
-		for i, c := range probe.PartCols {
-			cols[i] = c + offset
-		}
-		out.PartCols = cols
-	}
-	return out, nil
 }
 
 // IndexNLJoin is the indexed nested-loop join of §3: the (small, filtered)
@@ -564,98 +349,18 @@ func broadcastJoinBatch(ctx *Context, left, right *Relation, leftKeys, rightKeys
 // Arriving outer rows immediately probe the partition-local index; residual
 // composite-key fields are checked after the fetch. Output tuples are
 // outer⧺inner and inherit the inner dataset's partitioning only if the inner
-// is scanned unfiltered (it is, per the algorithm's precondition). The
-// materialized-outer form runs batch; IndexNLJoinStream serves scan-fed
-// pipelines, replicating outer chunks as they are produced.
+// is scanned unfiltered (it is, per the algorithm's precondition). It is
+// IndexNLJoinStream over the outer relation's windows, collected.
 func IndexNLJoin(ctx *Context, outer *Relation, inner *storage.Dataset, innerAlias string,
 	outerKeys []string, innerKeys []string, innerFilter expr.Expr) (*Relation, error) {
-	return indexNLJoinBatch(ctx, outer, inner, innerAlias, outerKeys, innerKeys, innerFilter)
-}
-
-func indexNLJoinBatch(ctx *Context, outer *Relation, inner *storage.Dataset, innerAlias string,
-	outerKeys []string, innerKeys []string, innerFilter expr.Expr) (*Relation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(outerKeys) != len(innerKeys) || len(outerKeys) == 0 {
-		return nil, fmt.Errorf("engine: index join needs aligned non-empty keys")
-	}
-	idx, ok := inner.Indexes[innerKeys[0]]
-	if !ok {
-		return nil, fmt.Errorf("engine: dataset %s has no index on %q", inner.Name, innerKeys[0])
-	}
-	if len(outer.Parts) != len(inner.Parts) {
-		return nil, fmt.Errorf("engine: partition count mismatch %d vs %d", len(outer.Parts), len(inner.Parts))
-	}
-	if err := checkPartRows(inner.Parts); err != nil {
-		return nil, err
-	}
-	oCols, err := resolveKeys(outer.Schema, outerKeys)
-	if err != nil {
-		return nil, err
-	}
-	innerSchema := inner.Schema.Requalify(innerAlias)
-	iCols := make([]int, len(innerKeys))
-	for i, k := range innerKeys {
-		ci, ok := inner.Schema.Index(k)
-		if !ok {
-			return nil, fmt.Errorf("engine: inner key %q not in %s", k, inner.Schema)
-		}
-		iCols[i] = ci
-	}
-	var pred expr.Compiled
-	if innerFilter != nil {
-		pred, err = expr.Compile(innerFilter, ctx.Env(innerSchema))
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	n := len(inner.Parts)
-	acct := ctx.Accounting()
-	outerAll := make([]types.Tuple, 0, outer.RowCount())
-	for _, p := range outer.Parts {
-		outerAll = append(outerAll, p...)
-	}
-	if n > 1 {
-		acct.BroadcastRows.Add(int64(len(outerAll)) * int64(n-1))
-		acct.BroadcastBytes.Add(outer.ByteSize() * int64(n-1))
-	}
-
-	outSchema := outer.Schema.Concat(innerSchema)
-	out := &Relation{Schema: outSchema, Parts: make([][]types.Tuple, n)}
-	err = forEachPart(n, func(p int) error {
-		pr := newIndexProbe(ctx, inner, idx, p, oCols, iCols, pred, outSchema.Len())
-		rows, err := pr.join(outerAll, nil)
-		out.Parts[p] = rows
-		return err
+	return collectJoin(len(inner.Parts), func(mk SinkFactory) error {
+		return IndexNLJoinStream(ctx, SourceOf(ctx, outer), inner, innerAlias, outerKeys, innerKeys, innerFilter, mk)
 	})
-	if err != nil {
-		return nil, err
-	}
-	// Inner partitioning survives (inner rows did not move).
-	if pf := inner.PartitionFields(); len(pf) > 0 {
-		cols := make([]int, 0, len(pf))
-		ok := true
-		offset := outer.Schema.Len()
-		for _, f := range pf {
-			ci, found := inner.Schema.Index(f)
-			if !found {
-				ok = false
-				break
-			}
-			cols = append(cols, ci+offset)
-		}
-		if ok {
-			out.PartCols = cols
-		}
-	}
-	return out, nil
 }
 
-// indexProbe is one partition's indexed nested-loop probe, shared by the
-// batch and streaming joins: it owns the partition's inner access (resident
-// rows, or the paged store's batched fetcher) and the per-batch scratch.
+// indexProbe is one partition's indexed nested-loop probe: it owns the
+// partition's inner access (resident rows, or the paged store's batched
+// fetcher) and the per-batch scratch.
 type indexProbe struct {
 	idx   *storage.Index
 	p     int
@@ -689,9 +394,8 @@ func newIndexProbe(ctx *Context, inner *storage.Dataset, idx *storage.Index, p i
 
 // join probes the index with every row of outer and returns dst[:0] extended
 // with the matches' outer⧺inner tuples, in (outer row, index position)
-// order. The outer rows are the live rows of one batch: the whole broadcast
-// outer in the batch join, the coalesced replicated chunks in the streaming
-// join.
+// order. The outer rows are the live rows of one batch: the replicated
+// chunks, coalesced up to chunk capacity.
 func (pr *indexProbe) join(outer []types.Tuple, dst []types.Tuple) ([]types.Tuple, error) {
 	// Pass 1: resolve every outer row's index range once. Lookup yields a
 	// position range over the sorted index keys — no per-probe []int

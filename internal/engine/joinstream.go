@@ -10,13 +10,13 @@ import (
 	"dynopt/internal/types"
 )
 
-// This file holds the streaming join executors: the build side arrives as a
+// This file holds the join executors: the build side arrives as a
 // materialized Relation or a Source whose scan fuses into the exchange (a
 // hash table must hold it either way), the probe side as a chunk Source,
 // and the output flows into a Sink chunk-by-chunk — one pass from scan to
 // sink with no probe-side relation and no output re-walk. The
-// Relation-in/Relation-out entry points in join.go stay batch: with both
-// sides already materialized there is nothing left to stream.
+// Relation-in/Relation-out entry points in join.go are these executors over
+// SourceOf views, collected into a relation.
 
 // probeState runs one destination partition's probe loop over a hash
 // table: per chunk, join matches into a reusable buffer and emit. Probe rows
@@ -46,11 +46,9 @@ func (w *probeState) consume(c *Chunk) error {
 			w.probeBytes += sz
 		}
 	}
-	// No counting pre-pass: the batch path pre-counts matches to exactly
-	// size a whole partition's output, but a chunk's output lives in a
-	// reusable buffer whose capacity converges after a few chunks, and the
-	// arena grows geometrically — so the streaming probe pays one pass over
-	// the buckets, not two.
+	// No counting pre-pass: a chunk's output lives in a reusable buffer whose
+	// capacity converges after a few chunks, and the arena grows
+	// geometrically — so the probe pays one pass over the buckets, not two.
 	pCols := physCols(c.Proj, w.pCols, &w.phys)
 	w.rows = w.ht.joinInto(w.rows[:0], &w.arena, c.Rows, c.Sel, c.Proj, c.Hashes, pCols, w.buildFirst)
 	if len(w.rows) == 0 {
@@ -80,9 +78,9 @@ func (w *probeState) drain(st probeStream) error {
 	}
 }
 
-// HashJoinStream is the streaming repartitioning hash join: the build
-// relation is hash-exchanged (batch — it must materialize under the table
-// anyway), the probe source is scattered chunk-wise to its destination
+// HashJoinStream is the repartitioning hash join: the build relation is
+// hash-exchanged whole (it must materialize under the table anyway), the
+// probe source is scattered chunk-wise to its destination
 // partitions (or piped straight through when already partitioned on the
 // keys), and each destination probes arriving chunks immediately, emitting
 // output chunks into the sink. buildFirst selects whether build columns
@@ -121,8 +119,12 @@ func HashJoinStream(ctx *Context, build *Relation, probe Source, buildKeys, prob
 // side is decoded, filtered, hashed, and placed at its destination in one
 // pass, materializing only the exchanged relation the hash tables need.
 // When the build source is already partitioned on the keys it materializes
-// in place (zero-copy for pass-through scans), matching the batch path.
+// in place (zero-copy for pass-through scans). A build side that is already
+// a relation takes HashJoinStream's exact two-pass exchange instead.
 func HashJoinStreamSources(ctx *Context, buildSrc, probe Source, buildKeys, probeKeys []string, buildFirst bool, mk SinkFactory) error {
+	if rs, ok := buildSrc.(*relationSource); ok {
+		return HashJoinStream(ctx, rs.rel, probe, buildKeys, probeKeys, buildFirst, mk)
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -145,8 +147,8 @@ func HashJoinStreamSources(ctx *Context, buildSrc, probe Source, buildKeys, prob
 	var bHash [][]uint64
 	var bSize [][]int64
 	if colsMatch(buildSrc.PartCols(), bCols) || buildSrc.Parts() == 1 {
-		// Already placed: materialize in place and prehash, like the batch
-		// path's skipped exchange.
+		// Already placed: materialize in place and prehash — the skipped
+		// exchange of §3.
 		build, err = materializeSource(ctx, buildSrc)
 		if err != nil {
 			return err
@@ -189,14 +191,33 @@ func hashJoinStreamCore(ctx *Context, build *Relation, bHash [][]uint64, bSize [
 	acct := ctx.Accounting()
 	budget := ctx.Cluster.MemoryPerNodeBytes()
 
-	worker := func(p int, st probeStream, hint int64) error {
+	// A probe that already landed as a relation can be read twice. Under real
+	// memory governance it is therefore exchanged as a relation and read in
+	// place by the local path below, which lets the spilling join rebuild a
+	// probe run found corrupt on read-back from the partition it came from; a
+	// probe consumed chunk by chunk off the scatter can only fail the attempt.
+	rs, replayable := probe.(*relationSource)
+	if realSpill && replayable && n > 1 && !rs.rel.PartitionedOn(pCols) {
+		if err := checkPartRows(rs.rel.Parts); err != nil {
+			return err
+		}
+		exchanged, _, _, err := repartition(ctx, rs.rel, pCols, false)
+		if err != nil {
+			return err
+		}
+		probe = SourceOf(ctx, exchanged)
+	}
+
+	// worker joins destination partition p. reopen, when the probe can be
+	// read again, starts a second pass over the same chunks.
+	worker := func(p int, st probeStream, reopen func() (probeStream, error), hint int64) error {
 		if realSpill {
 			// Real memory governance: the dynamic hybrid hash join holds at
 			// most the per-node budget of build rows resident, evicting
 			// overflow sub-partitions to run files (spilljoin.go).
 			return spillJoinPartitionStream(ctx, p,
 				build.Parts[p], bHash[p], partSizes(bSize, p), bCols, build.PartBytes(p),
-				st, pCols, buildFirst, sink)
+				st, reopen, pCols, buildFirst, sink)
 		}
 		w := &probeState{
 			ctx:   ctx,
@@ -222,18 +243,28 @@ func hashJoinStreamCore(ctx *Context, build *Relation, bHash [][]uint64, bSize [
 		// Exchange skipped (§3's pre-partitioned optimization) or a single
 		// partition: each probe partition pipes straight into its worker.
 		return forEachPart(n, func(p int) error {
-			cur, err := probe.Open(p)
-			if err != nil {
-				return err
-			}
 			hint := probe.PartBytesHint(p)
 			// Per-row probe sizes feed only the simulated spill model
 			// (meterSpill), which is inert with no budget and for a build
 			// partition that fits it; the real-spill join meters actual run
 			// files instead. A probe that cannot spill is never sized.
 			wantSizes := hint < 0 && !realSpill && budget > 0 && build.PartBytes(p) > budget
-			st := &localStream{cur: cur, keys: keyHasher{keyCols: pCols}, wantSizes: wantSizes}
-			return worker(p, st, hint)
+			open := func() (probeStream, error) {
+				cur, err := probe.Open(p)
+				if err != nil {
+					return nil, err
+				}
+				return &localStream{cur: cur, keys: keyHasher{keyCols: pCols}, wantSizes: wantSizes}, nil
+			}
+			st, err := open()
+			if err != nil {
+				return err
+			}
+			var reopen func() (probeStream, error)
+			if replayable {
+				reopen = open
+			}
+			return worker(p, st, reopen, hint)
 		})
 	}
 	// The consumers read per-row sizes under the same condition as the local
@@ -246,7 +277,7 @@ func hashJoinStreamCore(ctx *Context, build *Relation, bHash [][]uint64, bSize [
 		}
 	}
 	return runScatter(ctx, probe, pCols, wantSizes, func(p int, st probeStream) error {
-		return worker(p, st, -1)
+		return worker(p, st, nil, -1)
 	})
 }
 

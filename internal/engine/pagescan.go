@@ -244,47 +244,3 @@ func (c *pagedCursor) Next() (*Chunk, error) {
 	c.lo = hi
 	return &c.c, nil
 }
-
-// pagedScanInto materializes a prepared scan over a paged dataset as a
-// Relation: each partition drains its paged cursor (pruning, pushdown, and
-// cache behavior identical to the streaming path) and collects the emitted
-// rows.
-func pagedScanInto(ctx *Context, ds *storage.Dataset, sp *scanPrep) (*Relation, error) {
-	out := &Relation{Schema: sp.outSchema, Parts: make([][]types.Tuple, len(ds.Parts))}
-	err := forEachPart(len(ds.Parts), func(p int) error {
-		meterScanPart(ctx, ds, p)
-		cur := newPagedCursor(ctx, ds, sp, p)
-		var rows []types.Tuple
-		//dynopt:cancel-ok pagedCursor.Next checks ctx.Err() on every chunk pull
-		for {
-			ch, err := cur.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			// Chunks window the cursor's reused row buffer; copy the headers
-			// out so the next page cannot overwrite them. Paged rows are
-			// built at projected width — no map, so no arena to narrow into.
-			rows = ch.appendLive(rows, nil)
-		}
-		out.Parts[p] = rows
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if sp.passThrough() {
-		// The relation's rows are value-identical to the dataset's; seed its
-		// size cache from the directory-seeded dataset sizes so downstream
-		// metering never re-walks them (same figures as resident mode).
-		pb := make([]int64, len(ds.Parts))
-		for p := range pb {
-			pb[p] = ds.PartBytes(p)
-		}
-		out.seedSizes(pb, ds.ByteSize())
-	}
-	out.PartCols = sp.partCols
-	return out, nil
-}

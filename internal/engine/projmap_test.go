@@ -176,7 +176,7 @@ func obsRows(label string, p int, rows []types.Tuple) []string {
 // obsJoin runs a streaming join entry point and observes its output
 // relation: schema, partitioning and rows in order.
 func obsJoin(ctx *Context, run func(mk SinkFactory) error) ([]string, error) {
-	rel, err := collectStream(ctx.Cluster.Nodes(), run)
+	rel, err := collectJoin(ctx.Cluster.Nodes(), run)
 	if err != nil {
 		return nil, err
 	}

@@ -11,16 +11,14 @@ import (
 	"dynopt/internal/types"
 )
 
-// scanPrep is the per-scan compilation shared by the batch and streaming
-// scan paths: compiled predicate, projection offsets, output schema, and
-// surviving partition columns.
+// scanPrep is the per-scan compilation: compiled predicate, projection
+// offsets, output schema, and surviving partition columns.
 type scanPrep struct {
 	qualified *types.Schema
 	pred      expr.Compiled
 	// vpred is the predicate's vectorized form, nil when the expression has
-	// no kernel (UDF calls, arithmetic, unsupported shapes) — the streaming
-	// cursor then filters row-at-a-time with pred. The batch path always
-	// uses pred: it is the reference implementation.
+	// no kernel (UDF calls, arithmetic, unsupported shapes) or under the
+	// noVec test hook — the cursor then filters row-at-a-time with pred.
 	vpred     expr.VecPred
 	projIdx   []int
 	outSchema *types.Schema
@@ -113,79 +111,22 @@ func meterScanPart(ctx *Context, ds *storage.Dataset, p int) {
 }
 
 // Scan reads a dataset bound to an alias, applying an optional pushed-down
-// filter and projection in the same partition-parallel pass (the fused
-// scan→select→project pipeline of one Hyracks stage), materializing the
-// result as a Relation. The streaming pipeline uses ScanSource instead;
-// Scan remains the batch reference and the entry point for build sides,
-// which must materialize.
+// filter and projection (the fused scan→select→project pipeline of one
+// Hyracks stage), and lands the result as a Relation: ScanSource's cursors
+// collected partition by partition, for the callers that must hold a scan
+// whole — a broadcast build side, a query with no join.
 func Scan(ctx *Context, ds *storage.Dataset, alias string, filter expr.Expr, project []string) (*Relation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sp, err := prepareScan(ctx, ds, alias, filter, project)
+	src, err := ScanSource(ctx, ds, alias, filter, project)
 	if err != nil {
 		return nil, err
 	}
-	return scanInto(ctx, ds, sp)
-}
-
-// scanInto materializes a prepared scan as a Relation — the batch scan
-// body, also backing a streaming scan source that is asked to materialize
-// in place (pre-partitioned build sides).
-func scanInto(ctx *Context, ds *storage.Dataset, sp *scanPrep) (*Relation, error) {
-	if ds.IsPaged() {
-		return pagedScanInto(ctx, ds, sp)
-	}
-	out := &Relation{Schema: sp.outSchema, Parts: make([][]types.Tuple, len(ds.Parts))}
-	err := forEachPart(len(ds.Parts), func(p int) error {
-		meterScanPart(ctx, ds, p)
-		if sp.passThrough() {
-			// Pass-through scan: share the stored rows directly.
-			out.Parts[p] = ds.Parts[p]
-			return nil
-		}
-		var arena types.Arena
-		var rows []types.Tuple
-		for _, t := range ds.Parts[p] {
-			if sp.pred != nil {
-				v, err := sp.pred(t)
-				if err != nil {
-					return err
-				}
-				if !v.IsTrue() {
-					continue
-				}
-			}
-			if sp.projIdx != nil {
-				rows = append(rows, arena.Gather(t, sp.projIdx))
-			} else {
-				rows = append(rows, t)
-			}
-		}
-		out.Parts[p] = rows
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if sp.passThrough() {
-		// The relation's rows are exactly the dataset's; seed its size cache
-		// from the dataset's so downstream metering never re-walks them.
-		pb := make([]int64, len(ds.Parts))
-		for p := range pb {
-			pb[p] = ds.PartBytes(p)
-		}
-		out.seedSizes(pb, ds.ByteSize())
-	}
-	out.PartCols = sp.partCols
-	return out, nil
+	return materializeSource(ctx, src)
 }
 
 // ScanSource returns the streaming scan over a dataset: each partition's
 // cursor decodes, filters, and projects chunk-at-a-time, so a probe side
 // flows into its join without ever materializing as a Relation. Read I/O
-// for a partition is metered in full when its cursor opens — identical
-// totals to the batch Scan.
+// for a partition is metered in full when its cursor opens.
 func ScanSource(ctx *Context, ds *storage.Dataset, alias string, filter expr.Expr, project []string) (Source, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -267,11 +208,22 @@ func (s *scanSource) Open(p int) (Cursor, error) {
 		rowBytes: s.ds.RowBytes(p, s.prep.projIdx)}, nil
 }
 
-// materialize runs the scan as the batch pass instead of streaming —
-// zero-copy for pass-through scans, exactly like engine.Scan. Used when a
-// join must hold this side whole anyway and no exchange will move it.
-func (s *scanSource) materialize(ctx *Context) (*Relation, error) {
-	return scanInto(ctx, s.ds, s.prep)
+// shared lands a pass-through scan of a resident dataset without reading a
+// row: the relation shares the stored partitions and their cached sizes, so
+// downstream metering never re-walks them. Nil for every other scan.
+func (s *scanSource) shared() *Relation {
+	if !s.prep.passThrough() || s.ds.IsPaged() {
+		return nil
+	}
+	out := &Relation{Schema: s.prep.outSchema, Parts: make([][]types.Tuple, len(s.ds.Parts)), PartCols: s.prep.partCols}
+	pb := make([]int64, len(s.ds.Parts))
+	for p := range s.ds.Parts {
+		meterScanPart(s.ctx, s.ds, p)
+		out.Parts[p] = s.ds.Parts[p]
+		pb[p] = s.ds.PartBytes(p)
+	}
+	out.seedSizes(pb, s.ds.ByteSize())
+	return out
 }
 
 // scanCursor streams one partition of a resident dataset. It never copies a

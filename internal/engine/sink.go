@@ -1,10 +1,6 @@
 package engine
 
 import (
-	"fmt"
-	"slices"
-	"sync"
-
 	"dynopt/internal/faults"
 	"dynopt/internal/sqlpp"
 	"dynopt/internal/stats"
@@ -27,9 +23,7 @@ func flattenSchema(relSchema *types.Schema) *types.Schema {
 // stage: output chunks arriving from the join (or push-down scan) are
 // observed for online statistics, metered as materialized-write I/O, sized,
 // and appended to the temp dataset's partitions in the same pass that
-// produced them — the relation is never re-walked. Counters and statistics
-// are identical to the batch Materialize, which walks the finished relation
-// instead.
+// produced them — the relation is never re-walked.
 type StreamSink struct {
 	ctx       *Context
 	name      string
@@ -37,13 +31,8 @@ type StreamSink struct {
 	flat      *types.Schema
 	partCols  []int
 
-	statIdx []int // field offsets under statistics collection, ascending
-	// blocks holds each partition's tuple headers as they arrive, one
-	// exact-size copy per Emit; Finish joins them into the partition slice at
-	// its final length. Appending to one growing slice would re-copy the
-	// partition at every growth step: about three times its final size in
-	// allocation, for headers that are a quarter of a narrow row's bytes.
-	blocks    [][][]types.Tuple
+	statIdx   []int // field offsets under statistics collection, ascending
+	blocks    partBlocks
 	partBytes []int64
 	partStats []*stats.DatasetStats
 	fields    [][]*stats.FieldStats // [part][statIdx order] collector cache
@@ -62,7 +51,7 @@ func NewStreamSink(ctx *Context, relSchema *types.Schema, nparts int, name strin
 		relSchema: relSchema,
 		flat:      flattenSchema(relSchema),
 		partCols:  partCols,
-		blocks:    make([][][]types.Tuple, nparts),
+		blocks:    make(partBlocks, nparts),
 		partBytes: make([]int64, nparts),
 		partStats: make([]*stats.DatasetStats, nparts),
 		fields:    make([][]*stats.FieldStats, nparts),
@@ -104,9 +93,7 @@ func (s *StreamSink) Emit(p int, rows []types.Tuple) error {
 	}
 	s.partBytes[p] += bytes
 	s.observed[p] += int64(len(rows)) * int64(len(s.statIdx))
-	if len(rows) > 0 {
-		s.blocks[p] = append(s.blocks[p], slices.Clone(rows))
-	}
+	s.blocks.add(p, rows)
 	return nil
 }
 
@@ -122,24 +109,7 @@ func (s *StreamSink) Finish() (*storage.Dataset, *stats.DatasetStats, error) {
 	if err := s.ctx.Faults.Fire(faults.Point("sink.finish")); err != nil {
 		return nil, nil, err
 	}
-	parts := make([][]types.Tuple, len(s.blocks))
-	for p, blocks := range s.blocks {
-		switch len(blocks) {
-		case 0: // nothing arrived: the partition stays nil
-		case 1:
-			parts[p] = blocks[0] // already exact: nothing to join
-		default:
-			var total int
-			for _, b := range blocks {
-				total += len(b)
-			}
-			rows := make([]types.Tuple, 0, total)
-			for _, b := range blocks {
-				rows = append(rows, b...)
-			}
-			parts[p] = rows
-		}
-	}
+	parts := s.blocks.join()
 	ds := &storage.Dataset{
 		Name:    s.name,
 		Schema:  s.flat,
@@ -176,94 +146,20 @@ func (s *StreamSink) Finish() (*storage.Dataset, *stats.DatasetStats, error) {
 	return ds, merged, nil
 }
 
-// Materialize is the batch Sink: it writes a finished relation to the temp
-// store (metering the write I/O of the blocking re-optimization point) and
-// collects online statistics on the requested fields — the join keys of the
-// remaining query, so no unnecessary sketches are built (§5.3). The
-// streaming pipeline fuses this work into the producing stage via
-// StreamSink; Materialize remains the batch-mode reference and the path for
-// already-materialized relations.
+// Materialize writes a finished relation to the temp store (metering the
+// write I/O of the blocking re-optimization point) and collects online
+// statistics on the requested fields — the join keys of the remaining query,
+// so no unnecessary sketches are built (§5.3). It is the Sink for a relation
+// that already landed: each partition goes into a StreamSink in one Emit.
+// Stage pipelines never call it — their output reaches the StreamSink chunk
+// by chunk.
 func Materialize(ctx *Context, rel *Relation, name string, statsFields map[string]bool) (*storage.Dataset, *stats.DatasetStats, error) {
-	if err := ctx.Err(); err != nil {
+	sink := NewStreamSink(ctx, rel.Schema, len(rel.Parts), name, statsFields, rel.PartCols)
+	err := forEachPart(len(rel.Parts), func(p int) error {
+		return sink.Emit(p, rel.Parts[p])
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	if err := ctx.Faults.Fire(faults.Point("sink.finish")); err != nil {
-		return nil, nil, err
-	}
-	flat := flattenSchema(rel.Schema)
-	ds := &storage.Dataset{
-		Name:    name,
-		Schema:  flat,
-		Parts:   make([][]types.Tuple, len(rel.Parts)),
-		Indexes: map[string]*storage.Index{},
-		Temp:    true,
-	}
-	// Preserve partitioning so a later hash join on the same keys skips the
-	// exchange (Reader restores PartCols from these fields).
-	if rel.PartCols != nil {
-		pk := make([]string, len(rel.PartCols))
-		for i, c := range rel.PartCols {
-			pk[i] = flat.Fields[c].Name
-		}
-		ds.PrimaryKey = pk
-	}
-
-	acct := ctx.Accounting()
-	partStats := make([]*stats.DatasetStats, len(rel.Parts))
-	errs := make([]error, len(rel.Parts))
-	var wg sync.WaitGroup
-	for p := range rel.Parts {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			// Contain panics on the stats goroutines: a panicking sketch
-			// observer becomes this partition's error instead of killing the
-			// process with the WaitGroup never satisfied.
-			defer func() {
-				if v := recover(); v != nil {
-					errs[p] = faults.FromPanic("sink", fmt.Sprintf("materialize partition %d", p), v)
-				}
-			}()
-			st := stats.NewDatasetStats(name)
-			st.RecordCount = int64(len(rel.Parts[p]))
-			st.ByteSize = rel.PartBytes(p)
-			var observed int64
-			if statsFields != nil {
-				for _, t := range rel.Parts[p] {
-					for i, f := range flat.Fields {
-						if statsFields[f.Name] {
-							st.Field(f.Name).Observe(t[i])
-							observed++
-						}
-					}
-				}
-			}
-			acct.MatWriteRows.Add(st.RecordCount)
-			acct.MatWriteBytes.Add(st.ByteSize)
-			acct.StatsObserved.Add(observed)
-			partStats[p] = st
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	pb := make([]int64, len(rel.Parts))
-	for p := range rel.Parts {
-		ds.Parts[p] = rel.Parts[p]
-		pb[p] = rel.PartBytes(p)
-	}
-	ds.SeedSizes(pb, rel.ByteSize())
-	// No grant reservation here: materialized intermediates model on-disk
-	// temps (their write and read-back I/O is metered as MatWriteBytes /
-	// MatReadBytes above and in Scan), not resident query memory — holding
-	// them on the grant would double-count the next stage's build side,
-	// whose tuples share backing with this relation.
-	merged := stats.NewDatasetStats(name)
-	for _, st := range partStats {
-		merged.Merge(st)
-	}
-	return ds, merged, nil
+	return sink.Finish()
 }

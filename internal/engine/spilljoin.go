@@ -144,12 +144,14 @@ func (s *fileSeq) next() (types.Tuple, uint64, int64, error) {
 }
 
 // runSource names where a spilled run's rows came from, so a run found
-// corrupt on read-back can be rebuilt: the in-memory partition at level 0,
-// or the parent level's run file below (still on disk until its own pair
-// completes). A nil *runSource marks a side with no replayable source — the
-// streaming probe, whose chunks were consumed as they arrived.
+// corrupt on read-back can be rebuilt: at level 0 a way to read the input
+// again (the in-memory build partition; a probe that is a relation's
+// partition), below it the parent level's run file (still on disk until its
+// own pair completes). A nil *runSource marks a side with no replayable
+// source — a probe fed by a scan or the scatter, whose chunks were consumed
+// as they arrived.
 type runSource struct {
-	mem     *memSeq
+	reopen  func() (rowSeq, error)
 	file    *storage.SpillFile
 	keyCols []int
 }
@@ -164,9 +166,8 @@ func (s *runSource) open() (rowSeq, func() error, error) {
 		}
 		return &fileSeq{r: r, keyCols: s.keyCols, expect: s.file.Rows()}, r.Close, nil
 	}
-	cp := *s.mem
-	cp.i = 0
-	return &cp, nil, nil
+	seq, err := s.reopen()
+	return seq, nil, err
 }
 
 // spillJoin carries one partition's join through its recursion levels.
@@ -181,11 +182,9 @@ type spillJoin struct {
 	buildFirst bool
 
 	arena types.Arena
-	out   []types.Tuple
-	// emit, when set, receives output rows chunk-by-chunk (the streaming
-	// sink path); out then only buffers up to one chunk between flushes.
-	// Nil accumulates the whole partition's output in out (the batch path).
-	emit func(rows []types.Tuple) error
+	// out buffers up to one chunk of output rows between flushes to sink.
+	out  []types.Tuple
+	sink Sink
 	// noSpill marks the degraded mode entered when the spill device fails
 	// before any run file landed: the join holds its whole build side
 	// resident — reserving the bytes but ignoring budget and pressure, like
@@ -193,11 +192,10 @@ type spillJoin struct {
 	noSpill bool
 }
 
-// maybeFlush hands the buffered output to the emit hook once a chunk's
-// worth has accumulated. The buffer is reused: sinks copy the headers they
-// keep.
+// maybeFlush hands the buffered output to the sink once a chunk's worth has
+// accumulated. The buffer is reused: sinks copy the headers they keep.
 func (j *spillJoin) maybeFlush() error {
-	if j.emit == nil || len(j.out) < j.ctx.chunkRows() {
+	if len(j.out) < j.ctx.chunkRows() {
 		return nil
 	}
 	return j.flush()
@@ -207,58 +205,21 @@ func (j *spillJoin) flush() error {
 	if len(j.out) == 0 {
 		return nil
 	}
-	err := j.emit(j.out)
+	err := j.sink.Emit(j.part, j.out)
 	j.out = j.out[:0]
 	return err
 }
 
-// spillJoinPartition joins one partition under the real memory budget,
-// returning the output rows. Falls to the plain in-memory join when the
-// build side fits the grant; otherwise runs the dynamic hybrid hash join.
-func spillJoinPartition(ctx *Context, p int, outWidth int,
-	bRows []types.Tuple, bHash []uint64, bSize []int64, bCols []int, buildBytes int64,
-	pRows []types.Tuple, pHash []uint64, pCols []int, buildFirst bool) ([]types.Tuple, error) {
-
-	budget := ctx.Cluster.MemoryPerNodeBytes()
-	acct := ctx.Accounting()
-	gr := ctx.Grant
-	if buildBytes <= budget {
-		if gr.Reserve(buildBytes) {
-			// Resident fast path: the whole build side fits the per-node
-			// budget and the governor has room.
-			defer gr.Release(buildBytes)
-			ht := buildTable(bRows, bHash, bCols)
-			acct.BuildRows.Add(int64(len(bRows)))
-			acct.ProbeRows.Add(int64(len(pRows)))
-			cnt := ht.countMatches(pHash)
-			var arena types.Arena
-			arena.Reserve(cnt * outWidth)
-			rows := make([]types.Tuple, 0, cnt)
-			return ht.joinInto(rows, &arena, pRows, nil, nil, pHash, pCols, buildFirst), nil
-		}
-		// Cross-query pressure: the bytes were charged by the failed
-		// Reserve, so undo before taking the spilling path (which holds
-		// only its resident set).
-		gr.Release(buildBytes)
-	}
-	j := &spillJoin{
-		ctx: ctx, acct: acct, grant: gr, part: p, budget: budget,
-		bCols: bCols, pCols: pCols, buildFirst: buildFirst,
-	}
-	build := &memSeq{rows: bRows, hashes: bHash, sizes: bSize}
-	probe := &memSeq{rows: pRows, hashes: pHash}
-	err := j.run(0, build, probe,
-		&runSource{mem: build}, &runSource{mem: probe})
-	return j.out, err
-}
-
-// spillJoinPartitionStream is spillJoinPartition for the streaming
-// pipeline: the probe side arrives chunk-by-chunk and output rows flow into
-// the sink as they are produced, so neither side of the spilling join is
-// ever whole-relation resident beyond the governed build set.
+// spillJoinPartitionStream joins one partition under the real memory budget:
+// the probe side arrives chunk-by-chunk and output rows flow into the sink as
+// they are produced, so neither side of the spilling join is ever
+// whole-relation resident beyond the governed build set. Falls to the plain
+// in-memory join when the build side fits the grant; otherwise runs the
+// dynamic hybrid hash join. reopen, when the probe can be read again, starts
+// a second pass over it (nil: it cannot).
 func spillJoinPartitionStream(ctx *Context, p int,
 	bRows []types.Tuple, bHash []uint64, bSize []int64, bCols []int, buildBytes int64,
-	probe probeStream, pCols []int, buildFirst bool, sink Sink) error {
+	probe probeStream, reopen func() (probeStream, error), pCols []int, buildFirst bool, sink Sink) error {
 
 	budget := ctx.Cluster.MemoryPerNodeBytes()
 	acct := ctx.Accounting()
@@ -290,13 +251,28 @@ func spillJoinPartitionStream(ctx *Context, p int,
 	j := &spillJoin{
 		ctx: ctx, acct: acct, grant: gr, part: p, budget: budget,
 		bCols: bCols, pCols: pCols, buildFirst: buildFirst,
-		emit: func(rows []types.Tuple) error { return sink.Emit(p, rows) },
+		sink: sink,
 	}
 	build := &memSeq{rows: bRows, hashes: bHash, sizes: bSize}
-	// The streaming probe has no replayable source (chunks are consumed as
-	// they arrive), so a corrupt probe run at level 0 fails classified
-	// rather than rebuilding; the build side recovers as usual.
-	if err := j.run(0, build, &chunkSeq{st: probe}, &runSource{mem: build}, nil); err != nil {
+	bSrc := &runSource{reopen: func() (rowSeq, error) {
+		again := *build
+		again.i = 0
+		return &again, nil
+	}}
+	// A probe with no second pass leaves pSrc nil: a corrupt probe run at
+	// level 0 then fails classified rather than rebuilding; the build side
+	// recovers as usual.
+	var pSrc *runSource
+	if reopen != nil {
+		pSrc = &runSource{reopen: func() (rowSeq, error) {
+			st, err := reopen()
+			if err != nil {
+				return nil, err
+			}
+			return &chunkSeq{st: st}, nil
+		}}
+	}
+	if err := j.run(0, build, &chunkSeq{st: probe}, bSrc, pSrc); err != nil {
 		return err
 	}
 	return j.flush()

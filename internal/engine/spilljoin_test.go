@@ -2,8 +2,11 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"os"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"dynopt/internal/cluster"
@@ -329,29 +332,56 @@ func TestRealSpillGovernorPressureSheds(t *testing.T) {
 // delta, and the join error.
 func corruptSpillJoin(t *testing.T, rule faults.Rule) ([]string, cluster.Snapshot, error) {
 	t.Helper()
-	ctx := testCtx(t, 2)
-	register(t, ctx, "fact", []string{"id"}, []string{"id", "k", "pay"}, seqTable(20000, 499))
-	register(t, ctx, "dim", []string{"id"}, []string{"id", "k", "pay"}, seqTable(1000, 499))
-	f, err := ScanByName(ctx, "fact", "f", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := ScanByName(ctx, "dim", "d", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buildDS, _ := ctx.Catalog.Get("fact")
-	ctx.Cluster.SetMemoryPerNodeBytes(buildDS.ByteSize() / 2 / 8)
+	return corruptSpillJoinOn(t, 2, false, rule)
+}
+
+// corruptSpillJoinOn is corruptSpillJoin on a cluster of the given size,
+// through the relation-in HashJoin or — fromScans — with both sides arriving
+// as scan sources, the probe consumed chunk by chunk.
+func corruptSpillJoinOn(t *testing.T, nodes int, fromScans bool, rule faults.Rule) ([]string, cluster.Snapshot, error) {
+	t.Helper()
+	ctx := testCtx(t, nodes)
+	fact := register(t, ctx, "fact", []string{"id"}, []string{"id", "k", "pay"}, seqTable(20000, 499))
+	dim := register(t, ctx, "dim", []string{"id"}, []string{"id", "k", "pay"}, seqTable(1000, 499))
+	ctx.Cluster.SetMemoryPerNodeBytes(fact.ByteSize() / int64(nodes) / 8)
 	sm, _ := realSpillCtx(t, ctx)
 	reg := faults.New(0xC0FFEE)
 	reg.Arm(rule)
 	ctx.Faults = reg
 	sm.Faults = reg
 
+	var f, d *Relation
+	var err error
+	if !fromScans {
+		if f, err = Scan(ctx, fact, "f", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if d, err = Scan(ctx, dim, "d", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	before := ctx.Cluster.Acct().Snapshot()
-	rel, err := HashJoin(ctx, f, d, joinKeys("f", "k"), joinKeys("d", "k"), true)
+	var rel *Relation
+	if fromScans {
+		rel, err = collectJoin(nodes, func(mk SinkFactory) error {
+			fsrc, err := ScanSource(ctx, fact, "f", nil, nil)
+			if err != nil {
+				return err
+			}
+			dsrc, err := ScanSource(ctx, dim, "d", nil, nil)
+			if err != nil {
+				return err
+			}
+			return HashJoinStreamSources(ctx, fsrc, dsrc, joinKeys("f", "k"), joinKeys("d", "k"), true, mk)
+		})
+	} else {
+		rel, err = HashJoin(ctx, f, d, joinKeys("f", "k"), joinKeys("d", "k"), true)
+	}
 	delta := ctx.Cluster.Acct().Snapshot().Sub(before)
 	if err != nil {
+		if rel != nil {
+			t.Errorf("a failed join returned %d rows", rel.RowCount())
+		}
 		return nil, delta, err
 	}
 	return sortedRows(rel), delta, nil
@@ -403,5 +433,43 @@ func TestSpillCorruptionRecursFailsClassified(t *testing.T) {
 	}
 	if !errors.Is(err, faults.ErrCorrupt) {
 		t.Errorf("recurring corruption classified %v, want ErrCorrupt", err)
+	}
+}
+
+// firstProbeRun damages the first probe run a join verifies: with partitions
+// joined one after another, the second read-back of a sealed run is the
+// first spilled pair's probe run (its build run is read first).
+var firstProbeRun = faults.Rule{Point: "spill.corrupt", EveryN: 2, OneShot: true, Corrupt: faults.CorruptFlipBit}
+
+// TestSpillCorruptProbeRunRebuiltFromRelation: a probe that is a relation can
+// be read again, so a level-0 probe run found corrupt on read-back is rebuilt
+// from the partition it came from — exchanged as a relation first, on two
+// nodes — and the join's rows are the clean run's.
+func TestSpillCorruptProbeRunRebuiltFromRelation(t *testing.T) {
+	// One worker joins partition 0 to the end before partition 1 starts, so
+	// the rule's second hit is a probe run on every run of the test.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	clean, _, err := corruptSpillJoin(t, faults.Rule{Point: "spill.corrupt", Corrupt: faults.CorruptNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, delta, err := corruptSpillJoin(t, firstProbeRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta.SpillRebuilds < 1 {
+		t.Errorf("no rebuild metered: %+v", delta)
+	}
+	rowsEqual(t, rows, clean)
+}
+
+// TestSpillCorruptProbeRunFromScanFailsClassified: a probe fed by a scan was
+// consumed as it arrived, so the same damage has nothing to rebuild from: the
+// join fails classified ErrCorrupt and returns no rows. One node: the scan
+// feeds the join in place, one partition, one goroutine.
+func TestSpillCorruptProbeRunFromScanFailsClassified(t *testing.T) {
+	_, _, err := corruptSpillJoinOn(t, 1, true, firstProbeRun)
+	if !errors.Is(err, faults.ErrCorrupt) || !strings.Contains(fmt.Sprint(err), "corrupt probe run with no replayable source") {
+		t.Fatalf("join over a damaged probe run from a scan: %v, want ErrCorrupt with no replayable source", err)
 	}
 }

@@ -19,7 +19,7 @@ import (
 //                hash into per-destination chunk buffers shipped over
 //                bounded channels; each destination merges its inputs in
 //                source order, so output order is byte-identical to the
-//                batch exchange,
+//                relation exchange (repartition),
 //   - replicate: the broadcast — one producer merges the source partitions
 //                in order and ships every chunk to all destinations (the
 //                INLJ outer side).
@@ -156,9 +156,9 @@ func (ex *scatterExchange) cancel() {
 // stored rows ship as they are, with the source's column map on the buffer,
 // and are sized over their projected columns — the bytes a narrowed row would
 // have shipped. Rows staying on their source partition are not metered as
-// shuffle — identical to the batch exchange's accounting. The producer closes
-// its destination channels on every exit path so consumers always see a
-// clean end of stream.
+// shuffle — identical to the relation exchange's accounting. The producer
+// closes its destination channels on every exit path so consumers always see
+// a clean end of stream.
 func (ex *scatterExchange) produce(ctx *Context, src int, cur Cursor, keyCols []int) error {
 	n := len(ex.chans)
 	defer func() {
@@ -291,7 +291,7 @@ func (s *faultingStream) next() (*Chunk, error) {
 }
 
 // mergeStream is destination dst's side of the scatter: it drains source 0's
-// channel to exhaustion, then source 1's, and so on, reproducing the batch
+// channel to exhaustion, then source 1's, and so on, reproducing the relation
 // exchange's source-block order exactly. It also guards the int32 row-index
 // limit the downstream build tables rely on.
 type mergeStream struct {
@@ -554,27 +554,27 @@ func runReplicate(ctx *Context, src Source, n int, consume func(p int, st probeS
 	return totalRows, totalBytes, prodErr
 }
 
-// materializable is implemented by sources that can land themselves as a
-// Relation more cheaply than pulling chunks (a pass-through scan shares the
-// stored partitions outright; a relation source already is one).
-type materializable interface {
-	materialize(ctx *Context) (*Relation, error)
-}
-
-func (s *relationSource) materialize(*Context) (*Relation, error) { return s.rel, nil }
-
-// materializeSource lands a source as a Relation: via its fast path when it
-// has one, else by collecting chunks partition-parallel.
+// materializeSource lands a source as a Relation. A relation source already
+// is one and a pass-through scan of a resident dataset shares its stored
+// partitions; anything else is collected from its cursors partition-parallel,
+// with the size cache seeded when the source knows every partition's bytes
+// (a pass-through paged scan: the page directory's figures).
 func materializeSource(ctx *Context, src Source) (*Relation, error) {
-	if m, ok := src.(materializable); ok {
-		return m.materialize(ctx)
+	switch s := src.(type) {
+	case *relationSource:
+		return s.rel, nil
+	case *scanSource:
+		if rel := s.shared(); rel != nil {
+			return rel, nil
+		}
 	}
+	n := src.Parts()
 	out := &Relation{
 		Schema:   src.Schema(),
-		Parts:    make([][]types.Tuple, src.Parts()),
+		Parts:    make([][]types.Tuple, n),
 		PartCols: src.PartCols(),
 	}
-	err := forEachPart(src.Parts(), func(p int) error {
+	err := forEachPart(n, func(p int) error {
 		cur, err := src.Open(p)
 		if err != nil {
 			return err
@@ -600,6 +600,15 @@ func materializeSource(ctx *Context, src Source) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	partBytes := make([]int64, n)
+	var total int64
+	for p := range partBytes {
+		if partBytes[p] = src.PartBytesHint(p); partBytes[p] < 0 {
+			return out, nil
+		}
+		total += partBytes[p]
+	}
+	out.seedSizes(partBytes, total)
 	return out, nil
 }
 
@@ -608,7 +617,7 @@ func materializeSource(ctx *Context, src Source) (*Relation, error) {
 // hashed, sized, and placed in its destination bucket in one pass, and only
 // the exchanged relation — the one the hash tables must hold — is ever
 // materialized. Destinations receive source blocks in source order with row
-// order preserved, and shuffle metering matches the batch exchange exactly.
+// order preserved, and shuffle metering matches the relation exchange exactly.
 // With wantSizes the per-row encoded sizes travel to the output aligned
 // with the rows (the real-spill join's budget accounting).
 func collectExchanged(ctx *Context, src Source, keyCols []int, wantSizes bool) (*Relation, [][]uint64, [][]int64, error) {

@@ -96,6 +96,15 @@ func (s *BestOrder) Name() string { return "best-order" }
 
 // Run implements core.Strategy.
 func (s *BestOrder) Run(ctx *engine.Context, sql string) (*engine.Result, *core.Report, error) {
+	// The statement's own errors go back as every strategy reports them;
+	// whatever fails after this is the shadow run's.
+	q, err := sqlpp.Parse(sql)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := sqlpp.Analyze(q, ctx.Catalog.Resolver()); err != nil {
+		return nil, nil, err
+	}
 	cfg := s.Cfg
 	if ctx.Spill != nil && cfg.Algo.SpillBudgetBytes == 0 {
 		// The shadow run plans on a scratch context with no spill manager;

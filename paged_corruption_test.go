@@ -77,9 +77,8 @@ func TestPagedCorruptionClassified(t *testing.T) {
 // Q9's lineitem join as an indexed nested-loop join, so no lineitem page is
 // ever scanned: each is read, if at all, by the batched fetch of the index
 // probe. One bit is flipped inside one lineitem page at a time, over an
-// uncached store (every read hits the damaged file), through both the
-// streaming and the batch join. A fetch that lands on the page must fail
-// classified faults.ErrCorrupt; a query that never fetches from it must
+// uncached store (every read hits the damaged file). A fetch that lands on
+// the page must fail classified faults.ErrCorrupt; a query that never fetches from it must
 // return the resident rows in full. Never a panic, never a short result.
 func TestPagedCorruptionSeekPath(t *testing.T) {
 	q := bench.Queries()[3]
@@ -129,34 +128,31 @@ func TestPagedCorruptionSeekPath(t *testing.T) {
 		}
 	}
 
-	for _, batch := range []bool{false, true} {
-		paged.Batch = batch
-		_, rep, err := paged.RunOneResult(paged.Strategies()[0], q.SQL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Counters.IndexLookups == 0 || !strings.Contains(strings.Join(rep.StagePlans, "\n"), "(l ⋈i") {
-			t.Fatalf("batch=%v: lineitem is not joined through its index:\n%s", batch, rep)
-		}
-		var classified, intact int
-		for p := 0; p < pg.File().Partitions(); p++ {
-			for i := 0; i < pg.Pages(p); i += 5 {
-				flip(pg.Page(p, i))
-				res, _, err := paged.RunOneResult(paged.Strategies()[0], q.SQL)
-				flip(pg.Page(p, i))
-				if err != nil {
-					if !errors.Is(err, faults.ErrCorrupt) {
-						t.Fatalf("batch=%v page (%d,%d): failed unclassified: %v", batch, p, i, err)
-					}
-					classified++
-					continue
+	_, rep, err := paged.RunOneResult(paged.Strategies()[0], q.SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Counters.IndexLookups == 0 || !strings.Contains(strings.Join(rep.StagePlans, "\n"), "(l ⋈i") {
+		t.Fatalf("lineitem is not joined through its index:\n%s", rep)
+	}
+	var classified, intact int
+	for p := 0; p < pg.File().Partitions(); p++ {
+		for i := 0; i < pg.Pages(p); i += 5 {
+			flip(pg.Page(p, i))
+			res, _, err := paged.RunOneResult(paged.Strategies()[0], q.SQL)
+			flip(pg.Page(p, i))
+			if err != nil {
+				if !errors.Is(err, faults.ErrCorrupt) {
+					t.Fatalf("page (%d,%d): failed unclassified: %v", p, i, err)
 				}
-				compareResults(t, want, res)
-				intact++
+				classified++
+				continue
 			}
+			compareResults(t, want, res)
+			intact++
 		}
-		if classified == 0 || intact == 0 {
-			t.Errorf("batch=%v: %d classified failures and %d intact runs; want both to occur", batch, classified, intact)
-		}
+	}
+	if classified == 0 || intact == 0 {
+		t.Errorf("%d classified failures and %d intact runs; want both to occur", classified, intact)
 	}
 }
