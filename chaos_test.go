@@ -124,6 +124,14 @@ func TestChaosMatrix(t *testing.T) {
 		// One exchange consumer stalls, then its stream fails: producers
 		// must notice teardown instead of blocking on full channels.
 		{"exchange-stall", []FaultRule{{Point: "exchange.consume", OneShot: true, Stall: 5 * time.Millisecond}}},
+		// Exchange streams fail mid-flight, a consumer's and then a
+		// producer's: the exchange's frames go back to the process-wide
+		// pool on those exits too, and only the ones nobody holds — the
+		// queries that follow draw on that pool and must still answer
+		// with baseline rows (under -race, a frame pooled while a drain
+		// loop still read it would be reported).
+		{"exchange-consumer-fail", []FaultRule{{Point: "exchange.consume", EveryN: 4}}},
+		{"exchange-producer-fail", []FaultRule{{Point: "exchange.produce", EveryN: 6}}},
 		// The first memo replay faults: the query must fall back to the
 		// full dynamic loop and still answer correctly.
 		{"replay-fault", []FaultRule{{Point: "memo.replay", OneShot: true}}},

@@ -79,6 +79,10 @@ type Chunk struct {
 	// offset; consumers apply Sel and Proj themselves). Nil when the producer
 	// has no columnar form; valid until the next Next call.
 	Cols types.ColSource
+	// written is the scatter exchange's bookkeeping on the buffers it owns:
+	// the most row headers Rows held in any earlier use, so a buffer going to
+	// the pool clears what was written and no more.
+	written int
 }
 
 // Live returns the number of live rows in the chunk.

@@ -22,8 +22,8 @@ func flattenSchema(relSchema *types.Schema) *types.Schema {
 // StreamSink is the Sink operator of Figure 4 fused into the producing
 // stage: output chunks arriving from the join (or push-down scan) are
 // observed for online statistics, metered as materialized-write I/O, sized,
-// and appended to the temp dataset's partitions in the same pass that
-// produced them — the relation is never re-walked.
+// and appended to the temp dataset's partitions while the chunk that carries
+// them is still the pipeline's current one — the relation is never re-walked.
 type StreamSink struct {
 	ctx       *Context
 	name      string
@@ -79,17 +79,21 @@ func NewStreamSink(ctx *Context, relSchema *types.Schema, nparts int, name strin
 // RelSchema returns the qualified schema of the rows flowing into the sink.
 func (s *StreamSink) RelSchema() *types.Schema { return s.relSchema }
 
-// Emit implements Sink: one pass over the chunk covers statistics
-// observation, byte sizing, and the partition append. Called concurrently
-// for different partitions, in order within one.
+// Emit implements Sink: the chunk is sized in one walk of its rows, then
+// observed field-major — each collected field's sketches take the chunk's
+// column in one call, seeing the values in row order — and its headers are
+// appended to the partition's block. Called concurrently for different
+// partitions, in order within one.
 func (s *StreamSink) Emit(p int, rows []types.Tuple) error {
-	fs := s.fields[p]
 	var bytes int64
+	//dynopt:hotpath
 	for _, t := range rows {
 		bytes += int64(t.EncodedSize()) //dynopt:size-ok sink seeds the materialized relation's size cache as rows arrive
-		for k, i := range s.statIdx {
-			fs[k].Observe(t[i])
-		}
+	}
+	fs := s.fields[p]
+	//dynopt:hotpath
+	for k, i := range s.statIdx {
+		fs[k].ObserveCol(rows, i)
 	}
 	s.partBytes[p] += bytes
 	s.observed[p] += int64(len(rows)) * int64(len(s.statIdx))

@@ -115,22 +115,57 @@ func newScatterExchange(n, rows int, sizes bool) *scatterExchange {
 	return ex
 }
 
-// get returns a recycled chunk with empty, full-row-capacity buffers, or a
-// fresh one.
+// framePool holds exchange chunk buffers between exchanges, process-wide:
+// an exchange's free list is handed over when it ends (recycle) and the next
+// exchange draws on it before allocating (get), so a steady query stream
+// ships its rows through the same frames instead of making n² full-capacity
+// buffers per exchange for the collector to find. A pooled frame is empty and
+// cleared — no stored row, column map or vector source is reachable through
+// it.
+var framePool sync.Pool // of *Chunk
+
+// get returns a chunk with empty, full-row-capacity buffers: recycled from
+// this exchange's free list, taken from the pool if its capacity is this
+// exchange's (Sizes kept only by an exchange that ships them), or fresh.
 func (ex *scatterExchange) get() *Chunk {
 	select {
 	case c := <-ex.free:
+		c.written = max(c.written, len(c.Rows))
 		c.Rows, c.Hashes, c.Sizes = c.Rows[:0], c.Hashes[:0], c.Sizes[:0]
 		return c
 	default:
-		c := &Chunk{
+	}
+	c, _ := framePool.Get().(*Chunk)
+	if c == nil || cap(c.Rows) != ex.rows {
+		c = &Chunk{
 			Rows:   make([]types.Tuple, 0, ex.rows),
 			Hashes: make([]uint64, 0, ex.rows),
 		}
-		if ex.sizes {
-			c.Sizes = make([]int64, 0, ex.rows)
+	}
+	if !ex.sizes {
+		c.Sizes = nil
+	} else if c.Sizes == nil {
+		c.Sizes = make([]int64, 0, ex.rows)
+	}
+	return c
+}
+
+// recycle hands the free list's chunks to the pool. Only a finished exchange
+// may call it — every producer and consumer returned — so a chunk on the free
+// list is held by no one: chunks still queued, held by a merge stream or half
+// filled by a failed producer never reach the list and are left to the
+// collector. Each is emptied first, clearing only the row headers ever
+// written so no slab or arena stays reachable through the pool.
+func (ex *scatterExchange) recycle() {
+	for {
+		select {
+		case c := <-ex.free:
+			clear(c.Rows[:max(c.written, len(c.Rows))])
+			*c = Chunk{Rows: c.Rows[:0], Hashes: c.Hashes[:0], Sizes: c.Sizes[:0]}
+			framePool.Put(c)
+		default:
+			return
 		}
-		return c
 	}
 }
 
@@ -383,6 +418,10 @@ func runScatter(ctx *Context, src Source, keyCols []int, wantSizes bool, consume
 		return ex.produce(ctx, s, cur, keyCols)
 	})
 	wg.Wait()
+	// Every exit path — producer error, consumer error and its drain,
+	// cancellation, contained panic — comes through here with all goroutines
+	// gone, so the frames go back to the pool exactly once.
+	ex.recycle()
 	if prodErr != nil && prodErr != errExchangeCancelled {
 		return prodErr
 	}

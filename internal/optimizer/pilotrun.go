@@ -87,12 +87,14 @@ func (s *PilotRun) samplePhase(ctx *engine.Context, g *sqlpp.Graph, r *core.Repo
 		}
 
 		sample := stats.NewDatasetStats(ref.Dataset)
-		var scanned, produced int64
+		var scanned int64
 		var scannedBytes int64
 		var sampleErr error
+		kept := make([]types.Tuple, 0, min(int64(k), ds.RowCount())) // the sampled rows, observed column-wise below
 		observe := func(t types.Tuple) bool {
 			scanned++
-			scannedBytes += int64(t.EncodedSize()) //dynopt:size-ok pilot sampling meters exactly the rows it touches; no cache exists for a sample prefix
+			sz := int64(t.EncodedSize()) //dynopt:size-ok pilot sampling meters exactly the rows it touches; no cache exists for a sample prefix
+			scannedBytes += sz
 			if compiled != nil {
 				v, err := compiled(t)
 				if err != nil {
@@ -103,11 +105,9 @@ func (s *PilotRun) samplePhase(ctx *engine.Context, g *sqlpp.Graph, r *core.Repo
 					return true
 				}
 			}
-			produced++
-			sample.ObserveTuple(ds.Schema, t, nil)
-			// ObserveTuple counted the row already; keep sample's
-			// RecordCount equal to produced (it does).
-			return produced < int64(k)
+			kept = append(kept, t)
+			sample.ByteSize += sz
+			return len(kept) < k
 		}
 	sampling:
 		for p := range ds.Parts {
@@ -127,10 +127,13 @@ func (s *PilotRun) samplePhase(ctx *engine.Context, g *sqlpp.Graph, r *core.Repo
 			if sampleErr != nil {
 				return nil, sampleErr
 			}
-			if produced >= int64(k) {
+			if len(kept) >= k {
 				break sampling
 			}
 		}
+		produced := int64(len(kept))
+		sample.RecordCount = produced
+		sample.ObserveRows(ds.Schema, kept, nil)
 		acct.ScanRows.Add(scanned)
 		acct.ScanBytes.Add(scannedBytes)
 

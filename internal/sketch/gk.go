@@ -12,7 +12,6 @@ package sketch
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -66,49 +65,169 @@ func (g *GK) Count() int64 {
 	return g.n + int64(len(g.buf))
 }
 
-// Insert adds one observation to the sketch.
+// Insert adds one observation to the sketch: InsertBatch of one value.
 //
 //dynopt:hotpath
 func (g *GK) Insert(v float64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.buf = append(g.buf, v)
-	if len(g.buf) >= g.bufCap {
-		g.flush()
-	}
+	one := [1]float64{v}
+	g.InsertBatch(one[:])
 }
 
-// flush merges buffered observations into the summary in one sorted pass,
-// then compresses. The merge writes into the storage of the summary before
-// last and the two swap, so a sketch in steady state flushes without
-// allocating. The caller must hold g.mu.
-func (g *GK) flush() {
-	if len(g.buf) == 0 {
-		return
+// InsertBatch adds the observations in order, taking the lock once. The
+// buffer is flushed at exactly the boundaries a run of Insert calls would
+// flush it — whenever it reaches bufCap — so the summary does not depend on
+// how a stream was cut into batches. NaN has no rank and is skipped: it would
+// sort ahead of every number and then compare false against every entry,
+// which used to push the whole summary in front of the buffer.
+//
+//dynopt:hotpath
+func (g *GK) InsertBatch(vs []float64) {
+	g.mu.Lock()
+	if g.buf == nil && len(vs) > 0 {
+		g.buf = make([]float64, 0, g.bufCap) //dynopt:alloc-ok once per sketch: the insertion buffer at its final size
 	}
-	sort.Float64s(g.buf)
-	merged := slices.Grow(g.spare[:0], len(g.entries)+len(g.buf))
-	bi, ei := 0, 0
-	for bi < len(g.buf) || ei < len(g.entries) {
-		if ei >= len(g.entries) || (bi < len(g.buf) && g.buf[bi] < g.entries[ei].Value) {
-			v := g.buf[bi]
-			var delta int64
-			// A new observation inserted in the interior carries
-			// delta = floor(2·ε·n); at the extremes delta = 0.
-			if len(merged) > 0 && (ei < len(g.entries) || bi < len(g.buf)-1) {
-				delta = int64(2 * g.eps * float64(g.n))
-			}
-			merged = append(merged, gkEntry{Value: v, G: 1, Delta: delta})
-			g.n++
-			bi++
-		} else {
-			merged = append(merged, g.entries[ei])
-			ei++
+	buf := g.buf
+	for _, v := range vs {
+		if v != v {
+			continue
+		}
+		buf = append(buf, v)
+		if len(buf) >= g.bufCap {
+			g.buf = buf
+			g.flush()
+			buf = g.buf
 		}
 	}
-	g.entries, g.spare = merged, g.entries[:0]
-	g.buf = g.buf[:0]
-	g.compress()
+	g.buf = buf
+	g.mu.Unlock()
+}
+
+// flush sorts the buffered observations and folds them into the summary in
+// one pass that merges and compresses together: each merged entry either
+// absorbs the one before it — what compress, run afterwards, would have
+// merged into its successor — or is written after it, so the summary comes
+// out as merge-then-compress leaves it, entry for entry. The pass writes into
+// the storage of the summary before last and the two swap, so a sketch in
+// steady state flushes without allocating. The caller must hold g.mu.
+//
+//dynopt:hotpath
+func (g *GK) flush() {
+	buf, entries := g.buf, g.entries
+	if len(buf) == 0 {
+		return
+	}
+	sortFloats(buf)
+	// The previous summary's storage takes the new one. Storage too small to
+	// start from (none yet, or a few entries from an early partial flush) is
+	// sized here once — a buffer's worth, or the current summary and a quarter
+	// — and a summary that outgrows it later grows it by append's rule.
+	out := g.spare[:cap(g.spare)]
+	if len(out) < min(len(entries)+len(buf), g.bufCap) {
+		out = make([]gkEntry, max(min(len(buf), g.bufCap), len(entries)+len(entries)/4)) //dynopt:alloc-ok the summary's storage, sized once and then reused
+	}
+	twoEps, n := 2*g.eps, g.n
+	// compress's threshold: 2·ε·n once every buffered value has been counted.
+	threshold := int64(twoEps * float64(n+int64(len(buf))))
+	// out[k] is the last merged entry, its fate undecided until the next is
+	// known: the next either absorbs it, taking its place, or goes after it.
+	k := -1
+	bi, ei := 0, 0
+	for bi < len(buf) || ei < len(entries) {
+		var e gkEntry
+		if ei >= len(entries) || (bi < len(buf) && buf[bi] < entries[ei].Value) {
+			e = gkEntry{Value: buf[bi], G: 1}
+			// A new observation inserted in the interior carries
+			// delta = floor(2·ε·n); at the extremes delta = 0.
+			if k >= 0 && (ei < len(entries) || bi < len(buf)-1) {
+				e.Delta = int64(twoEps * float64(n))
+			}
+			n++
+			bi++
+		} else {
+			e = entries[ei]
+			ei++
+		}
+		if k >= 1 && out[k].G+e.G+e.Delta <= threshold {
+			// Combined uncertainty stays within 2·ε·n: out[k] merges into e.
+			// (out[0], the minimum, is always kept.)
+			e.G += out[k].G
+		} else if k++; k == len(out) {
+			out = append(out, e)
+			out = out[:cap(out)]
+		}
+		out[k] = e
+	}
+	out = out[:k+1] // the maximum is always kept
+	g.n = n
+	g.entries, g.spare = out, entries[:0]
+	g.buf = buf[:0]
+}
+
+// radixMax is the largest buffer the radix sort takes: its scratch is a
+// stack array of this many values. Larger buffers (ε below 1/256) keep the
+// comparison sort.
+const radixMax = 512
+
+// infBits is +Inf's bit pattern, the largest pattern whose order among
+// patterns is its order among numbers.
+const infBits = 0x7FF0000000000000
+
+// sortFloats sorts buf ascending. A buffer of non-negative numbers (sign bit
+// clear, no NaN) is ordered by IEEE bit pattern, which for such values is
+// numeric order — and equal values have equal patterns, so the result is
+// the very sequence sort.Float64s produces: found sorted in the scan and
+// left alone, or sorted by a byte-wise LSD radix over the bytes that differ
+// (integers that fit a float's mantissa leave the low bytes zero, keys of one
+// table share the high ones: three passes is typical). Anything else keeps
+// the comparison sort, whose every compare on fresh data is a coin flip to
+// the branch predictor — the radix has no data-dependent branch.
+//
+//dynopt:hotpath
+func sortFloats(buf []float64) {
+	if len(buf) < 2 {
+		return
+	}
+	first := math.Float64bits(buf[0])
+	var diff uint64
+	top, prev, sorted := first, first, true
+	for _, v := range buf {
+		b := math.Float64bits(v)
+		diff |= b ^ first
+		top = max(top, b)
+		sorted = sorted && b >= prev
+		prev = b
+	}
+	if top > infBits || len(buf) > radixMax {
+		sort.Float64s(buf)
+		return
+	}
+	if sorted {
+		return
+	}
+	var scratch [radixMax]float64
+	src, dst := buf, scratch[:len(buf)]
+	for shift := 0; shift < 64; shift += 8 {
+		if diff>>shift&0xff == 0 {
+			continue
+		}
+		var pos [256]int32
+		for _, v := range src {
+			pos[byte(math.Float64bits(v)>>shift)]++
+		}
+		var at int32
+		for d := range pos {
+			pos[d], at = at, at+pos[d]
+		}
+		for _, v := range src {
+			d := byte(math.Float64bits(v) >> shift)
+			dst[pos[d]] = v
+			pos[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &buf[0] {
+		copy(buf, src)
+	}
 }
 
 // compress removes entries whose combined uncertainty stays within 2·ε·n.
@@ -218,7 +337,9 @@ func (g *GK) RankOf(v float64) int64 {
 
 // Merge folds other into g. The merged summary is compressed under g's ε;
 // standard GK merging may up to double the effective error, which is
-// acceptable for the planner's bucket estimates.
+// acceptable for the planner's bucket estimates. An empty g adopts its
+// snapshot of other; otherwise the two summaries interleave into g's spare
+// storage, grown only when it is short.
 func (g *GK) Merge(other *GK) {
 	if other == nil {
 		return
@@ -236,25 +357,29 @@ func (g *GK) Merge(other *GK) {
 	if otherN == 0 {
 		return
 	}
-	merged := make([]gkEntry, 0, len(g.entries)+len(otherEntries))
-	i, j := 0, 0
-	for i < len(g.entries) || j < len(otherEntries) {
-		switch {
-		case i >= len(g.entries):
-			merged = append(merged, otherEntries[j])
-			j++
-		case j >= len(otherEntries):
-			merged = append(merged, g.entries[i])
-			i++
-		case g.entries[i].Value <= otherEntries[j].Value:
-			merged = append(merged, g.entries[i])
-			i++
-		default:
-			merged = append(merged, otherEntries[j])
-			j++
+	mine := g.entries
+	if len(mine) == 0 {
+		// Nothing to interleave: the snapshot becomes the summary.
+		g.entries = otherEntries
+	} else {
+		merged := g.spare[:0]
+		if need := len(mine) + len(otherEntries); cap(merged) < need {
+			merged = make([]gkEntry, 0, need)
 		}
+		i, j := 0, 0
+		for i < len(mine) && j < len(otherEntries) {
+			if mine[i].Value <= otherEntries[j].Value {
+				merged = append(merged, mine[i])
+				i++
+			} else {
+				merged = append(merged, otherEntries[j])
+				j++
+			}
+		}
+		merged = append(merged, mine[i:]...)
+		merged = append(merged, otherEntries[j:]...)
+		g.entries, g.spare = merged, mine[:0]
 	}
-	g.entries = merged
 	g.n += otherN
 	g.compress()
 }

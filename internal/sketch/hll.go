@@ -42,16 +42,16 @@ func fmix64(x uint64) uint64 {
 	return x
 }
 
-// Add records one pre-hashed observation.
+// Add records one pre-hashed observation. It is written to stay within the
+// inliner's budget: the statistics column loop calls it once per value.
 //
 //dynopt:hotpath
 func (h *HLL) Add(hash uint64) {
 	hash = fmix64(hash)
-	idx := hash >> (64 - h.p)
-	rest := hash<<h.p | 1<<(h.p-1) // guard bit so LeadingZeros is bounded
-	rho := uint8(bits.LeadingZeros64(rest)) + 1
-	if rho > h.registers[idx] {
-		h.registers[idx] = rho
+	// The guard bit below the index bits bounds LeadingZeros.
+	rho := uint8(bits.LeadingZeros64(hash<<h.p|1<<(h.p-1))) + 1
+	if r := &h.registers[hash>>(64-h.p)]; rho > *r {
+		*r = rho
 	}
 }
 

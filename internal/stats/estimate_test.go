@@ -87,7 +87,7 @@ func TestCompositeDistinctSaturation(t *testing.T) {
 func uniformField(n, distinct int) *FieldStats {
 	fs := NewFieldStats()
 	for i := 0; i < n; i++ {
-		fs.Observe(types.Int(int64(i % distinct)))
+		observe(fs, types.Int(int64(i%distinct)))
 	}
 	return fs
 }
@@ -119,10 +119,10 @@ func TestEstimateSelectivityRangeShapes(t *testing.T) {
 func TestEstimateSelectivitySkewedEquality(t *testing.T) {
 	fs := NewFieldStats()
 	for i := 0; i < 9000; i++ {
-		fs.Observe(types.Int(7))
+		observe(fs, types.Int(7))
 	}
 	for i := 0; i < 1000; i++ {
-		fs.Observe(types.Int(int64(100 + i)))
+		observe(fs, types.Int(int64(100+i)))
 	}
 	got := EstimateSelectivity(fs, OpEq, 7, 0)
 	if got < 0.5 {
@@ -144,7 +144,7 @@ func TestEstimateSelectivityDefaults(t *testing.T) {
 	}
 	// String field: no histogram, defaults apply.
 	fs := NewFieldStats()
-	fs.Observe(types.Str("a"))
+	observe(fs, types.Str("a"))
 	if got := EstimateSelectivity(fs, OpEq, 1, 0); got != DefaultEqSelectivity {
 		t.Errorf("string field OpEq = %v", got)
 	}

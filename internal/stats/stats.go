@@ -47,17 +47,44 @@ func NewFieldStats() *FieldStats {
 	}
 }
 
-// Observe feeds one value into the field's sketches.
-func (f *FieldStats) Observe(v types.Value) {
-	if v.IsNull() {
-		f.Nulls++
-		return
-	}
-	f.Count++
-	f.Distinct.Add(v.Hash())
-	if fv, ok := v.AsFloat(); ok {
-		f.numeric = true
-		f.Quantiles.Insert(fv)
+// observeWindow is how many values ObserveCol gathers before it hands them
+// to the quantile sketch: a fixed stack window, so a column costs no scratch
+// however long it is, and the sketch's lock is taken once per window.
+const observeWindow = 128
+
+// ObserveCol feeds column c of rows into the field's sketches, in row order
+// — the one way a value reaches them. Each window of rows is walked once:
+// nulls are counted, every other value is hashed into the distinct sketch,
+// and the numeric ones are gathered and given to the quantile sketch as one
+// batch, which flushes exactly where value-at-a-time inserts would, so the
+// summaries are byte-identical however the rows were cut into calls. A NaN
+// counts and is hashed like any value but has no rank: the quantile sketch
+// skips it.
+//
+//dynopt:hotpath
+func (f *FieldStats) ObserveCol(rows []types.Tuple, c int) {
+	var win [observeWindow]float64
+	for len(rows) > 0 {
+		head := rows[:min(len(rows), observeWindow)]
+		rows = rows[len(head):]
+		n := 0
+		for _, t := range head {
+			v := &t[c]
+			if v.IsNull() {
+				f.Nulls++
+				continue
+			}
+			f.Count++
+			f.Distinct.Add(v.Hash())
+			if fv, ok := v.AsFloat(); ok {
+				win[n] = fv
+				n++
+			}
+		}
+		if n > 0 {
+			f.numeric = true
+			f.Quantiles.InsertBatch(win[:n])
+		}
 	}
 }
 
@@ -114,22 +141,29 @@ func (d *DatasetStats) Field(name string) *FieldStats {
 
 // ObserveTuple feeds a whole tuple through the per-field collectors,
 // restricted to the supplied fields (nil means all fields of the schema).
-// It also accumulates record count and encoded byte size.
+// It also accumulates record count and encoded byte size. It is ObserveRows
+// over one row, for callers that meet their rows one at a time.
 func (d *DatasetStats) ObserveTuple(sch *types.Schema, t types.Tuple, only map[string]bool) {
-	d.ObserveTupleSized(sch, t, only, int64(t.EncodedSize()))
+	one := [1]types.Tuple{t}
+	d.RecordCount++
+	d.ByteSize += int64(t.EncodedSize())
+	d.ObserveRows(sch, one[:], only)
 }
 
-// ObserveTupleSized is ObserveTuple for callers that already computed the
-// tuple's encoded size (bulk loads size rows once for both the partition
-// size cache and statistics, instead of walking EncodedSize twice).
-func (d *DatasetStats) ObserveTupleSized(sch *types.Schema, t types.Tuple, only map[string]bool, encSize int64) {
-	d.RecordCount++
-	d.ByteSize += encSize
+// ObserveRows feeds rows through the per-field collectors a column at a
+// time — each collector resolved once, each seeing its values in row order —
+// restricted to the supplied fields (nil means all fields of the schema).
+// RecordCount and ByteSize are the caller's: bulk loads and samplers have
+// sized their rows already.
+func (d *DatasetStats) ObserveRows(sch *types.Schema, rows []types.Tuple, only map[string]bool) {
+	if len(rows) == 0 {
+		return // a collector exists once its field has met a row
+	}
 	for i, f := range sch.Fields {
 		if only != nil && !only[f.Name] {
 			continue
 		}
-		d.Field(f.Name).Observe(t[i])
+		d.Field(f.Name).ObserveCol(rows, i)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 func TestFieldStatsObserve(t *testing.T) {
 	fs := NewFieldStats()
 	for i := 0; i < 1000; i++ {
-		fs.Observe(types.Int(int64(i % 100)))
+		observe(fs, types.Int(int64(i%100)))
 	}
-	fs.Observe(types.Null())
+	observe(fs, types.Null())
 	if fs.Count != 1000 {
 		t.Errorf("Count = %d", fs.Count)
 	}
@@ -32,7 +32,7 @@ func TestFieldStatsObserve(t *testing.T) {
 func TestFieldStatsStringsNotNumeric(t *testing.T) {
 	fs := NewFieldStats()
 	for i := 0; i < 50; i++ {
-		fs.Observe(types.Str("v" + strconv.Itoa(i)))
+		observe(fs, types.Str("v"+strconv.Itoa(i)))
 	}
 	if fs.Numeric() {
 		t.Error("Numeric() = true for string field")
@@ -45,8 +45,8 @@ func TestFieldStatsStringsNotNumeric(t *testing.T) {
 func TestFieldStatsMerge(t *testing.T) {
 	a, b := NewFieldStats(), NewFieldStats()
 	for i := 0; i < 500; i++ {
-		a.Observe(types.Int(int64(i)))
-		b.Observe(types.Int(int64(i + 500)))
+		observe(a, types.Int(int64(i)))
+		observe(b, types.Int(int64(i+500)))
 	}
 	a.Merge(b)
 	if a.Count != 1000 {
@@ -171,4 +171,13 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		<-done
 	}
+}
+
+// observe feeds values to fs as a one-column window of rows.
+func observe(fs *FieldStats, vs ...types.Value) {
+	rows := make([]types.Tuple, len(vs))
+	for i, v := range vs {
+		rows[i] = types.Tuple{v}
+	}
+	fs.ObserveCol(rows, 0)
 }

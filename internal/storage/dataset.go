@@ -296,12 +296,9 @@ func Build(name string, schema *types.Schema, pk []string, rows []types.Tuple, n
 		ds.layout[p].widths = make([]int32, width)
 		ds.layout[p].kept = make([]atomic.Pointer[types.ColVec], width)
 	}
-	// One walk per row copies it into its partition's slab, sizes it value by
-	// value — feeding the statistics byte totals, the partition size cache
-	// (ByteSize/PartBytes never re-walk the tuples) and the width profile —
-	// and observes it, in input order, so the sketches do not depend on
-	// where the row was placed.
-	st := stats.NewDatasetStats(name)
+	// One walk per row copies it into its partition's slab and sizes it value
+	// by value — feeding the statistics byte totals, the partition size cache
+	// (ByteSize/PartBytes never re-walk the tuples) and the width profile.
 	partBytes := make([]int64, nparts)
 	var totalBytes int64
 	//dynopt:hotpath
@@ -326,9 +323,13 @@ func Build(name string, schema *types.Schema, pk []string, rows []types.Tuple, n
 		}
 		partBytes[p] += sz
 		totalBytes += sz
-		st.ObserveTupleSized(schema, stored, nil, sz)
 	}
 	ds.SeedSizes(partBytes, totalBytes)
+	// Statistics are observed a column at a time over the input rows, in input
+	// order, so the sketches do not depend on where a row was placed.
+	st := stats.NewDatasetStats(name)
+	st.RecordCount, st.ByteSize = int64(len(rows)), totalBytes
+	st.ObserveRows(schema, rows, nil)
 	return ds, st, nil
 }
 
