@@ -20,6 +20,7 @@
 package dynopt
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -234,11 +235,6 @@ type Config struct {
 	// 0 (the default) disables the memo: execution is byte-identical to
 	// the paper's loop.
 	PlanCacheEntries int
-	// ReplayTolerance is the multiplicative cardinality band of the replay
-	// guardrails: a replayed stage observing more than ReplayTolerance×
-	// (or fewer than 1/ReplayTolerance×) the recorded rows falls back to
-	// the dynamic loop. Values <= 1 mean the default (8).
-	ReplayTolerance float64
 	// Faults arms the test-only fault-injection registry: named points in
 	// the spill, governor, exchange, catalog, and memo layers fire the rules
 	// armed on it. Nil (production, the default) leaves every injection site
@@ -361,7 +357,7 @@ func Open(cfg Config) *DB {
 		db.pageCache.Release = db.cacheGrant.Release
 	}
 	if cfg.PlanCacheEntries > 0 {
-		db.memo = memo.NewStore(cfg.PlanCacheEntries, memo.Options{Tolerance: cfg.ReplayTolerance})
+		db.memo = memo.NewStore(cfg.PlanCacheEntries, memo.Options{})
 		// Catalog mutations — a base dataset registered, replaced, dropped,
 		// or indexed — evict every memoized shape referencing it.
 		db.ctx.Catalog.SetBaseHook(db.memo.InvalidateDataset)
@@ -767,16 +763,7 @@ func (db *DB) runOnce(ctx context.Context, sql string, opts *QueryOptions) (out 
 		ChunkRows: db.ctx.ChunkRows,
 		PageStats: &storage.PageScanStats{},
 	}
-	if db.spillDir != "" {
-		// Disk half of the query's execution scope: run files live in a
-		// lazily created per-query directory, swept on every exit path like
-		// the catalog temp namespace above.
-		sm := storage.NewSpillManager(db.spillDir, scope)
-		sm.Faults = db.faults
-		sm.Sync = db.spillSync
-		defer sm.Sweep()
-		qctx.Spill = sm
-	}
+	defer db.attachSpill(qctx, scope)()
 	res, rep, err := s.Run(qctx, sql)
 	if err != nil {
 		return nil, err
@@ -803,6 +790,23 @@ func (db *DB) runOnce(ctx context.Context, sql string, opts *QueryOptions) (out 
 		out.Metrics.PlanTree = rep.Tree.Tree()
 	}
 	return out, nil
+}
+
+// attachSpill is the one place a context of this DB gets its spill device:
+// the disk half of a query's execution scope, a manager over Config.SpillDir
+// whose run files live in a lazily created per-query directory — or nothing,
+// when no directory is configured. It returns the sweep the caller defers,
+// so the directory is emptied on every exit path like the catalog temp
+// namespace.
+func (db *DB) attachSpill(qctx *engine.Context, scope string) (sweep func() error) {
+	if db.spillDir == "" {
+		return func() error { return nil }
+	}
+	sm := storage.NewSpillManager(db.spillDir, scope)
+	sm.Faults = db.faults
+	sm.Sync = db.spillSync
+	qctx.Spill = sm
+	return sm.Sweep
 }
 
 // Explain runs the query under the selected strategy against a snapshot of
@@ -860,9 +864,10 @@ func (db *DB) cacheProbe(sql string, opts *QueryOptions) string {
 
 // shapeKeyFor computes the memo key a query would execute under: canonical
 // shape over the live catalog plus the effective per-query strategy
-// configuration (the same derivation strategyFor uses). The spill-budget
-// defaulting mirrors Dynamic.Body's: Body keys on ctx.Spill, which QueryCtx
-// attaches exactly when Config.SpillDir is set — keep the two in lockstep.
+// configuration (the same derivation strategyFor uses), with the spill
+// budget defaulted as Dynamic.Body defaults it: from SpillBudget, on a
+// context given this DB's device the way a query's is (the probe spills
+// nothing, so there is nothing to sweep).
 func (db *DB) shapeKeyFor(sql string, opts *QueryOptions) (string, error) {
 	q, err := sqlpp.Parse(sql)
 	if err != nil {
@@ -875,8 +880,8 @@ func (db *DB) shapeKeyFor(sql string, opts *QueryOptions) (string, error) {
 	cfg := core.DefaultConfig()
 	cfg.Algo = db.effectiveAlgo(opts)
 	cfg.MaxReopts = db.effectiveBudget(opts)
-	if db.spillDir != "" && cfg.Algo.SpillBudgetBytes == 0 {
-		cfg.Algo.SpillBudgetBytes = db.ctx.Cluster.MemoryPerNodeBytes()
-	}
+	probe := engine.Context{Cluster: db.ctx.Cluster}
+	db.attachSpill(&probe, "")
+	cfg.Algo.SpillBudgetBytes = cmp.Or(cfg.Algo.SpillBudgetBytes, probe.SpillBudget())
 	return core.ShapeKey(g, cfg), nil
 }

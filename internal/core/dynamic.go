@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"dynopt/internal/engine"
@@ -97,12 +98,10 @@ func (d *Dynamic) Body(ctx *engine.Context, sql string, r *Report) (*engine.Resu
 	if reg == nil {
 		reg = ctx.Catalog.Stats()
 	}
+	// Under a spill budget the join-algorithm rule sees it, so planned
+	// broadcasts match what the engine will run.
 	cfg := d.Cfg.Algo
-	if ctx.Spill != nil && cfg.SpillBudgetBytes == 0 {
-		// Real-spill execution: let the join-algorithm rule see the memory
-		// budget so planned broadcasts match what the engine will run.
-		cfg.SpillBudgetBytes = ctx.Cluster.MemoryPerNodeBytes()
-	}
+	cfg.SpillBudgetBytes = cmp.Or(cfg.SpillBudgetBytes, ctx.SpillBudget())
 	rs := &runState{
 		ctx:         ctx,
 		est:         &Estimator{Cat: ctx.Catalog, Reg: reg, FiltersPreApplied: d.FiltersPreApplied},
@@ -212,7 +211,7 @@ func (rs *runState) runFinal() (*engine.Result, error) {
 		return engine.Finish(rs.ctx, rs.g.Query, rel)
 	case 1:
 		edge := rs.g.Joins[0]
-		node, err := rs.finalJoinNode(edge, tables, nil)
+		node, err := rs.finalJoinNode(edge, tables)
 		if err != nil {
 			return nil, err
 		}
@@ -224,7 +223,7 @@ func (rs *runState) runFinal() (*engine.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		innerNode, err := rs.finalJoinNode(inner, tables, nil)
+		innerNode, err := rs.finalJoinNode(inner, tables)
 		if err != nil {
 			return nil, err
 		}
@@ -263,13 +262,19 @@ func (rs *runState) runFinal() (*engine.Result, error) {
 }
 
 // finalJoinNode builds the plan node for a remaining edge over current
-// tables (leaves reference current datasets: temps or bases).
-func (rs *runState) finalJoinNode(edge *sqlpp.JoinEdge, tables Tables, _ []string) (*plan.Node, error) {
-	lt, rt := tables[edge.LeftAlias], tables[edge.RightAlias]
+// tables (leaves reference current datasets: temps or bases), with the
+// algorithm the rule picks.
+func (rs *runState) finalJoinNode(edge *sqlpp.JoinEdge, tables Tables) (*plan.Node, error) {
 	algo, buildLeft, err := rs.est.chooseAlgoForEdge(rs.cfg, edge, tables)
 	if err != nil {
 		return nil, err
 	}
+	return rs.joinNode(edge, tables[edge.LeftAlias], tables[edge.RightAlias], algo, buildLeft), nil
+}
+
+// joinNode is the two-leaf execution node for one edge over its current
+// tables: what a stage hands the engine, and the final job's inner join.
+func (rs *runState) joinNode(edge *sqlpp.JoinEdge, lt, rt *TableInfo, algo plan.Algo, buildLeft bool) *plan.Node {
 	lkeys := make([]string, len(edge.LeftFields))
 	rkeys := make([]string, len(edge.RightFields))
 	for i := range edge.LeftFields {
@@ -281,7 +286,7 @@ func (rs *runState) finalJoinNode(edge *sqlpp.JoinEdge, tables Tables, _ []strin
 		Right:    rs.leafNode(rt),
 		LeftKeys: lkeys, RightKeys: rkeys,
 		Algo: algo, BuildLeft: buildLeft,
-	}), nil
+	})
 }
 
 // outerJoinNode wires the final outer join between the inner join's result

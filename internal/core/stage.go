@@ -331,11 +331,8 @@ func (rs *runState) pickCheapestJoin(tables Tables) (*sqlpp.JoinEdge, int64, err
 // actually spilled (observedSpillBytes is the runtime feedback signal), so
 // simulated-mode plans — and the Figure 7 golden counters — never move.
 func (rs *runState) spillPenalty(edge *sqlpp.JoinEdge, tables Tables) int64 {
-	if rs.ctx.Spill == nil || rs.observedSpillBytes == 0 {
-		return 0
-	}
-	budget := rs.ctx.Cluster.MemoryPerNodeBytes()
-	if budget <= 0 {
+	budget := rs.ctx.SpillBudget()
+	if budget == 0 || rs.observedSpillBytes == 0 {
 		return 0
 	}
 	lt, rt := tables[edge.LeftAlias], tables[edge.RightAlias]
@@ -365,12 +362,12 @@ func (rs *runState) spillPenalty(edge *sqlpp.JoinEdge, tables Tables) int64 {
 // ratio this query has already observed discounts the pages a filtered scan
 // will skip — runtime storage feedback steering the next join pick exactly
 // as observedSpillBytes does for spills. Like the spill penalty it activates
-// only under a real memory budget (Config.SpillDir): the simulated cost
+// only under a spill budget (Context.SpillBudget): the simulated cost
 // model prices no disk, so simulated plans — resident or paged, and with
 // them the Figure 7 golden counters and the paged-vs-resident equivalence —
 // never move.
 func (rs *runState) scanPenalty(edge *sqlpp.JoinEdge, tables Tables) int64 {
-	if rs.ctx.Spill == nil {
+	if rs.ctx.SpillBudget() == 0 {
 		return 0
 	}
 	lt, rt := tables[edge.LeftAlias], tables[edge.RightAlias]
@@ -554,101 +551,24 @@ func (rs *runState) executeJoinStage(edge *sqlpp.JoinEdge, estCard int64, tables
 }
 
 // runJoinJobStream executes one stage as a single chunked pipeline: the
-// build side scans into a relation (a hash table must hold it anyway), the
-// probe side streams scan→exchange→probe chunk-by-chunk, and the output
-// flows into a StreamSink that observes statistics, meters the temp write,
-// and lands the partitions — the whole stage is one pass over the probe
+// join node over the two current tables goes to the engine's dispatcher with
+// a StreamSink behind it, so the build side lands under its table, the probe
+// side streams scan→exchange→probe chunk-by-chunk, and the output is
+// observed, metered and landed as it is produced — one pass over the probe
 // side with no probe relation and no sink re-walk; only the
-// materializations between re-optimization points remain.
+// materializations between re-optimization points remain. An index join's
+// rows arrive outer⧺inner; both halves carry their alias qualifiers, so
+// downstream flattening and reconstruction are orientation-independent.
 func (rs *runState) runJoinJobStream(edge *sqlpp.JoinEdge, lt, rt *TableInfo, algo plan.Algo, buildLeft bool,
 	tempName string, statsFields map[string]bool) (*storage.Dataset, *stats.DatasetStats, *types.Schema, error) {
-	lkeys := make([]string, len(edge.LeftFields))
-	rkeys := make([]string, len(edge.RightFields))
-	for i := range edge.LeftFields {
-		lkeys[i] = edge.LeftAlias + "." + edge.LeftFields[i]
-		rkeys[i] = edge.RightAlias + "." + edge.RightFields[i]
-	}
 	var sink *engine.StreamSink
-	mkSink := func(nparts int) engine.SinkFactory {
-		return func(sch *types.Schema, partCols []int) (engine.Sink, error) {
-			sink = engine.NewStreamSink(rs.ctx, sch, nparts, tempName, statsFields, partCols)
+	err := engine.JoinInto(rs.ctx, rs.joinNode(edge, lt, rt, algo, buildLeft).Join,
+		func(sch *types.Schema, partCols []int) (engine.Sink, error) {
+			sink = engine.NewStreamSink(rs.ctx, sch, rs.ctx.Cluster.Nodes(), tempName, statsFields, partCols)
 			return sink, nil
-		}
-	}
-	switch algo {
-	case plan.AlgoIndexNL:
-		// The broadcast (outer) side streams from its scan; the inner is
-		// probed through its index in place. The result is outer⧺inner; both
-		// halves carry their alias qualifiers, so downstream flattening and
-		// reconstruction are orientation-independent.
-		outerInfo, innerInfo := lt, rt
-		outerKeys, innerFields := lkeys, edge.RightFields
-		if !buildLeft {
-			outerInfo, innerInfo = rt, lt
-			outerKeys, innerFields = rkeys, edge.LeftFields
-		}
-		innerDS, err := datasetOf(rs.ctx.Catalog, innerInfo)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		outerDS, err := datasetOf(rs.ctx.Catalog, outerInfo)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		outer, err := engine.ScanSource(rs.ctx, outerDS, outerInfo.Alias, outerInfo.Filter, outerInfo.Project)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if err := engine.IndexNLJoinStream(rs.ctx, outer, innerDS, innerInfo.Alias,
-			outerKeys, innerFields, innerInfo.Filter, mkSink(len(innerDS.Parts))); err != nil {
-			return nil, nil, nil, err
-		}
-	default:
-		buildInfo, probeInfo := lt, rt
-		buildKeys, probeKeys := lkeys, rkeys
-		if !buildLeft {
-			buildInfo, probeInfo = rt, lt
-			buildKeys, probeKeys = rkeys, lkeys
-		}
-		buildDS, err := datasetOf(rs.ctx.Catalog, buildInfo)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		probeDS, err := datasetOf(rs.ctx.Catalog, probeInfo)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		probe, err := engine.ScanSource(rs.ctx, probeDS, probeInfo.Alias, probeInfo.Filter, probeInfo.Project)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		// buildFirst (== buildLeft here) keeps output tuples left⧺right
-		// regardless of build side.
-		if algo == plan.AlgoBroadcast {
-			// A broadcast build side is replicated whole; scan it into the
-			// relation the shared table is built from. The scan gets its own
-			// error variable: `build, err :=` would shadow the outer err and
-			// silently drop the join's failure at the shared check below.
-			build, serr := engine.Scan(rs.ctx, buildDS, buildInfo.Alias, buildInfo.Filter, buildInfo.Project)
-			if serr != nil {
-				return nil, nil, nil, serr
-			}
-			err = engine.BroadcastJoinStream(rs.ctx, build, probe, buildKeys, probeKeys, buildLeft, mkSink(probe.Parts()))
-		} else {
-			// The hash build side streams too: its scan fuses into the
-			// exchange scatter, materializing only the exchanged relation.
-			buildSrc, serr := engine.ScanSource(rs.ctx, buildDS, buildInfo.Alias, buildInfo.Filter, buildInfo.Project)
-			if serr != nil {
-				return nil, nil, nil, serr
-			}
-			err = engine.HashJoinStreamSources(rs.ctx, buildSrc, probe, buildKeys, probeKeys, buildLeft, mkSink(probe.Parts()))
-		}
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	if sink == nil {
-		return nil, nil, nil, fmt.Errorf("core: stage pipeline finished without creating its sink")
+		})
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	tds, tst, err := sink.Finish()
 	if err != nil {

@@ -39,12 +39,8 @@ type Context struct {
 	// Cancel carries the caller's cancellation signal; nil never cancels.
 	// Operators check it at stage boundaries.
 	Cancel context.Context
-	// Spill manages this query's on-disk run files. When set (and the memory
-	// budget is positive) the hash joins run the real dynamic hybrid hash
-	// join — evicting build partitions to disk under memory pressure — and
-	// SpillBytes/SpillRows meter actual run-file I/O. Nil keeps the simulated
-	// spill model: counters are charged from the byte arithmetic of
-	// meterSpill and nothing touches the filesystem.
+	// Spill manages this query's on-disk run files: the spill device.
+	// SpillBudget is the one place that decides what attaching it means.
 	Spill *storage.SpillManager
 	// Grant is this query's reservation against the cluster memory governor.
 	// Nil (single-client and test contexts) disables governance metering.
@@ -101,10 +97,18 @@ func (c *Context) Err() error {
 	return c.Cancel.Err()
 }
 
-// RealSpill reports whether this query runs the real disk-spilling join
-// path: a spill manager is attached and the memory budget is positive.
-func (c *Context) RealSpill() bool {
-	return c.Spill != nil && c.Cluster.MemoryPerNodeBytes() > 0
+// SpillBudget is the per-node bytes of build rows a join may hold resident
+// before it evicts to run files: the cluster's memory budget when a spill
+// device is attached and the budget is positive, else 0. Zero means nothing
+// touches the filesystem — an over-budget build side is charged from
+// meterSpill's byte arithmetic instead (the paper-faithful simulated model).
+// Every "is this run really spilling, and under what budget" question, in
+// the engine and in the planners above it, is this call.
+func (c *Context) SpillBudget() int64 {
+	if c.Spill == nil {
+		return 0
+	}
+	return max(c.Cluster.MemoryPerNodeBytes(), 0)
 }
 
 // Relation is a partitioned intermediate result flowing between operators.

@@ -15,29 +15,25 @@ import (
 // strategies execute their whole tree through this entry point in one
 // pipelined job; the dynamic optimizer instead executes one stage at a time
 // and materializes between stages. Interior projections (Join.Keep) are
-// applied in the same pipelined pass as the join that produces them.
-//
-// Both children of a join feed it as chunk sources: a leaf's scan fuses into
-// the exchange and probe loops, so a leaf under a join never materializes as
-// a Relation of its own; an interior join's result lands — a parent join
-// must hold its build side — and windows straight out of where it landed.
+// applied in the same pipelined pass as the join that produces them. A join
+// node is JoinInto, collected.
 func Execute(ctx *Context, n *plan.Node) (*Relation, error) {
 	if n.Leaf != nil {
 		return ScanByName(ctx, n.Leaf.Dataset, n.Leaf.Alias, n.Leaf.Filter, n.Leaf.Project)
 	}
 	j := n.Join
-	var rel *Relation
-	var err error
-	switch j.Algo {
-	case plan.AlgoHash, plan.AlgoBroadcast:
-		rel, err = executeHashLike(ctx, j)
-	case plan.AlgoIndexNL:
-		rel, err = executeIndexNL(ctx, j)
-	default:
-		return nil, fmt.Errorf("engine: unknown join algorithm %v", j.Algo)
-	}
+	rel, err := collectJoin(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
+		return JoinInto(ctx, j, mk)
+	})
 	if err != nil {
 		return nil, err
+	}
+	if j.Algo == plan.AlgoIndexNL && !j.BuildLeft {
+		// Plan orientation is left⧺right but the index join emitted
+		// outer⧺inner = right⧺left; swap the halves to keep downstream key
+		// offsets valid. The inner is scanned at its dataset's full width.
+		inner, _ := ctx.Catalog.Get(j.Left.Leaf.Dataset)
+		rel = swapSides(rel, rel.Schema.Len()-inner.Schema.Len())
 	}
 	if j.Keep != nil {
 		return ProjectColumns(rel, j.Keep)
@@ -63,36 +59,61 @@ func sourceForNode(ctx *Context, n *plan.Node) (Source, error) {
 	return SourceOf(ctx, rel), nil
 }
 
-// executeHashLike wires a hash or broadcast join node as a stage pipeline
-// over its children's sources and lands the output.
-func executeHashLike(ctx *Context, j *plan.Join) (*Relation, error) {
+// JoinInto runs one join node as a stage pipeline into the sink the factory
+// builds: the one dispatcher from a planned algorithm to its executor. Both
+// children feed the join as chunk sources — a leaf's scan fuses into the
+// exchange and probe loops, so a leaf under a join never materializes as a
+// Relation of its own; an interior join's result lands (a parent join must
+// hold its build side) and windows straight out of where it landed. Hash and
+// broadcast joins emit left⧺right whichever side builds; the index join
+// emits outer⧺inner, its (broadcast) outer being the build side and its
+// inner a base-dataset leaf whose index on the first join key is probed in
+// place — Execute restores plan orientation, a stage sink does not need it
+// (both halves carry their alias qualifiers).
+func JoinInto(ctx *Context, j *plan.Join, mk SinkFactory) error {
 	buildNode, probeNode := j.Left, j.Right
 	buildKeys, probeKeys := j.LeftKeys, j.RightKeys
 	if !j.BuildLeft {
 		buildNode, probeNode = j.Right, j.Left
 		buildKeys, probeKeys = j.RightKeys, j.LeftKeys
 	}
-	probe, err := sourceForNode(ctx, probeNode)
-	if err != nil {
-		return nil, err
-	}
-	if j.Algo == plan.AlgoHash {
+	switch j.Algo {
+	case plan.AlgoHash, plan.AlgoBroadcast:
+		probe, err := sourceForNode(ctx, probeNode)
+		if err != nil {
+			return err
+		}
 		build, err := sourceForNode(ctx, buildNode)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return collectJoin(probe.Parts(), func(mk SinkFactory) error {
-			return HashJoinStreamSources(ctx, build, probe, buildKeys, probeKeys, j.BuildLeft, mk)
-		})
+		if j.Algo == plan.AlgoBroadcast {
+			return BroadcastJoinStream(ctx, build, probe, buildKeys, probeKeys, j.BuildLeft, mk)
+		}
+		return HashJoinStream(ctx, build, probe, buildKeys, probeKeys, j.BuildLeft, mk)
+	case plan.AlgoIndexNL:
+		leaf := probeNode.Leaf
+		if leaf == nil || leaf.Temp {
+			return fmt.Errorf("engine: index NL join requires a base-dataset leaf inner, got %s", probeNode.Compact())
+		}
+		ds, ok := ctx.Catalog.Get(leaf.Dataset)
+		if !ok {
+			return fmt.Errorf("engine: unknown dataset %q", leaf.Dataset)
+		}
+		// Inner keys arrive qualified ("alias.field"); the index layer wants the
+		// bare field names of the base dataset.
+		bare := make([]string, len(probeKeys))
+		for i, k := range probeKeys {
+			bare[i] = strings.TrimPrefix(k, leaf.Alias+".")
+		}
+		outer, err := sourceForNode(ctx, buildNode)
+		if err != nil {
+			return err
+		}
+		return IndexNLJoinStream(ctx, outer, ds, leaf.Alias, buildKeys, bare, leaf.Filter, mk)
+	default:
+		return fmt.Errorf("engine: unknown join algorithm %v", j.Algo)
 	}
-	// A broadcast build side is replicated whole: it lands first.
-	build, err := Execute(ctx, buildNode)
-	if err != nil {
-		return nil, err
-	}
-	return collectJoin(probe.Parts(), func(mk SinkFactory) error {
-		return BroadcastJoinStream(ctx, build, probe, buildKeys, probeKeys, j.BuildLeft, mk)
-	})
 }
 
 // ProjectColumns narrows a relation to the named qualified columns, keeping
@@ -149,57 +170,6 @@ func ProjectColumns(rel *Relation, cols []string) (*Relation, error) {
 		}
 	}
 	return proj, nil
-}
-
-// executeIndexNL runs the probe-side-index plan shape: the build (broadcast)
-// side is executed as a subplan; the other side must be a base-dataset leaf
-// whose index on the first join key is probed in place.
-func executeIndexNL(ctx *Context, j *plan.Join) (*Relation, error) {
-	outerNode, innerNode := j.Right, j.Left
-	outerKeys, innerKeys := j.RightKeys, j.LeftKeys
-	if j.BuildLeft {
-		outerNode, innerNode = j.Left, j.Right
-		outerKeys, innerKeys = j.LeftKeys, j.RightKeys
-	}
-	if innerNode.Leaf == nil || innerNode.Leaf.Temp {
-		return nil, fmt.Errorf("engine: index NL join requires a base-dataset leaf inner, got %s", innerNode.Compact())
-	}
-	leaf := innerNode.Leaf
-	ds, ok := ctx.Catalog.Get(leaf.Dataset)
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown dataset %q", leaf.Dataset)
-	}
-	// Inner keys arrive qualified ("alias.field"); the index layer wants the
-	// bare field names of the base dataset.
-	bare := make([]string, len(innerKeys))
-	for i, k := range innerKeys {
-		bare[i] = stripAlias(k, leaf.Alias)
-	}
-	// The outer streams: a leaf outer's scan fuses into the replicate
-	// pipeline and is never materialized.
-	outer, err := sourceForNode(ctx, outerNode)
-	if err != nil {
-		return nil, err
-	}
-	rel, err := collectJoin(len(ds.Parts), func(mk SinkFactory) error {
-		return IndexNLJoinStream(ctx, outer, ds, leaf.Alias, outerKeys, bare, leaf.Filter, mk)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if j.BuildLeft {
-		return rel, nil // already outer⧺inner = left⧺right
-	}
-	// Plan orientation is left⧺right but IndexNLJoin emitted outer⧺inner =
-	// right⧺left; swap the halves to keep downstream key offsets valid.
-	return swapSides(rel, outer.Schema().Len()), nil
-}
-
-func stripAlias(qualified, alias string) string {
-	if strings.HasPrefix(qualified, alias+".") {
-		return qualified[len(alias)+1:]
-	}
-	return qualified
 }
 
 func swapSides(rel *Relation, leftWidth int) *Relation {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"slices"
 
@@ -47,85 +48,137 @@ func prehashParts(parts [][]types.Tuple, keyCols []int) [][]uint64 {
 	return out
 }
 
-// repartition redistributes a relation by hashing the key columns, metering
-// every row that moves between partitions as network shuffle. When the
-// relation is already partitioned on the keys the exchange is skipped
-// entirely (the §3 optimization for pre-partitioned inputs).
+// exchangeBlock is a run of one source partition's rows between the
+// exchange's two passes — a landed partition whole, or one chunk off a
+// cursor — at schema width, with their key hashes and destinations.
+type exchangeBlock struct {
+	rows   []types.Tuple
+	hashes []uint64
+	dsts   []int32 // per-row destination (hash mod n, computed once)
+	sizes  []int64 // per-row encoded sizes (wantSizes only)
+}
+
+// exchange lands a source hash-partitioned on the key columns — the build
+// side of a hash join, and every other whole-relation exchange — metering
+// each row that changes partition as network shuffle. A source already
+// partitioned on the keys, or of one partition, lands where it is (the §3
+// optimization for pre-partitioned inputs).
 //
-// Alongside the exchanged relation it returns the key hashes aligned with
-// each output partition's rows: every row is hashed exactly once here and
-// the prehashes travel with the rows, so the downstream build and probe
-// never rehash. With wantSizes (the real-spill join's build side) the
-// per-row encoded sizes pass one computes anyway travel the same way, so
-// the spill path's budget accounting never re-walks EncodedSize.
-func repartition(ctx *Context, rel *Relation, keyCols []int, wantSizes bool) (*Relation, [][]uint64, [][]int64, error) {
-	if rel.PartitionedOn(keyCols) {
+// Alongside the relation it returns the key hashes aligned with each output
+// partition's rows: every row is hashed exactly once here and the prehashes
+// travel with the rows, so the downstream build and probe never rehash. With
+// wantSizes (the real-spill join's build side) the per-row encoded sizes pass
+// one computes anyway travel the same way, so the spill path's budget
+// accounting never re-walks EncodedSize; sizes are nil when the exchange was
+// skipped.
+//
+// Two partition-parallel passes. Pass one reads each source partition — in
+// place when it already landed, else through its cursor, so a scan's decode,
+// filter and narrowing fuse into the exchange and nothing but the exchanged
+// relation is held — hashes every row once, counts per-destination occupancy
+// and sizes the rows: one walk per row covers the shuffle metering, the output
+// partitions' size cache and the per-row sizes, and a chunk whose rows all
+// weigh the same (Chunk.RowBytes) is not walked at all. Pass two scatters rows
+// and prehashes straight into exactly-sized destination arrays at precomputed
+// offsets — no append regrowth, no intermediate copy. Each destination
+// receives source blocks in source order with source row order preserved.
+func exchange(ctx *Context, src Source, keyCols []int, wantSizes bool) (*Relation, [][]uint64, [][]int64, error) {
+	n := src.Parts()
+	if colsMatch(src.PartCols(), keyCols) || n == 1 {
+		rel, err := materializeSource(ctx, src)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if err := checkPartRows(rel.Parts); err != nil {
+			return nil, nil, nil, err
+		}
 		return rel, prehashParts(rel.Parts, keyCols), nil, nil
 	}
-	n := len(rel.Parts)
-	out := &Relation{
-		Schema:   rel.Schema,
-		Parts:    make([][]types.Tuple, n),
-		PartCols: append([]int(nil), keyCols...),
-	}
-	if n == 1 {
-		out.Parts[0] = rel.Parts[0]
-		return out, prehashParts(out.Parts, keyCols), nil, nil
+	rel := landed(src)
+	if rel != nil {
+		if err := checkPartRows(rel.Parts); err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	acct := ctx.Accounting()
-	// Two-pass partition-parallel exchange: pass one hashes every row once,
-	// counts per-destination occupancy, and meters the shuffle; pass two
-	// scatters rows (and their prehashes) straight into exactly-sized
-	// destination arrays at precomputed offsets — no per-bucket chain
-	// slices, no append regrowth, no intermediate copy. Each destination
-	// receives source blocks in source order with source row order
-	// preserved, matching the previous implementation's output order.
-	srcHash := make([][]uint64, n)    // [src] prehashes aligned with rel.Parts[src]
-	srcDst := make([][]int32, n)      // [src] per-row destination (hash mod n, computed once)
-	srcCount := make([][]int32, n)    // [src] dst -> rows routed there
-	srcDstBytes := make([][]int64, n) // [src] dst -> encoded bytes routed there
-	var srcSize [][]int64             // [src] per-row encoded sizes (wantSizes only)
-	if wantSizes {
-		srcSize = make([][]int64, n)
-	}
-	_ = forEachPart(n, func(src int) error {
-		part := rel.Parts[src]
-		hashes := types.HashKeysInto(part, keyCols, nil)
-		dsts := make([]int32, len(part))
-		counts := make([]int32, n)
-		dstBytes := make([]int64, n)
-		var sizes []int64
-		if wantSizes {
-			sizes = make([]int64, len(part))
+	blocks := make([][]exchangeBlock, n) // [src]
+	counts := make([][]int32, n)         // [src] dst -> rows routed there
+	bytes := make([][]int64, n)          // [src] dst -> encoded bytes routed there
+	err := forEachPart(n, func(s int) error {
+		count, size := make([]int32, n), make([]int64, n)
+		var rows, total int64
+		// route assigns a block's rows their destinations; rowBytes > 0 is
+		// what each of them weighs.
+		route := func(b exchangeBlock, rowBytes int64) {
+			b.dsts = make([]int32, len(b.rows))
+			if wantSizes {
+				b.sizes = make([]int64, len(b.rows))
+			}
+			var blockBytes int64
+			//dynopt:hotpath
+			for r, t := range b.rows {
+				dst := int32(b.hashes[r] % uint64(n))
+				sz := rowBytes
+				if sz == 0 {
+					sz = int64(t.EncodedSize()) //dynopt:size-ok this is the cache-seeding walk: exchanged partitions' sizes are born here
+				}
+				b.dsts[r] = dst
+				count[dst]++
+				size[dst] += sz
+				blockBytes += sz
+				if wantSizes {
+					b.sizes[r] = sz
+				}
+			}
+			total += blockBytes
+			rows += int64(len(b.rows))
+			blocks[s] = append(blocks[s], b)
 		}
-		var totalBytes int64
-		for r, t := range part {
-			dst := int32(hashes[r] % uint64(n))
-			dsts[r] = dst
-			counts[dst]++
-			// One EncodedSize walk per row covers the shuffle metering
-			// (bytes leaving src), the output partitions' size cache, and
-			// (when requested) the spill join's per-row budget accounting.
-			//dynopt:size-ok this is the cache-seeding walk: repartition output sizes are born here
-			sz := int64(t.EncodedSize())
-			dstBytes[dst] += sz
-			totalBytes += sz
-			if sizes != nil {
-				sizes[r] = sz
+		if rel != nil {
+			route(exchangeBlock{rows: rel.Parts[s], hashes: types.HashKeysInto(rel.Parts[s], keyCols, nil)}, 0)
+		} else {
+			cur, err := src.Open(s)
+			if err != nil {
+				return err
+			}
+			keys := keyHasher{keyCols: keyCols}
+			var arena types.Arena
+			for {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				c, err := cur.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					return err
+				}
+				// Hash in place, then narrow: the destinations keep these rows
+				// under a hash table, so this is where a projected row is built.
+				// Each chunk is held at its exact size — no staging slice to
+				// regrow.
+				hashes := slices.Clone(keys.hash(c))
+				route(exchangeBlock{rows: c.appendLive(make([]types.Tuple, 0, c.Live()), &arena), hashes: hashes}, c.RowBytes)
 			}
 		}
-		srcHash[src], srcDst[src], srcCount[src], srcDstBytes[src] = hashes, dsts, counts, dstBytes
-		if wantSizes {
-			srcSize[src] = sizes
-		}
-		acct.ShuffleRows.Add(int64(len(part)) - int64(counts[src]))
-		acct.ShuffleBytes.Add(totalBytes - dstBytes[src])
+		counts[s], bytes[s] = count, size
+		acct.ShuffleRows.Add(rows - int64(count[s]))
+		acct.ShuffleBytes.Add(total - size[s])
 		return nil
 	})
-	// srcStart[src][dst]: where src's block begins within destination dst.
-	srcStart := make([][]int32, n)
-	for src := 0; src < n; src++ {
-		srcStart[src] = make([]int32, n)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	out := &Relation{
+		Schema:   src.Schema(),
+		Parts:    make([][]types.Tuple, n),
+		PartCols: slices.Clone(keyCols),
+	}
+	// starts[s][dst]: where source s's block begins within destination dst.
+	starts := make([][]int32, n)
+	for s := range starts {
+		starts[s] = make([]int32, n)
 	}
 	outHashes := make([][]uint64, n)
 	var outSizes [][]int64
@@ -136,10 +189,10 @@ func repartition(ctx *Context, rel *Relation, keyCols []int, wantSizes bool) (*R
 	var outTotal int64
 	for dst := 0; dst < n; dst++ {
 		var total int
-		for src := 0; src < n; src++ {
-			srcStart[src][dst] = int32(total)
-			total += int(srcCount[src][dst])
-			outBytes[dst] += srcDstBytes[src][dst]
+		for s := 0; s < n; s++ {
+			starts[s][dst] = int32(total)
+			total += int(counts[s][dst])
+			outBytes[dst] += bytes[s][dst]
 		}
 		if total > maxPartRows {
 			return nil, nil, nil, fmt.Errorf("engine: exchange destination %d would hold %d rows, exceeding the %d-row limit of int32 row indexing", dst, total, maxPartRows)
@@ -151,19 +204,19 @@ func repartition(ctx *Context, rel *Relation, keyCols []int, wantSizes bool) (*R
 		}
 		outTotal += outBytes[dst]
 	}
-	_ = forEachPart(n, func(src int) error {
-		next := srcStart[src] // disjoint write ranges per src; safe to share dst arrays
-		dsts := srcDst[src]
-		hashes := srcHash[src]
-		sizes := srcSize // nil unless wantSizes
-		for r, t := range rel.Parts[src] {
-			dst := dsts[r]
-			i := next[dst]
-			next[dst]++
-			out.Parts[dst][i] = t
-			outHashes[dst][i] = hashes[r]
-			if sizes != nil {
-				outSizes[dst][i] = sizes[src][r]
+	_ = forEachPart(n, func(s int) error {
+		next := starts[s] // disjoint write ranges per source; safe to share dst arrays
+		for _, b := range blocks[s] {
+			//dynopt:hotpath
+			for r, t := range b.rows {
+				dst := b.dsts[r]
+				i := next[dst]
+				next[dst]++
+				out.Parts[dst][i] = t
+				outHashes[dst][i] = b.hashes[r]
+				if wantSizes {
+					outSizes[dst][i] = b.sizes[r]
+				}
 			}
 		}
 		return nil
@@ -185,27 +238,31 @@ func Repartition(ctx *Context, rel *Relation, keys []string) (*Relation, error) 
 		// not pay its prehash pass (callers here have no use for hashes).
 		return rel, nil
 	}
-	if err := checkPartRows(rel.Parts); err != nil {
-		return nil, err
-	}
-	out, _, _, err := repartition(ctx, rel, cols, false)
+	out, _, _, err := exchange(ctx, SourceOf(ctx, rel), cols, false)
 	return out, err
 }
 
-// meterSpill models §3's overflow partitions in simulated mode (no
-// Context.Spill attached): when a partition's build side exceeds the
-// per-node memory budget, the excess build bytes and the matching fraction
-// of probe bytes take a write+read round trip through disk (the grace hash
-// join's recursive passes are approximated by one). All byte figures come
-// from the callers' SizeCache-backed PartBytes/ByteSize — never from a
-// fresh EncodedSize walk. In real-spill mode the dynamic hybrid hash join
-// in spilljoin.go meters actual run-file I/O instead and this model is
-// bypassed.
-func meterSpill(ctx *Context, buildBytes, probeBytes, buildRows, probeRows int64) {
+// simSpills reports whether the simulated spill model charges a build side of
+// buildBytes: no real spilling (SpillBudget is 0), a positive per-node memory
+// budget, and a build side over it. Probe rows are sized only when it does.
+func simSpills(ctx *Context, buildBytes int64) bool {
 	budget := ctx.Cluster.MemoryPerNodeBytes()
-	if budget <= 0 || buildBytes <= budget {
+	return ctx.SpillBudget() == 0 && budget > 0 && buildBytes > budget
+}
+
+// meterSpill models §3's overflow partitions when nothing really spills:
+// when a partition's build side exceeds the per-node memory budget, the
+// excess build bytes and the matching fraction of probe bytes take a
+// write+read round trip through disk (the grace hash join's recursive passes
+// are approximated by one). All byte figures come from the callers'
+// SizeCache-backed PartBytes/ByteSize — never from a fresh EncodedSize walk.
+// Under a SpillBudget the dynamic hybrid hash join in spilljoin.go meters
+// actual run-file I/O instead and this model charges nothing.
+func meterSpill(ctx *Context, buildBytes, probeBytes, buildRows, probeRows int64) {
+	if !simSpills(ctx, buildBytes) {
 		return
 	}
+	budget := ctx.Cluster.MemoryPerNodeBytes()
 	spillFrac := float64(buildBytes-budget) / float64(buildBytes)
 	spilledBuild := buildBytes - budget
 	spilledProbe := int64(float64(probeBytes) * spillFrac)
@@ -323,7 +380,7 @@ func HashJoin(ctx *Context, left, right *Relation, leftKeys, rightKeys []string,
 		build, probe, buildKeys, probeKeys = right, left, rightKeys, leftKeys
 	}
 	return collectJoin(len(probe.Parts), func(mk SinkFactory) error {
-		return HashJoinStream(ctx, build, SourceOf(ctx, probe), buildKeys, probeKeys, buildLeft, mk)
+		return HashJoinStream(ctx, SourceOf(ctx, build), SourceOf(ctx, probe), buildKeys, probeKeys, buildLeft, mk)
 	})
 }
 
@@ -339,7 +396,7 @@ func BroadcastJoin(ctx *Context, left, right *Relation, leftKeys, rightKeys []st
 		build, probe, buildKeys, probeKeys = right, left, rightKeys, leftKeys
 	}
 	return collectJoin(len(probe.Parts), func(mk SinkFactory) error {
-		return BroadcastJoinStream(ctx, build, SourceOf(ctx, probe), buildKeys, probeKeys, buildLeft, mk)
+		return BroadcastJoinStream(ctx, SourceOf(ctx, build), SourceOf(ctx, probe), buildKeys, probeKeys, buildLeft, mk)
 	})
 }
 

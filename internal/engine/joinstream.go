@@ -10,11 +10,11 @@ import (
 	"dynopt/internal/types"
 )
 
-// This file holds the join executors: the build side arrives as a
-// materialized Relation or a Source whose scan fuses into the exchange (a
-// hash table must hold it either way), the probe side as a chunk Source,
-// and the output flows into a Sink chunk-by-chunk — one pass from scan to
-// sink with no probe-side relation and no output re-walk. The
+// This file holds the join executors, one per algorithm: both sides arrive
+// as chunk Sources — the build side lands under a hash table either way, a
+// scan feeding it fused into the exchange — and the output flows into a Sink
+// chunk-by-chunk: one pass from scan to sink with no probe-side relation and
+// no output re-walk. JoinInto (exec.go) is the one dispatcher over them; the
 // Relation-in/Relation-out entry points in join.go are these executors over
 // SourceOf views, collected into a relation.
 
@@ -57,6 +57,15 @@ func (w *probeState) consume(c *Chunk) error {
 	return w.sink.Emit(w.p, w.rows)
 }
 
+// bytes is the probe side's encoded size for the simulated spill model: the
+// source's figure when it knew one, else the sizes summed as chunks passed.
+func (w *probeState) bytes(hint int64) int64 {
+	if hint >= 0 {
+		return hint
+	}
+	return w.probeBytes
+}
+
 func (w *probeState) drain(st probeStream) error {
 	if err := w.ctx.Faults.Fire(faults.Point("probe.drain")); err != nil {
 		return err
@@ -78,61 +87,24 @@ func (w *probeState) drain(st probeStream) error {
 	}
 }
 
-// HashJoinStream is the repartitioning hash join: the build relation is
-// hash-exchanged whole (it must materialize under the table anyway), the
-// probe source is scattered chunk-wise to its destination
-// partitions (or piped straight through when already partitioned on the
-// keys), and each destination probes arriving chunks immediately, emitting
-// output chunks into the sink. buildFirst selects whether build columns
-// form the left half of the output schema.
-func HashJoinStream(ctx *Context, build *Relation, probe Source, buildKeys, probeKeys []string, buildFirst bool, mk SinkFactory) error {
+// HashJoinStream is the repartitioning hash join of §3: the build source is
+// hash-exchanged whole (exchange: it must land under the tables anyway, and a
+// scan feeding it fuses into the exchange's first pass), the probe source is
+// scattered chunk-wise to its destination partitions (or piped straight
+// through when already partitioned on the keys), and each destination joins
+// arriving chunks immediately (joinPartition), emitting output chunks into
+// the sink. buildFirst selects whether build columns form the left half of
+// the output schema.
+func HashJoinStream(ctx *Context, buildSrc, probe Source, buildKeys, probeKeys []string, buildFirst bool, mk SinkFactory) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if len(buildKeys) != len(probeKeys) || len(buildKeys) == 0 {
 		return fmt.Errorf("engine: hash join needs aligned non-empty keys, got %v / %v", buildKeys, probeKeys)
 	}
-	if len(build.Parts) != probe.Parts() {
-		return fmt.Errorf("engine: partition count mismatch %d vs %d", len(build.Parts), probe.Parts())
-	}
-	bCols, err := resolveKeys(build.Schema, buildKeys)
-	if err != nil {
-		return err
-	}
-	pCols, err := resolveKeys(probe.Schema(), probeKeys)
-	if err != nil {
-		return err
-	}
-	if err := checkPartRows(build.Parts); err != nil {
-		return err
-	}
-	realSpill := ctx.RealSpill()
-	build, bHash, bSize, err := repartition(ctx, build, bCols, realSpill)
-	if err != nil {
-		return err
-	}
-	return hashJoinStreamCore(ctx, build, bHash, bSize, bCols, probe, pCols, buildFirst, mk)
-}
-
-// HashJoinStreamSources is HashJoinStream with the build side arriving as a
-// Source too: its scan is fused into the exchange scatter, so the build
-// side is decoded, filtered, hashed, and placed at its destination in one
-// pass, materializing only the exchanged relation the hash tables need.
-// When the build source is already partitioned on the keys it materializes
-// in place (zero-copy for pass-through scans). A build side that is already
-// a relation takes HashJoinStream's exact two-pass exchange instead.
-func HashJoinStreamSources(ctx *Context, buildSrc, probe Source, buildKeys, probeKeys []string, buildFirst bool, mk SinkFactory) error {
-	if rs, ok := buildSrc.(*relationSource); ok {
-		return HashJoinStream(ctx, rs.rel, probe, buildKeys, probeKeys, buildFirst, mk)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if len(buildKeys) != len(probeKeys) || len(buildKeys) == 0 {
-		return fmt.Errorf("engine: hash join needs aligned non-empty keys, got %v / %v", buildKeys, probeKeys)
-	}
-	if buildSrc.Parts() != probe.Parts() {
-		return fmt.Errorf("engine: partition count mismatch %d vs %d", buildSrc.Parts(), probe.Parts())
+	n := probe.Parts()
+	if buildSrc.Parts() != n {
+		return fmt.Errorf("engine: partition count mismatch %d vs %d", buildSrc.Parts(), n)
 	}
 	bCols, err := resolveKeys(buildSrc.Schema(), buildKeys)
 	if err != nil {
@@ -142,37 +114,11 @@ func HashJoinStreamSources(ctx *Context, buildSrc, probe Source, buildKeys, prob
 	if err != nil {
 		return err
 	}
-	realSpill := ctx.RealSpill()
-	var build *Relation
-	var bHash [][]uint64
-	var bSize [][]int64
-	if colsMatch(buildSrc.PartCols(), bCols) || buildSrc.Parts() == 1 {
-		// Already placed: materialize in place and prehash — the skipped
-		// exchange of §3.
-		build, err = materializeSource(ctx, buildSrc)
-		if err != nil {
-			return err
-		}
-		if err := checkPartRows(build.Parts); err != nil {
-			return err
-		}
-		bHash = prehashParts(build.Parts, bCols)
-	} else {
-		build, bHash, bSize, err = collectExchanged(ctx, buildSrc, bCols, realSpill)
-		if err != nil {
-			return err
-		}
+	spilling := ctx.SpillBudget() > 0
+	build, bHash, bSize, err := exchange(ctx, buildSrc, bCols, spilling)
+	if err != nil {
+		return err
 	}
-	return hashJoinStreamCore(ctx, build, bHash, bSize, bCols, probe, pCols, buildFirst, mk)
-}
-
-// hashJoinStreamCore runs the probe phase over an already-exchanged build
-// relation: per destination partition, build the table (or the spilling
-// DHHJ under real memory governance) and stream probe chunks through it
-// into the sink.
-func hashJoinStreamCore(ctx *Context, build *Relation, bHash [][]uint64, bSize [][]int64, bCols []int,
-	probe Source, pCols []int, buildFirst bool, mk SinkFactory) error {
-	realSpill := ctx.RealSpill()
 	var outSchema *types.Schema
 	var outPartCols []int
 	if buildFirst {
@@ -187,56 +133,22 @@ func hashJoinStreamCore(ctx *Context, build *Relation, bHash [][]uint64, bSize [
 		return err
 	}
 
-	n := len(build.Parts)
-	acct := ctx.Accounting()
-	budget := ctx.Cluster.MemoryPerNodeBytes()
-
-	// A probe that already landed as a relation can be read twice. Under real
-	// memory governance it is therefore exchanged as a relation and read in
-	// place by the local path below, which lets the spilling join rebuild a
-	// probe run found corrupt on read-back from the partition it came from; a
-	// probe consumed chunk by chunk off the scatter can only fail the attempt.
-	rs, replayable := probe.(*relationSource)
-	if realSpill && replayable && n > 1 && !rs.rel.PartitionedOn(pCols) {
-		if err := checkPartRows(rs.rel.Parts); err != nil {
-			return err
-		}
-		exchanged, _, _, err := repartition(ctx, rs.rel, pCols, false)
+	// A probe that already landed can be read twice. When the join may spill it
+	// is therefore exchanged as a relation and read in place by the local path
+	// below, which lets the spilling join rebuild a probe run found corrupt on
+	// read-back from the partition it came from; a probe consumed chunk by
+	// chunk off the scatter can only fail the attempt.
+	replayable := landed(probe) != nil
+	if spilling && replayable && n > 1 && !colsMatch(probe.PartCols(), pCols) {
+		exchanged, _, _, err := exchange(ctx, probe, pCols, false)
 		if err != nil {
 			return err
 		}
 		probe = SourceOf(ctx, exchanged)
 	}
-
-	// worker joins destination partition p. reopen, when the probe can be
-	// read again, starts a second pass over the same chunks.
 	worker := func(p int, st probeStream, reopen func() (probeStream, error), hint int64) error {
-		if realSpill {
-			// Real memory governance: the dynamic hybrid hash join holds at
-			// most the per-node budget of build rows resident, evicting
-			// overflow sub-partitions to run files (spilljoin.go).
-			return spillJoinPartitionStream(ctx, p,
-				build.Parts[p], bHash[p], partSizes(bSize, p), bCols, build.PartBytes(p),
-				st, reopen, pCols, buildFirst, sink)
-		}
-		w := &probeState{
-			ctx:   ctx,
-			ht:    buildTable(build.Parts[p], bHash[p], bCols),
-			pCols: pCols, buildFirst: buildFirst,
-			sink: sink, p: p,
-		}
-		acct.BuildRows.Add(int64(len(build.Parts[p])))
-		if err := w.drain(st); err != nil {
-			return err
-		}
-		acct.ProbeRows.Add(w.probeRows)
-		probeBytes := w.probeBytes
-		if hint >= 0 {
-			probeBytes = hint
-		}
-		meterSpill(ctx, build.PartBytes(p), probeBytes,
-			int64(len(build.Parts[p])), w.probeRows)
-		return nil
+		return joinPartition(ctx, p, build.Parts[p], bHash[p], partSizes(bSize, p), bCols, build.PartBytes(p),
+			st, reopen, hint, pCols, buildFirst, sink)
 	}
 
 	if colsMatch(probe.PartCols(), pCols) || n == 1 {
@@ -244,11 +156,9 @@ func hashJoinStreamCore(ctx *Context, build *Relation, bHash [][]uint64, bSize [
 		// partition: each probe partition pipes straight into its worker.
 		return forEachPart(n, func(p int) error {
 			hint := probe.PartBytesHint(p)
-			// Per-row probe sizes feed only the simulated spill model
-			// (meterSpill), which is inert with no budget and for a build
-			// partition that fits it; the real-spill join meters actual run
-			// files instead. A probe that cannot spill is never sized.
-			wantSizes := hint < 0 && !realSpill && budget > 0 && build.PartBytes(p) > budget
+			// Per-row probe sizes feed only the simulated spill model; a probe
+			// it will not charge is never sized.
+			wantSizes := hint < 0 && simSpills(ctx, build.PartBytes(p))
 			open := func() (probeStream, error) {
 				cur, err := probe.Open(p)
 				if err != nil {
@@ -268,34 +178,35 @@ func hashJoinStreamCore(ctx *Context, build *Relation, bHash [][]uint64, bSize [
 		})
 	}
 	// The consumers read per-row sizes under the same condition as the local
-	// probe above: the real-spill join budgets by them, the simulated model
-	// needs them for a build partition over budget, nobody else looks.
-	wantSizes := realSpill
-	if !wantSizes && budget > 0 {
-		for p := 0; p < n && !wantSizes; p++ {
-			wantSizes = build.PartBytes(p) > budget
-		}
+	// probe above: the simulated model needs them for a build partition over
+	// budget, nobody else looks — the spilling join budgets by the build
+	// side's sizes, which come from its exchange. A row that changes partition
+	// is sized for shuffle metering either way.
+	wantSizes := false
+	for p := 0; p < n && !wantSizes; p++ {
+		wantSizes = simSpills(ctx, build.PartBytes(p))
 	}
 	return runScatter(ctx, probe, pCols, wantSizes, func(p int, st probeStream) error {
 		return worker(p, st, nil, -1)
 	})
 }
 
-// BroadcastJoinStream replicates the (small, materialized) build relation
-// to every probe partition — metering (n-1)× its bytes as broadcast
-// traffic — then streams each probe partition through the shared table in
-// place, with no probe movement at all (§3).
-func BroadcastJoinStream(ctx *Context, build *Relation, probe Source, buildKeys, probeKeys []string, buildFirst bool, mk SinkFactory) error {
+// BroadcastJoinStream lands the (small) build source and replicates it to
+// every probe partition — metering (n-1)× its bytes as broadcast traffic —
+// then streams each probe partition through the shared table in place, with
+// no probe movement at all (§3).
+func BroadcastJoinStream(ctx *Context, buildSrc, probe Source, buildKeys, probeKeys []string, buildFirst bool, mk SinkFactory) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if len(buildKeys) != len(probeKeys) || len(buildKeys) == 0 {
 		return fmt.Errorf("engine: broadcast join needs aligned non-empty keys, got %v / %v", buildKeys, probeKeys)
 	}
-	if len(build.Parts) != probe.Parts() {
-		return fmt.Errorf("engine: partition count mismatch %d vs %d", len(build.Parts), probe.Parts())
+	n := probe.Parts()
+	if buildSrc.Parts() != n {
+		return fmt.Errorf("engine: partition count mismatch %d vs %d", buildSrc.Parts(), n)
 	}
-	bCols, err := resolveKeys(build.Schema, buildKeys)
+	bCols, err := resolveKeys(buildSrc.Schema(), buildKeys)
 	if err != nil {
 		return err
 	}
@@ -303,26 +214,28 @@ func BroadcastJoinStream(ctx *Context, build *Relation, probe Source, buildKeys,
 	if err != nil {
 		return err
 	}
+	build, err := materializeSource(ctx, buildSrc)
+	if err != nil {
+		return err
+	}
 	if err := checkPartRows(build.Parts); err != nil {
 		return err
 	}
-	n := probe.Parts()
-	if ctx.RealSpill() {
+	buildBytes := build.ByteSize()
+	if budget := ctx.SpillBudget(); budget > 0 {
 		// Under real memory governance an over-budget build side may not be
 		// copied to every node: every copy would blow the per-node grant at
 		// once, with nothing to evict (broadcast tables cannot spill without
 		// losing matches). Fall back to the partitioned hybrid hash join,
 		// which spills gracefully. The same fallback fires when the governor
 		// is out of aggregate capacity.
-		budget := ctx.Cluster.MemoryPerNodeBytes()
-		bb := build.ByteSize()
-		hold := bb * int64(n)
-		if bb > budget {
-			return HashJoinStream(ctx, build, probe, buildKeys, probeKeys, buildFirst, mk)
+		hold := buildBytes * int64(n)
+		if buildBytes > budget {
+			return HashJoinStream(ctx, SourceOf(ctx, build), probe, buildKeys, probeKeys, buildFirst, mk)
 		}
 		if !ctx.Grant.Reserve(hold) {
 			ctx.Grant.Release(hold)
-			return HashJoinStream(ctx, build, probe, buildKeys, probeKeys, buildFirst, mk)
+			return HashJoinStream(ctx, SourceOf(ctx, build), probe, buildKeys, probeKeys, buildFirst, mk)
 		}
 		defer ctx.Grant.Release(hold)
 	}
@@ -335,7 +248,6 @@ func BroadcastJoinStream(ctx *Context, build *Relation, probe Source, buildKeys,
 	if len(all) > maxPartRows {
 		return fmt.Errorf("engine: broadcast build side has %d rows, exceeding the %d-row limit of int32 row indexing", len(all), maxPartRows)
 	}
-	buildBytes := build.ByteSize()
 	if n > 1 {
 		acct.BroadcastRows.Add(int64(len(all)) * int64(n-1))
 		acct.BroadcastBytes.Add(buildBytes * int64(n-1))
@@ -369,8 +281,7 @@ func BroadcastJoinStream(ctx *Context, build *Relation, probe Source, buildKeys,
 
 	// Probe sizes feed only the simulated spill model, which is inert unless
 	// the broadcast build side exceeds the per-node budget.
-	budget := ctx.Cluster.MemoryPerNodeBytes()
-	modelSpill := budget > 0 && buildBytes > budget
+	modelSpill := simSpills(ctx, buildBytes)
 	return forEachPart(n, func(p int) error {
 		cur, err := probe.Open(p)
 		if err != nil {
@@ -388,12 +299,8 @@ func BroadcastJoinStream(ctx *Context, build *Relation, probe Source, buildKeys,
 			return err
 		}
 		acct.ProbeRows.Add(w.probeRows)
-		probeBytes := w.probeBytes
-		if hint >= 0 {
-			probeBytes = hint
-		}
 		// Each partition holds a full copy of the broadcast build side.
-		meterSpill(ctx, buildBytes, probeBytes, int64(len(all)), w.probeRows)
+		meterSpill(ctx, buildBytes, w.bytes(hint), int64(len(all)), w.probeRows)
 		return nil
 	})
 }

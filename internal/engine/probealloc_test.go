@@ -88,7 +88,7 @@ func broadcastProbeProjected(tb testing.TB, ctx *Context, build *Relation) int64
 	}
 	var sink countSink
 	mk := func(*types.Schema, []int) (Sink, error) { return &sink, nil }
-	if err := BroadcastJoinStream(ctx, build, src, []string{"d.k"}, []string{"f.fk"}, true, mk); err != nil {
+	if err := BroadcastJoinStream(ctx, SourceOf(ctx, build), src, []string{"d.k"}, []string{"f.fk"}, true, mk); err != nil {
 		tb.Fatal(err)
 	}
 	return sink.rows.Load()

@@ -242,7 +242,7 @@ var mapConsumers = []mapConsumer{
 			return nil, err
 		}
 		return obsJoin(ctx, func(mk SinkFactory) error {
-			return BroadcastJoinStream(ctx, build, src, mc.qualified("d"), mc.qualified("f"), mc.buildFirst, mk)
+			return BroadcastJoinStream(ctx, SourceOf(ctx, build), src, mc.qualified("d"), mc.qualified("f"), mc.buildFirst, mk)
 		})
 	}},
 	{name: "scatter-sidecars", run: func(ctx *Context, mc mapCase, src Source) ([]string, error) {
@@ -271,7 +271,7 @@ var mapConsumers = []mapConsumer{
 			return nil, err
 		}
 		return obsJoin(ctx, func(mk SinkFactory) error {
-			return HashJoinStream(ctx, build, src, mc.qualified("d"), mc.qualified("f"), mc.buildFirst, mk)
+			return HashJoinStream(ctx, SourceOf(ctx, build), src, mc.qualified("d"), mc.qualified("f"), mc.buildFirst, mk)
 		})
 	}},
 	{name: "spilling-probe",
@@ -287,7 +287,7 @@ var mapConsumers = []mapConsumer{
 				return nil, err
 			}
 			obs, err := obsJoin(ctx, func(mk SinkFactory) error {
-				return HashJoinStream(ctx, build, src, mc.qualified("d"), mc.qualified("f"), mc.buildFirst, mk)
+				return HashJoinStream(ctx, SourceOf(ctx, build), src, mc.qualified("d"), mc.qualified("f"), mc.buildFirst, mk)
 			})
 			if err != nil {
 				return nil, err
@@ -327,7 +327,7 @@ var mapConsumers = []mapConsumer{
 		if err != nil {
 			return nil, err
 		}
-		rel, hashes, sizes, err := collectExchanged(ctx, src, pCols, true)
+		rel, hashes, sizes, err := exchange(ctx, src, pCols, true)
 		if err != nil {
 			return nil, err
 		}

@@ -12,6 +12,7 @@ import (
 
 	"dynopt/internal/cluster"
 	"dynopt/internal/expr"
+	"dynopt/internal/plan"
 	"dynopt/internal/types"
 )
 
@@ -262,31 +263,45 @@ func (c joinCase) viaSources(ctx *Context) (*Relation, error) {
 			build, probe, bk, pk = r, l, rk, lk
 		}
 		if c.algo == refHash {
-			return HashJoinStreamSources(ctx, build, probe, bk, pk, c.buildLeft, mk)
+			return HashJoinStream(ctx, build, probe, bk, pk, c.buildLeft, mk)
 		}
-		// A broadcast build side is replicated whole: it lands first.
-		rel, err := materializeSource(ctx, build)
-		if err != nil {
-			return err
-		}
-		return BroadcastJoinStream(ctx, rel, probe, bk, pk, c.buildLeft, mk)
+		return BroadcastJoinStream(ctx, build, probe, bk, pk, c.buildLeft, mk)
 	})
 }
 
-// runAgainstReference executes one join case four times on fresh, identically
-// loaded contexts — through the relation-in entry points and as a pipeline
-// over scan sources, each with the vector kernels and with the noVec hook
-// forcing the scalar fallbacks (the one in-production reference that stays) —
-// and holds every run to the model for rows, order, schema and partitioning,
-// and to the golden file for counters and the ordered row digest. It returns
-// the counters so a caller can check the job metered what it meant to.
+// viaPlan runs the case as a stage of the dynamic loop does: a two-leaf join
+// node handed to the dispatcher. For refIndexNL the left side is the outer,
+// which is the side the plan calls the build side.
+func (c joinCase) viaPlan(ctx *Context) (*Relation, error) {
+	leaf := func(s refSide) *plan.Node {
+		return plan.NewLeaf(&plan.Leaf{Dataset: s.ds, Alias: s.alias, Filter: s.filter, Project: s.project})
+	}
+	j := &plan.Join{
+		Left: leaf(c.left), Right: leaf(c.right),
+		LeftKeys: c.left.qualifiedKeys(), RightKeys: c.right.qualifiedKeys(),
+		Algo:      map[refAlgo]plan.Algo{refHash: plan.AlgoHash, refBroadcast: plan.AlgoBroadcast, refIndexNL: plan.AlgoIndexNL}[c.algo],
+		BuildLeft: c.buildLeft || c.algo == refIndexNL,
+	}
+	return collectJoin(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
+		return JoinInto(ctx, j, mk)
+	})
+}
+
+// runAgainstReference executes one join case six times on fresh, identically
+// loaded contexts — through the relation-in entry points, as a pipeline over
+// scan sources, and as a plan node through the dispatcher, each with the
+// vector kernels and with the noVec hook forcing the scalar fallbacks (the
+// one in-production reference that stays) — and holds every run to the model
+// for rows, order, schema and partitioning, and to the golden file for
+// counters and the ordered row digest. It returns the counters so a caller
+// can check the job metered what it meant to.
 func runAgainstReference(t *testing.T, nodes int, load func(ctx *Context), c joinCase) cluster.Snapshot {
 	t.Helper()
 	var snap cluster.Snapshot
 	for _, form := range []struct {
 		name string
 		job  func(ctx *Context) (*Relation, error)
-	}{{"relations", c.viaRelations}, {"sources", c.viaSources}} {
+	}{{"relations", c.viaRelations}, {"sources", c.viaSources}, {"plan", c.viaPlan}} {
 		for _, noVec := range []bool{false, true} {
 			mode := fmt.Sprintf("%s/noVec=%v", form.name, noVec)
 			ctx := testCtx(t, nodes)
@@ -356,7 +371,7 @@ var goldenCells map[string]goldenCell
 // checkGolden holds got to the cell recorded under the running test's name.
 // Under -update the first run of a case to get here (the relation-in entry
 // points with the vector kernels) rewrites the cell instead, and the other
-// three are held to that.
+// five are held to that.
 func checkGolden(t *testing.T, mode string, got goldenCell) {
 	t.Helper()
 	path := filepath.Join("testdata", "pipeline_golden.json")

@@ -2,7 +2,35 @@ package engine
 
 import (
 	"testing"
+
+	"dynopt/internal/storage"
 )
+
+// SpillBudget is the one answer to "is this run really spilling, and under
+// what budget": a device and a positive budget, or nothing spills.
+func TestSpillBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		device bool
+		memory int64
+		want   int64
+	}{
+		{"no device", false, 4 << 10, 0},
+		{"no device, no budget", false, 0, 0},
+		{"device, budget zero", true, 0, 0},
+		{"device, budget negative", true, -1, 0},
+		{"device, budget positive", true, 4 << 10, 4 << 10},
+	} {
+		ctx := testCtx(t, 2)
+		ctx.Cluster.SetMemoryPerNodeBytes(tc.memory)
+		if tc.device {
+			ctx.Spill = storage.NewSpillManager(t.TempDir(), "budget_")
+		}
+		if got := ctx.SpillBudget(); got != tc.want {
+			t.Errorf("%s: SpillBudget() = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
 
 func TestHashJoinSpillsOverMemoryBudget(t *testing.T) {
 	ctx := testCtx(t, 2)

@@ -11,10 +11,11 @@ import (
 	"dynopt/internal/types"
 )
 
-// This file is the real dynamic hybrid hash join behind Context.RealSpill:
-// the disk-backed counterpart of meterSpill's byte arithmetic, modeled on
-// the AsterixDB join of "Design Trade-offs for a Robust Dynamic Hybrid Hash
-// Join" (PAPERS.md). Per partition (node), build rows scatter into
+// This file is the hash join's per-partition worker and the dynamic hybrid
+// hash join it runs under a Context.SpillBudget: the disk-backed counterpart
+// of meterSpill's byte arithmetic, modeled on the AsterixDB join of "Design
+// Trade-offs for a Robust Dynamic Hybrid Hash Join" (PAPERS.md), where the
+// hybrid join is the hash join. Per partition (node), build rows scatter into
 // spillFanout sub-partitions; when the resident set would exceed the
 // per-node memory budget — or the cluster governor signals cross-query
 // pressure — the largest resident sub-partition is evicted to an on-disk
@@ -59,8 +60,8 @@ func spillSub(h uint64, level int) int {
 // rowSeq streams (tuple, key prehash, encoded size) triples: in-memory
 // partitions at level 0, run-file read-backs below. A size of -1 means
 // unknown (the consumer walks EncodedSize itself); the level-0 build side
-// carries the exact sizes the exchange already computed. next returns
-// io.EOF at a clean end.
+// carries the exact sizes the exchange already computed, and only build
+// sizes are ever read. next returns io.EOF at a clean end.
 type rowSeq interface {
 	next() (types.Tuple, uint64, int64, error)
 }
@@ -112,11 +113,7 @@ func (s *chunkSeq) next() (types.Tuple, uint64, int64, error) {
 	}
 	i := s.i
 	s.i++
-	sz := int64(-1)
-	if s.c.Sizes != nil {
-		sz = s.c.Sizes[i]
-	}
-	return s.rows[i], s.c.Hashes[i], sz, nil
+	return s.rows[i], s.c.Hashes[i], -1, nil
 }
 
 // fileSeq streams a run file, recomputing each row's key prehash (run
@@ -210,43 +207,49 @@ func (j *spillJoin) flush() error {
 	return err
 }
 
-// spillJoinPartitionStream joins one partition under the real memory budget:
-// the probe side arrives chunk-by-chunk and output rows flow into the sink as
-// they are produced, so neither side of the spilling join is ever
-// whole-relation resident beyond the governed build set. Falls to the plain
-// in-memory join when the build side fits the grant; otherwise runs the
-// dynamic hybrid hash join. reopen, when the probe can be read again, starts
-// a second pass over it (nil: it cannot).
-func spillJoinPartitionStream(ctx *Context, p int,
+// joinPartition is the hash join's per-partition worker, and the one place
+// the spill budget decides how a partition is joined. The probe side arrives
+// chunk-by-chunk and output rows flow into the sink as they are produced.
+// With no budget (SpillBudget 0: nothing really spills), or when the build
+// side fits it and the governor has room, the whole build side goes under one
+// table and probe chunks stream through it; otherwise the dynamic hybrid hash
+// join holds at most the budget of build rows resident and evicts the rest
+// to run files — a build side that fits simply never evicts. reopen, when the
+// probe can be read again, starts a second pass over it (nil: it cannot);
+// hint is the probe partition's encoded size when its source knew it, else
+// -1.
+func joinPartition(ctx *Context, p int,
 	bRows []types.Tuple, bHash []uint64, bSize []int64, bCols []int, buildBytes int64,
-	probe probeStream, reopen func() (probeStream, error), pCols []int, buildFirst bool, sink Sink) error {
+	probe probeStream, reopen func() (probeStream, error), hint int64, pCols []int, buildFirst bool, sink Sink) error {
 
-	budget := ctx.Cluster.MemoryPerNodeBytes()
+	budget := ctx.SpillBudget()
 	acct := ctx.Accounting()
 	gr := ctx.Grant
-	if buildBytes <= budget {
-		if gr.Reserve(buildBytes) {
-			// Resident fast path: the whole build side fits the per-node
-			// budget and the governor has room; probe chunks stream through
-			// the one table straight into the sink.
+	resident := budget == 0
+	if !resident && buildBytes <= budget {
+		if resident = gr.Reserve(buildBytes); resident {
 			defer gr.Release(buildBytes)
-			w := &probeState{
-				ctx:   ctx,
-				ht:    buildTable(bRows, bHash, bCols),
-				pCols: pCols, buildFirst: buildFirst,
-				sink: sink, p: p,
-			}
-			acct.BuildRows.Add(int64(len(bRows)))
-			if err := w.drain(probe); err != nil {
-				return err
-			}
-			acct.ProbeRows.Add(w.probeRows)
-			return nil
+		} else {
+			// Cross-query pressure: the bytes were charged by the failed
+			// Reserve, so undo before taking the spilling path (which holds
+			// only its resident set).
+			gr.Release(buildBytes)
 		}
-		// Cross-query pressure: the bytes were charged by the failed
-		// Reserve, so undo before taking the spilling path (which holds
-		// only its resident set).
-		gr.Release(buildBytes)
+	}
+	if resident {
+		w := &probeState{
+			ctx:   ctx,
+			ht:    buildTable(bRows, bHash, bCols),
+			pCols: pCols, buildFirst: buildFirst,
+			sink: sink, p: p,
+		}
+		acct.BuildRows.Add(int64(len(bRows)))
+		if err := w.drain(probe); err != nil {
+			return err
+		}
+		acct.ProbeRows.Add(w.probeRows)
+		meterSpill(ctx, buildBytes, w.bytes(hint), int64(len(bRows)), w.probeRows)
+		return nil
 	}
 	j := &spillJoin{
 		ctx: ctx, acct: acct, grant: gr, part: p, budget: budget,

@@ -372,7 +372,7 @@ func corruptSpillJoinOn(t *testing.T, nodes int, fromScans bool, rule faults.Rul
 			if err != nil {
 				return err
 			}
-			return HashJoinStreamSources(ctx, fsrc, dsrc, joinKeys("f", "k"), joinKeys("d", "k"), true, mk)
+			return HashJoinStream(ctx, fsrc, dsrc, joinKeys("f", "k"), joinKeys("d", "k"), true, mk)
 		})
 	} else {
 		rel, err = HashJoin(ctx, f, d, joinKeys("f", "k"), joinKeys("d", "k"), true)

@@ -18,8 +18,8 @@ import (
 //   - scatter:   the hash exchange — source partitions route rows by key
 //                hash into per-destination chunk buffers shipped over
 //                bounded channels; each destination merges its inputs in
-//                source order, so output order is byte-identical to the
-//                relation exchange (repartition),
+//                source order — the order the build side's exchange
+//                (exchange, join.go) lands its rows in,
 //   - replicate: the broadcast — one producer merges the source partitions
 //                in order and ships every chunk to all destinations (the
 //                INLJ outer side).
@@ -593,16 +593,26 @@ func runReplicate(ctx *Context, src Source, n int, consume func(p int, st probeS
 	return totalRows, totalBytes, prodErr
 }
 
+// landed returns the relation a source is a view of, nil for one that must be
+// read through its cursors. A landed source can be read in place, and read
+// twice.
+func landed(src Source) *Relation {
+	if s, ok := src.(*relationSource); ok {
+		return s.rel
+	}
+	return nil
+}
+
 // materializeSource lands a source as a Relation. A relation source already
 // is one and a pass-through scan of a resident dataset shares its stored
 // partitions; anything else is collected from its cursors partition-parallel,
 // with the size cache seeded when the source knows every partition's bytes
 // (a pass-through paged scan: the page directory's figures).
 func materializeSource(ctx *Context, src Source) (*Relation, error) {
-	switch s := src.(type) {
-	case *relationSource:
-		return s.rel, nil
-	case *scanSource:
+	if rel := landed(src); rel != nil {
+		return rel, nil
+	}
+	if s, ok := src.(*scanSource); ok {
 		if rel := s.shared(); rel != nil {
 			return rel, nil
 		}
@@ -649,131 +659,6 @@ func materializeSource(ctx *Context, src Source) (*Relation, error) {
 	}
 	out.seedSizes(partBytes, total)
 	return out, nil
-}
-
-// collectExchanged is the materializing face of the scatter: the source's
-// decode pass is fused with the hash exchange, so each row is scanned,
-// hashed, sized, and placed in its destination bucket in one pass, and only
-// the exchanged relation — the one the hash tables must hold — is ever
-// materialized. Destinations receive source blocks in source order with row
-// order preserved, and shuffle metering matches the relation exchange exactly.
-// With wantSizes the per-row encoded sizes travel to the output aligned
-// with the rows (the real-spill join's budget accounting).
-func collectExchanged(ctx *Context, src Source, keyCols []int, wantSizes bool) (*Relation, [][]uint64, [][]int64, error) {
-	n := src.Parts()
-	type bucket struct {
-		rows   []types.Tuple
-		hashes []uint64
-		sizes  []int64
-		bytes  int64
-	}
-	buckets := make([][]bucket, n) // [src][dst]
-	acct := ctx.Accounting()
-	err := forEachPart(n, func(s int) error {
-		cur, err := src.Open(s)
-		if err != nil {
-			return err
-		}
-		bs := make([]bucket, n)
-		keys := keyHasher{keyCols: keyCols}
-		var dense []types.Tuple
-		var arena types.Arena
-		var totalRows, totalBytes int64
-		var rowBytes int64 // the current chunk's RowBytes
-		place := func(h uint64, t types.Tuple) {
-			d := int(h % uint64(n))
-			sz := rowBytes
-			if sz == 0 {
-				sz = int64(t.EncodedSize()) //dynopt:size-ok collect path seeds shuffle metering for exchanged partitions in one walk
-			}
-			totalRows++
-			totalBytes += sz
-			b := &bs[d]
-			b.rows = append(b.rows, t)
-			b.hashes = append(b.hashes, h)
-			if wantSizes {
-				b.sizes = append(b.sizes, sz)
-			}
-			b.bytes += sz
-		}
-		for {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			c, err := cur.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			// Hash in place, then flatten: the buckets keep these rows under a
-			// hash table, so this is where a projected row is narrowed.
-			hashes := keys.hash(c)
-			rowBytes = c.RowBytes
-			for k, t := range c.dense(&dense, &arena) {
-				place(hashes[k], t)
-			}
-		}
-		buckets[s] = bs
-		acct.ShuffleRows.Add(totalRows - int64(len(bs[s].rows)))
-		acct.ShuffleBytes.Add(totalBytes - bs[s].bytes)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	out := &Relation{
-		Schema:   src.Schema(),
-		Parts:    make([][]types.Tuple, n),
-		PartCols: append([]int(nil), keyCols...),
-	}
-	outHashes := make([][]uint64, n)
-	var outSizes [][]int64
-	if wantSizes {
-		outSizes = make([][]int64, n)
-	}
-	outBytes := make([]int64, n)
-	err = forEachPart(n, func(d int) error {
-		var total int
-		var bytes int64
-		for s := 0; s < n; s++ {
-			total += len(buckets[s][d].rows)
-			bytes += buckets[s][d].bytes
-		}
-		if total > maxPartRows {
-			return fmt.Errorf("engine: exchange destination %d would hold %d rows, exceeding the %d-row limit of int32 row indexing", d, total, maxPartRows)
-		}
-		rows := make([]types.Tuple, 0, total)
-		hashes := make([]uint64, 0, total)
-		var sizes []int64
-		if wantSizes {
-			sizes = make([]int64, 0, total)
-		}
-		for s := 0; s < n; s++ {
-			rows = append(rows, buckets[s][d].rows...)
-			hashes = append(hashes, buckets[s][d].hashes...)
-			if wantSizes {
-				sizes = append(sizes, buckets[s][d].sizes...)
-			}
-		}
-		out.Parts[d] = rows
-		outHashes[d] = hashes
-		if wantSizes {
-			outSizes[d] = sizes
-		}
-		outBytes[d] = bytes
-		return nil
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var total int64
-	for _, b := range outBytes {
-		total += b
-	}
-	out.seedSizes(outBytes, total)
-	return out, outHashes, outSizes, nil
 }
 
 // colsMatch mirrors Relation.PartitionedOn for a Source's partitioning

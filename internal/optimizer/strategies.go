@@ -21,6 +21,7 @@
 package optimizer
 
 import (
+	"cmp"
 	"fmt"
 
 	"dynopt/internal/cluster"
@@ -57,12 +58,9 @@ func (s *CostBased) Run(ctx *engine.Context, sql string) (*engine.Result, *core.
 		if err != nil {
 			return nil, err
 		}
+		// Plan broadcasts against the spill budget the engine will enforce.
 		cfg := s.Cfg
-		if ctx.Spill != nil && cfg.SpillBudgetBytes == 0 {
-			// Real-spill execution: plan broadcasts against the memory
-			// budget the engine will enforce.
-			cfg.SpillBudgetBytes = ctx.Cluster.MemoryPerNodeBytes()
-		}
+		cfg.SpillBudgetBytes = cmp.Or(cfg.SpillBudgetBytes, ctx.SpillBudget())
 		tree, err := core.PlanFull(est, g, tables, cfg)
 		if err != nil {
 			return nil, err
@@ -105,13 +103,11 @@ func (s *BestOrder) Run(ctx *engine.Context, sql string) (*engine.Result, *core.
 	if _, err := sqlpp.Analyze(q, ctx.Catalog.Resolver()); err != nil {
 		return nil, nil, err
 	}
+	// The shadow run plans on a scratch context with no spill device; hand it
+	// the budget explicitly so the plan the Oracle executes matches the
+	// spilling engine's broadcast rule.
 	cfg := s.Cfg
-	if ctx.Spill != nil && cfg.Algo.SpillBudgetBytes == 0 {
-		// The shadow run plans on a scratch context with no spill manager;
-		// hand it the budget explicitly so the plan the Oracle executes
-		// matches the real-spill engine's broadcast rule.
-		cfg.Algo.SpillBudgetBytes = ctx.Cluster.MemoryPerNodeBytes()
-	}
+	cfg.Algo.SpillBudgetBytes = cmp.Or(cfg.Algo.SpillBudgetBytes, ctx.SpillBudget())
 	tree, err := shadowDynamicPlan(ctx, sql, cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("optimizer: best-order shadow run: %w", err)

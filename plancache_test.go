@@ -212,7 +212,12 @@ func warmShape(t *testing.T, db *DB, sql string, opts *QueryOptions) {
 // invalidationDB is testDB with the plan memo enabled.
 func invalidationDB(t *testing.T) *DB {
 	t.Helper()
-	db := Open(Config{Nodes: 4, PlanCacheEntries: 16})
+	return invalidationDBWith(t, Config{Nodes: 4, PlanCacheEntries: 16})
+}
+
+func invalidationDBWith(t *testing.T, cfg Config) *DB {
+	t.Helper()
+	db := Open(cfg)
 	users := make([]Tuple, 400)
 	for i := range users {
 		users[i] = Tuple{Int(int64(i)), Int(int64(i % 8)), Str("user-pad")}
@@ -444,6 +449,44 @@ func TestExplainReportsPlanCache(t *testing.T) {
 	}
 	if strings.Contains(out4, "plan cache") {
 		t.Errorf("cache-less explain mentions the plan cache:\n%s", out4)
+	}
+}
+
+// TestShapeKeyFollowsSpillBudget: the key Explain probes the memo with
+// (shapeKeyFor) is the key the dynamic run recorded under (Dynamic.Body), in
+// each state a DB's spill configuration can be in — and a spill directory
+// with no positive memory budget, which the engine runs on the simulated
+// model, plans and keys as the simulated run it is rather than under a
+// negative budget.
+func TestShapeKeyFollowsSpillBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		device bool
+		memory int64
+		tag    string
+	}{
+		{"no device", false, 0, " spill=0 "},
+		{"device, budget disabled", true, -1, " spill=0 "},
+		{"device, budget", true, 1 << 20, " spill=1048576 "},
+	} {
+		cfg := Config{Nodes: 4, PlanCacheEntries: 16, MemoryPerNodeBytes: tc.memory}
+		if tc.device {
+			cfg.SpillDir = t.TempDir()
+		}
+		db := invalidationDBWith(t, cfg)
+		if _, err := db.Query(invQuery, nil); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		key, err := db.shapeKeyFor(invQuery, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !strings.Contains(key, tc.tag) {
+			t.Errorf("%s: shape key carries the wrong spill budget, want %q in\n%s", tc.name, tc.tag, key)
+		}
+		if db.memo.Peek(key) == nil {
+			t.Errorf("%s: the run recorded its plan under another key than shapeKeyFor's\n%s", tc.name, key)
+		}
 	}
 }
 
