@@ -210,12 +210,6 @@ type Config struct {
 	// projection/predicate pushdown; in-memory datasets are unaffected.
 	// Empty (the default) keeps everything resident.
 	DataDir string
-	// PageCacheBytes is the byte budget of the shared page cache serving all
-	// paged datasets, charged against the memory governor for its lifetime
-	// (cached bytes compete with join build memory; under governor pressure
-	// the cache declines inserts and reads pass through). Zero selects
-	// DefaultPageCacheBytes when DataDir is set.
-	PageCacheBytes int64
 	// ChunkRows sets the streaming pipeline's chunk capacity in rows — the
 	// batch size every cursor, exchange buffer, and vectorized predicate
 	// kernel works in. Validated at Open: zero or negative selects the
@@ -342,11 +336,7 @@ func Open(cfg Config) *DB {
 	}
 	if cfg.DataDir != "" {
 		db.dataDir = cfg.DataDir
-		budget := cfg.PageCacheBytes
-		if budget <= 0 {
-			budget = DefaultPageCacheBytes
-		}
-		db.pageCache = storage.NewPageCache(budget)
+		db.pageCache = storage.NewPageCache(DefaultPageCacheBytes)
 		// The cache's resident bytes hold a DB-lifetime reservation scope:
 		// cached pages compete with join build memory under the same
 		// governor, and a failed reservation declines the insert (reads pass
@@ -368,8 +358,11 @@ func Open(cfg Config) *DB {
 // Nodes returns the simulated cluster size.
 func (db *DB) Nodes() int { return db.ctx.Cluster.Nodes() }
 
-// DefaultPageCacheBytes is the page cache budget when Config.DataDir is set
-// without an explicit Config.PageCacheBytes.
+// DefaultPageCacheBytes is the byte budget of the page cache a DB with
+// Config.DataDir set shares among its paged datasets, charged against the
+// memory governor for the DB's lifetime (cached bytes compete with join build
+// memory; under governor pressure the cache declines inserts and reads pass
+// through).
 const DefaultPageCacheBytes int64 = 4 << 20
 
 // DefaultPageRows is the page granularity ConvertToPaged uses (rows per

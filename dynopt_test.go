@@ -302,6 +302,40 @@ func TestAggregateQueryViaAPI(t *testing.T) {
 	}
 }
 
+// TestGroupKeyIsUnambiguous: grouping keys that differ only in where one
+// value's text ends and the next begins are different groups. Both GROUP BY
+// paths once keyed a group by its values' quoted forms joined with '|', which
+// spells ("a'|'b", "c") and ("a", "b'|'c") the same way.
+func TestGroupKeyIsUnambiguous(t *testing.T) {
+	db := Open(Config{Nodes: 2})
+	rows := []Tuple{
+		{Int(1), Str("a'|'b"), Str("c")},
+		{Int(2), Str("a"), Str("b'|'c")},
+		{Int(3), Str("NULL"), Null()},
+		{Int(4), Null(), Str("NULL")},
+	}
+	if err := db.CreateDataset("r", NewSchema(F("id", KindInt), F("x", KindString), F("y", KindString)), []string{"id"}, rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT r.x, r.y, count(r.id) AS n FROM r r GROUP BY r.x, r.y", // hash aggregate
+		"SELECT r.x, r.y FROM r r GROUP BY r.x, r.y",                   // duplicate elimination
+	} {
+		res, err := db.Query(q, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(res.Rows) != len(rows) {
+			t.Errorf("%s: %d groups, want %d (every row is its own group): %v", q, len(res.Rows), len(rows), res.Rows)
+		}
+		for _, r := range res.Rows {
+			if len(r) == 3 && r[2].I() != 1 {
+				t.Errorf("%s: group (%s, %s) counts %d rows, want 1", q, r[0], r[1], r[2].I())
+			}
+		}
+	}
+}
+
 // TestCreateDatasetCopiesRows: the DB owns what it loaded. A caller that
 // refills, re-slices or clears the rows it passed to CreateDataset — a bulk
 // loader reusing one batch buffer — changes neither the answer nor the

@@ -238,24 +238,10 @@ func (rs *runState) executePushDown(alias string) error {
 			delete(tst.Fields, f)
 		}
 	}
-	// Track the temp before registering it: if registration faults or
-	// panics partway, cleanup still knows the name and the catalog is left
-	// with no half-registered dataset for concurrent queries to trip on.
-	rs.tempNames = append(rs.tempNames, tempName)
-	if err := rs.ctx.Faults.Fire(faults.Point("catalog.register")); err != nil {
+	if err := rs.registerStage(tempName, tds, tst); err != nil {
 		return err
-	}
-	if err := rs.ctx.Catalog.Register(tds, tst); err != nil {
-		return err
-	}
-	rs.est.Reg.Put(tst) // feedback into the planner registry (no-op when shared)
-	if !rs.replay {
-		// A replayed push-down still executes and materializes, but nothing
-		// blocks on it to re-plan, so it is not a re-optimization point.
-		rs.ctx.Accounting().ReoptPoints.Add(1)
 	}
 	rs.report.PushDowns++
-	rs.lastStageRows = tds.RowCount()
 	if rs.rec != nil {
 		rs.rec.Stages = append(rs.rec.Stages, memo.Stage{
 			Kind: memo.StagePushDown, Alias: alias, ObservedRows: rs.lastStageRows,
@@ -270,6 +256,31 @@ func (rs *runState) executePushDown(alias string) error {
 	}
 	rs.sql = newQ.SQL()
 	return rs.reanalyze()
+}
+
+// registerStage lands one stage's materialized result — a push-down's or a
+// join's — in the catalog, feeds its statistics back to the planner registry
+// and counts the re-optimization point.
+func (rs *runState) registerStage(tempName string, tds *storage.Dataset, tst *stats.DatasetStats) error {
+	// Track the temp before registering it: if registration faults or
+	// panics partway, cleanup still knows the name and the catalog is left
+	// with no half-registered dataset for concurrent queries to trip on.
+	rs.tempNames = append(rs.tempNames, tempName)
+	if err := rs.ctx.Faults.Fire(faults.Point("catalog.register")); err != nil {
+		return err
+	}
+	if err := rs.ctx.Catalog.Register(tds, tst); err != nil {
+		return err
+	}
+	rs.est.Reg.Put(tst) // feedback into the planner registry (no-op when shared)
+	if !rs.replay {
+		// A replayed stage still executes and materializes, but nothing
+		// blocks on it to re-plan: it is not a re-optimization point, and the
+		// simulated cost model charges no re-opt latency for it.
+		rs.ctx.Accounting().ReoptPoints.Add(1)
+	}
+	rs.lastStageRows = tds.RowCount()
+	return nil
 }
 
 func stripPrefix(s, prefix string) string {
@@ -481,25 +492,12 @@ func (rs *runState) executeJoinStage(edge *sqlpp.JoinEdge, estCard int64, tables
 				fmt.Sprintf("  storage: zone maps pruned %d/%d pages", pruned, dp))
 		}
 	}
-	// Track the temp before registering it: if registration faults or
-	// panics partway, cleanup still knows the name and the catalog is left
-	// with no half-registered dataset for concurrent queries to trip on.
-	rs.tempNames = append(rs.tempNames, tempName)
-	if err := rs.ctx.Faults.Fire(faults.Point("catalog.register")); err != nil {
+	if err := rs.registerStage(tempName, tds, tst); err != nil {
 		return err
 	}
-	if err := rs.ctx.Catalog.Register(tds, tst); err != nil {
-		return err
-	}
-	rs.est.Reg.Put(tst) // feedback into the planner registry (no-op when shared)
 	if !rs.replay {
-		// Replayed stages materialize like any stage, but no blocking
-		// re-optimization pass follows them: Reopts stays 0 on a clean
-		// replay, and the simulated cost model charges no re-opt latency.
-		rs.ctx.Accounting().ReoptPoints.Add(1)
-		rs.report.Reopts++
+		rs.report.Reopts++ // stays 0 on a clean replay
 	}
-	rs.lastStageRows = tds.RowCount()
 	if rs.rec != nil {
 		rs.rec.Stages = append(rs.rec.Stages, memo.Stage{
 			Kind:      memo.StageJoin,

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -153,20 +154,16 @@ func finishAggregate(ctx *Context, q *sqlpp.Query, rel *Relation) (*Result, erro
 	const aggStateBytes = 48 // approximate per-aggregate accumulator footprint
 	var groupBytes int64
 	defer func() { ctx.Grant.Release(groupBytes) }()
+	var key []byte // reused row to row
 	for _, part := range rel.Parts {
 		for _, row := range part {
-			var key strings.Builder
-			for _, g := range q.GroupBy {
-				v, err := g.Eval(row, env)
-				if err != nil {
-					return nil, err
-				}
-				key.WriteString(v.String())
-				key.WriteByte('|')
+			var err error
+			if key, err = groupKey(key[:0], q.GroupBy, row, env); err != nil {
+				return nil, err
 			}
-			k := key.String()
-			grp, ok := groups[k]
+			grp, ok := groups[string(key)] // no copy: only a new group keeps its key
 			if !ok {
+				k := string(key)
 				grp = &group{first: row, aggs: make([]aggState, len(sels))}
 				groups[k] = grp
 				order = append(order, k)
@@ -249,6 +246,24 @@ func finishAggregate(ctx *Context, q *sqlpp.Query, rel *Relation) (*Result, erro
 		res.Rows[i] = o.projected
 	}
 	return res, nil
+}
+
+// groupKey evaluates the GROUP BY expressions on row and encodes the values
+// as one map key: each value's String form behind its length, so no value's
+// text can run into its neighbour's — ('a'|'b', 'c') and ('a', 'b'|'c') are
+// two groups. String quotes strings and prints an integral float as the int,
+// so NULL stays apart from 'NULL' and 1.0 groups with 1, as Value.Compare has
+// them. The key is appended to buf, which callers reuse row to row.
+func groupKey(buf []byte, groupBy []expr.Expr, row types.Tuple, env *expr.Env) ([]byte, error) {
+	for _, g := range groupBy {
+		v, err := g.Eval(row, env)
+		if err != nil {
+			return nil, err
+		}
+		s := v.String()
+		buf = append(binary.AppendUvarint(buf, uint64(len(s))), s...)
+	}
+	return buf, nil
 }
 
 // validateAggregateQuery rejects aggregates outside the SELECT list.

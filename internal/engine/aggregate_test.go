@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"dynopt/internal/expr"
 	"dynopt/internal/sqlpp"
+	"dynopt/internal/types"
 )
 
 func aggCtx(t *testing.T) *Context {
@@ -132,5 +134,32 @@ func TestAggregateMixedWithUDFCallNotConfused(t *testing.T) {
 	res := runAgg(t, ctx, "SELECT a.grp, count(a.id) FROM t AS a GROUP BY a.grp ORDER BY a.grp")
 	if len(res.Rows) != 2 || res.Rows[0][1].I() != 10 {
 		t.Errorf("rows = %v", res.Rows)
+	}
+}
+
+// TestGroupKeyClasses pins which values share a group: the classes
+// Value.Compare draws, and no others.
+func TestGroupKeyClasses(t *testing.T) {
+	cols := []expr.Expr{&expr.Column{Name: "x"}, &expr.Column{Name: "y"}}
+	env := &expr.Env{Schema: types.NewSchema(types.Field{Name: "x"}, types.Field{Name: "y"})}
+	key := func(x, y types.Value) string {
+		k, err := groupKey(nil, cols, types.Tuple{x, y}, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(k)
+	}
+	if key(types.Int(1), types.Str("s")) != key(types.Float(1.0), types.Str("s")) {
+		t.Error("int 1 and float 1.0 land in different groups; Compare has them equal")
+	}
+	for _, pair := range [][2][2]types.Value{
+		{{types.Null(), types.Int(0)}, {types.Str("NULL"), types.Int(0)}},
+		{{types.Str("a'|'b"), types.Str("c")}, {types.Str("a"), types.Str("b'|'c")}},
+		{{types.Str("1"), types.Int(0)}, {types.Int(1), types.Int(0)}},
+		{{types.Str(""), types.Str("")}, {types.Str("''"), types.Null()}},
+	} {
+		if key(pair[0][0], pair[0][1]) == key(pair[1][0], pair[1][1]) {
+			t.Errorf("%v and %v share a group key", pair[0], pair[1])
+		}
 	}
 }

@@ -35,23 +35,23 @@ func (c *Context) chunkRows() int {
 // Chunk is one batch of tuples flowing through a stage pipeline, with
 // optional sidecars the producer computed anyway: a selection vector, a
 // projection map, typed column vectors, join-key prehashes (exchange
-// scatter), and encoded byte sizes — per row, or one for all (shuffle
-// metering). A chunk handed out by a Cursor is valid only until the next
+// scatter), and encoded byte sizes — the width every row shares, or the live
+// rows' total (metering). A chunk handed out by a Cursor is valid only until the next
 // Next call; consumers that retain rows copy them out through appendLive
 // (the values themselves live in arena or dataset storage and stay valid).
 //
 // Selection semantics: when Sel is non-nil it lists the live row indexes
 // into Rows, ascending — the fused scan filter marks rows instead of
-// copying tuple headers. Hashes and Sizes always align with the LIVE rows
-// (Hashes[k] belongs to Rows[Sel[k]]), so sidecar consumers never index
-// through dead rows.
+// copying tuple headers. Hashes always align with the LIVE rows (Hashes[k]
+// belongs to Rows[Sel[k]]), so sidecar consumers never index through dead
+// rows.
 //
 // Projection semantics: when Proj is non-nil, Rows are stored rows wider
 // than the source's schema, and schema column i lives at Rows[r][Proj[i]] —
 // the resident scan's projection is this map, not a copy, because the
 // stored row is already in memory and a narrowed copy of a row the join
 // drops is pure garbage. Cols stays physical: Cols.Col(Proj[i]) is schema
-// column i. Sizes are over the projected columns only, so every metered
+// column i. Bytes are over the projected columns only, so every metered
 // byte is what a narrowed row would have weighed — and when every stored
 // row of the scanned partition weighs the same over those columns, the
 // chunk says so once (RowBytes) and no row is read just to be sized.
@@ -59,21 +59,25 @@ func (c *Context) chunkRows() int {
 // the probe loop, the scatter) read through the map, resolved per chunk and
 // never per row; a join writes its output tuple in one step from the build
 // row, the stored probe row and the map. Consumers that keep rows (sinks,
-// build sides, the replicated INLJ outer, the spilling join) narrow them at
-// their boundary through appendLive — the only place a projected row is
-// ever built.
+// build sides, the replicated INLJ outer) narrow them at their boundary
+// through appendLive, and a row appended to a probe run is narrowed through
+// the spilling join's scratch tuple — the only places a projected row is ever
+// built.
 type Chunk struct {
 	Rows   []types.Tuple
 	Sel    []int32  // live row indexes into Rows, ascending; nil = all rows live
 	Proj   []int    // schema column -> offset into each row; nil = rows are at schema width
 	Hashes []uint64 // key prehashes aligned with live rows, nil when not computed
-	Sizes  []int64  // encoded byte sizes aligned with live rows, nil when not computed
 	// RowBytes, when > 0, is the encoded size of every live row over the
 	// projected columns — EncodedSizeCols(Proj) without the walk. A resident
 	// base scan sets it from the partition's width profile
 	// (storage.Dataset.RowBytes); 0 means sizes differ or are unknown, and
-	// whoever needs one walks the row. A sidecar like Sizes, not an option.
+	// whoever needs one walks the row. A sidecar like Hashes, not an option.
 	RowBytes int64
+	// Bytes is the encoded size of the live rows together, over the projected
+	// columns, when the producer was asked for it (the simulated spill model's
+	// probe bytes); 0 otherwise.
+	Bytes int64
 	// Cols serves typed column vectors over Rows (NOT selection-filtered and
 	// NOT projected: vectors align with Rows and are indexed by stored column
 	// offset; consumers apply Sel and Proj themselves). Nil when the producer
@@ -91,6 +95,14 @@ func (c *Chunk) Live() int {
 		return len(c.Sel)
 	}
 	return len(c.Rows)
+}
+
+// liveAt returns the index into Rows of live row k.
+func (c *Chunk) liveAt(k int) int {
+	if c.Sel != nil {
+		return int(c.Sel[k])
+	}
+	return k
 }
 
 // appendLive appends the chunk's live rows to dst in order, at the source's
@@ -117,6 +129,27 @@ func (c *Chunk) appendLive(dst []types.Tuple, arena *types.Arena) []types.Tuple 
 		}
 	}
 	return dst
+}
+
+// liveBytes sums the encoded size of the live rows over the projected
+// columns: one multiplication when the chunk knows its rows' width.
+func (c *Chunk) liveBytes() int64 {
+	if c.RowBytes > 0 {
+		return c.RowBytes * int64(c.Live())
+	}
+	var n int64
+	if c.Sel != nil {
+		//dynopt:hotpath
+		for _, r := range c.Sel {
+			n += int64(c.Rows[r].EncodedSizeCols(c.Proj)) //dynopt:size-ok the one walk behind a chunk's metered bytes when neither a partition hint nor a row width is known
+		}
+		return n
+	}
+	//dynopt:hotpath
+	for _, t := range c.Rows {
+		n += int64(t.EncodedSizeCols(c.Proj)) //dynopt:size-ok the one walk behind a chunk's metered bytes when neither a partition hint nor a row width is known
+	}
+	return n
 }
 
 // dense returns the chunk's live rows as a dense slice at schema width:

@@ -248,7 +248,6 @@ func Finish(ctx *Context, q *sqlpp.Query, rel *Relation) (*Result, error) {
 
 	type finished struct {
 		projected types.Tuple
-		groupKey  string
 		orderKeys types.Tuple
 	}
 	var outRows []finished
@@ -257,6 +256,7 @@ func Finish(ctx *Context, q *sqlpp.Query, rel *Relation) (*Result, error) {
 	seen := map[string]bool{}
 	var seenBytes int64
 	defer func() { ctx.Grant.Release(seenBytes) }()
+	var key []byte // reused row to row
 	for _, part := range rel.Parts {
 		for _, row := range part {
 			var projected types.Tuple
@@ -274,21 +274,15 @@ func Finish(ctx *Context, q *sqlpp.Query, rel *Relation) (*Result, error) {
 			}
 			f := finished{projected: projected}
 			if len(q.GroupBy) > 0 {
-				var sb strings.Builder
-				for _, g := range q.GroupBy {
-					v, err := g.Eval(row, env)
-					if err != nil {
-						return nil, err
-					}
-					sb.WriteString(v.String())
-					sb.WriteByte('|')
+				var err error
+				if key, err = groupKey(key[:0], q.GroupBy, row, env); err != nil {
+					return nil, err
 				}
-				f.groupKey = sb.String()
-				if seen[f.groupKey] {
+				if seen[string(key)] { // no copy: only a new group keeps its key
 					continue
 				}
-				seen[f.groupKey] = true
-				sz := int64(len(f.groupKey))
+				seen[string(key)] = true
+				sz := int64(len(key))
 				seenBytes += sz
 				ctx.Grant.Reserve(sz)
 			}

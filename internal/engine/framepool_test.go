@@ -240,19 +240,22 @@ func TestRecycledFrameHoldsNothing(t *testing.T) {
 	row := types.Tuple{types.Int(1)}
 	c := ex.get()
 	for i := 0; i < 8; i++ {
-		c.Rows, c.Hashes, c.Sizes = append(c.Rows, row), append(c.Hashes, 1), append(c.Sizes, 9)
+		c.Rows, c.Hashes, c.Bytes = append(c.Rows, row), append(c.Hashes, 1), c.Bytes+9
 	}
 	c.Proj = []int{0}
 	ex.release(c)
 	c = ex.get() // second, shorter use: six stale headers past its length
-	c.Rows, c.Hashes, c.Sizes = append(c.Rows, row, row), append(c.Hashes, 1, 1), append(c.Sizes, 9, 9)
+	if c.Bytes != 0 {
+		t.Fatalf("a frame off the free list still carries its last use's %d bytes", c.Bytes)
+	}
+	c.Rows, c.Hashes, c.Bytes = append(c.Rows, row, row), append(c.Hashes, 1, 1), 18
 	ex.release(c)
 	ex.recycle()
-	if len(c.Rows) != 0 || c.Proj != nil || c.Sel != nil || c.Cols != nil || c.written != 0 {
+	if len(c.Rows) != 0 || c.Proj != nil || c.Sel != nil || c.Cols != nil || c.written != 0 || c.Bytes != 0 {
 		t.Fatalf("recycled frame not emptied: %+v", c)
 	}
-	if cap(c.Rows) != 8 || cap(c.Hashes) != 8 || cap(c.Sizes) != 8 {
-		t.Fatalf("recycled frame lost its buffers: caps %d/%d/%d", cap(c.Rows), cap(c.Hashes), cap(c.Sizes))
+	if cap(c.Rows) != 8 || cap(c.Hashes) != 8 {
+		t.Fatalf("recycled frame lost its buffers: caps %d/%d", cap(c.Rows), cap(c.Hashes))
 	}
 	for i, r := range c.Rows[:8] {
 		if r != nil {

@@ -22,7 +22,8 @@ import (
 // table: per chunk, join matches into a reusable buffer and emit. Probe rows
 // are read where they lie — through the chunk's selection and projection
 // map — and only a match is ever copied, once, into its output tuple. One
-// instance per partition worker; buffers are reused across chunks.
+// instance per partition worker — the spilling join swaps ht per level and
+// read-back pair; buffers are reused across chunks.
 type probeState struct {
 	ctx        *Context
 	ht         *hashTable
@@ -41,11 +42,7 @@ type probeState struct {
 //dynopt:hotpath
 func (w *probeState) consume(c *Chunk) error {
 	w.probeRows += int64(c.Live())
-	if c.Sizes != nil {
-		for _, sz := range c.Sizes {
-			w.probeBytes += sz
-		}
-	}
+	w.probeBytes += c.Bytes
 	// No counting pre-pass: a chunk's output lives in a reusable buffer whose
 	// capacity converges after a few chunks, and the arena grows
 	// geometrically — so the probe pays one pass over the buckets, not two.
@@ -57,19 +54,7 @@ func (w *probeState) consume(c *Chunk) error {
 	return w.sink.Emit(w.p, w.rows)
 }
 
-// bytes is the probe side's encoded size for the simulated spill model: the
-// source's figure when it knew one, else the sizes summed as chunks passed.
-func (w *probeState) bytes(hint int64) int64 {
-	if hint >= 0 {
-		return hint
-	}
-	return w.probeBytes
-}
-
 func (w *probeState) drain(st probeStream) error {
-	if err := w.ctx.Faults.Fire(faults.Point("probe.drain")); err != nil {
-		return err
-	}
 	for {
 		if err := w.ctx.Err(); err != nil {
 			return err
@@ -85,6 +70,27 @@ func (w *probeState) drain(st probeStream) error {
 			return err
 		}
 	}
+}
+
+// probePartition streams one partition's probe side through a finished build
+// table — the resident hash join's worker, and the broadcast join's — and
+// charges the simulated spill model for a build side of buildBytes. hint is
+// the probe partition's encoded size when its source knew it, else -1.
+func probePartition(ctx *Context, p int, ht *hashTable, buildBytes int64,
+	probe probeStream, hint int64, pCols []int, buildFirst bool, sink Sink) error {
+	if err := ctx.Faults.Fire(faults.Point("probe.drain")); err != nil {
+		return err
+	}
+	w := &probeState{ctx: ctx, ht: ht, pCols: pCols, buildFirst: buildFirst, sink: sink, p: p}
+	if err := w.drain(probe); err != nil {
+		return err
+	}
+	ctx.Accounting().ProbeRows.Add(w.probeRows)
+	if hint < 0 {
+		hint = w.probeBytes
+	}
+	meterSpill(ctx, buildBytes, hint, int64(len(ht.rows)), w.probeRows)
+	return nil
 }
 
 // HashJoinStream is the repartitioning hash join of §3: the build source is
@@ -156,15 +162,15 @@ func HashJoinStream(ctx *Context, buildSrc, probe Source, buildKeys, probeKeys [
 		// partition: each probe partition pipes straight into its worker.
 		return forEachPart(n, func(p int) error {
 			hint := probe.PartBytesHint(p)
-			// Per-row probe sizes feed only the simulated spill model; a probe
-			// it will not charge is never sized.
-			wantSizes := hint < 0 && simSpills(ctx, build.PartBytes(p))
+			// Probe bytes feed only the simulated spill model; a probe it will
+			// not charge is never sized.
+			wantBytes := hint < 0 && simSpills(ctx, build.PartBytes(p))
 			open := func() (probeStream, error) {
 				cur, err := probe.Open(p)
 				if err != nil {
 					return nil, err
 				}
-				return &localStream{cur: cur, keys: keyHasher{keyCols: pCols}, wantSizes: wantSizes}, nil
+				return &localStream{cur: cur, keys: keyHasher{keyCols: pCols}, wantBytes: wantBytes}, nil
 			}
 			st, err := open()
 			if err != nil {
@@ -177,16 +183,16 @@ func HashJoinStream(ctx *Context, buildSrc, probe Source, buildKeys, probeKeys [
 			return worker(p, st, reopen, hint)
 		})
 	}
-	// The consumers read per-row sizes under the same condition as the local
+	// The consumers read chunk bytes under the same condition as the local
 	// probe above: the simulated model needs them for a build partition over
 	// budget, nobody else looks — the spilling join budgets by the build
 	// side's sizes, which come from its exchange. A row that changes partition
 	// is sized for shuffle metering either way.
-	wantSizes := false
-	for p := 0; p < n && !wantSizes; p++ {
-		wantSizes = simSpills(ctx, build.PartBytes(p))
+	wantBytes := false
+	for p := 0; p < n && !wantBytes; p++ {
+		wantBytes = simSpills(ctx, build.PartBytes(p))
 	}
-	return runScatter(ctx, probe, pCols, wantSizes, func(p int, st probeStream) error {
+	return runScatter(ctx, probe, pCols, wantBytes, func(p int, st probeStream) error {
 		return worker(p, st, nil, -1)
 	})
 }
@@ -288,20 +294,9 @@ func BroadcastJoinStream(ctx *Context, buildSrc, probe Source, buildKeys, probeK
 			return err
 		}
 		hint := probe.PartBytesHint(p)
-		st := &localStream{cur: cur, keys: keyHasher{keyCols: pCols}, wantSizes: modelSpill && hint < 0}
-		w := &probeState{
-			ctx:   ctx,
-			ht:    ht,
-			pCols: pCols, buildFirst: buildFirst,
-			sink: sink, p: p,
-		}
-		if err := w.drain(st); err != nil {
-			return err
-		}
-		acct.ProbeRows.Add(w.probeRows)
+		st := &localStream{cur: cur, keys: keyHasher{keyCols: pCols}, wantBytes: modelSpill && hint < 0}
 		// Each partition holds a full copy of the broadcast build side.
-		meterSpill(ctx, buildBytes, w.bytes(hint), int64(len(all)), w.probeRows)
-		return nil
+		return probePartition(ctx, p, ht, buildBytes, st, hint, pCols, buildFirst, sink)
 	})
 }
 

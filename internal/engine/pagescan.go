@@ -149,13 +149,14 @@ func (c *pagedCursor) loadPage() error {
 		if err != nil {
 			return err
 		}
-		sel := c.allRows(nrows)
-		if c.prep.pred != nil {
+		var sel []int32
+		if c.prep.pred == nil {
+			sel = identitySel(nrows, &c.sel)
+		} else {
 			if err := c.pd.DecodePage(buf, schema, c.prep.filterCols); err != nil {
 				return err
 			}
-			sel, err = c.filterPage(sel)
-			if err != nil {
+			if sel, err = c.prep.filter(c.predWindow(), c, &c.sel); err != nil {
 				return err
 			}
 		}
@@ -169,41 +170,6 @@ func (c *pagedCursor) loadPage() error {
 		c.lo = 0
 		return nil
 	}
-}
-
-// allRows returns the identity selection over an n-row page in the reused
-// selection buffer.
-func (c *pagedCursor) allRows(n int) []int32 {
-	if cap(c.sel) < n {
-		c.sel = make([]int32, n)
-	}
-	sel := c.sel[:n]
-	//dynopt:hotpath
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	return sel
-}
-
-// filterPage evaluates the fused predicate over the decoded page and narrows
-// sel (all of the page's rows) to the rows that pass.
-func (c *pagedCursor) filterPage(sel []int32) ([]int32, error) {
-	win := c.predWindow()
-	if c.prep.vpred != nil {
-		return c.prep.vpred(win, c, sel)
-	}
-	out := sel[:0]
-	//dynopt:hotpath
-	for i, t := range win {
-		v, err := c.prep.pred(t)
-		if err != nil {
-			return nil, err
-		}
-		if v.IsTrue() {
-			out = append(out, int32(i))
-		}
-	}
-	return out, nil
 }
 
 // predWindow lays the decoded filter columns out as the predicate's row

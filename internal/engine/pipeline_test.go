@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"io"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -439,10 +441,12 @@ func loadSpilling(t *testing.T, prefix string) func(ctx *Context) {
 	}
 }
 
-// TestStreamSpillSelChunks drives sel chunks into the spilling DHHJ probe:
-// a filtered, unprojected probe side streams Rows+Sel chunks whose live rows
-// and per-row hashes chunkSeq must walk through the selection.
-func TestStreamSpillSelChunks(t *testing.T) {
+// TestPipelineSpillSelChunks drives sel chunks into the spilling DHHJ probe:
+// a filtered, unprojected probe side streams Rows+Sel chunks, and the probe
+// phase must read live rows and their hashes through the selection both when
+// it appends a row to a probe run and when it narrows the selection for the
+// probe loop.
+func TestPipelineSpillSelChunks(t *testing.T) {
 	leakcheck.Check(t)
 	withChunkCap(t, 7)
 	c := factDim(refHash, "fk", true)
@@ -455,18 +459,208 @@ func TestStreamSpillSelChunks(t *testing.T) {
 	}
 }
 
-// TestStreamSpillMatchesBatch runs the real-spill DHHJ under a budget
+// TestPipelineSpillMatchesBatch runs the real-spill DHHJ under a budget
 // forcing eviction — fact (left) builds and spills, dim probes — through
 // both entry points: the model's rows, and the batch join's recorded order
 // and spill metering, whether the probe is a relation read in place or
 // arrives chunk-by-chunk through the scatter.
-func TestStreamSpillMatchesBatch(t *testing.T) {
+func TestPipelineSpillMatchesBatch(t *testing.T) {
 	leakcheck.Check(t)
 	withChunkCap(t, 7)
 	c := factDim(refHash, "fk", true)
 	c.unordered = true
 	if snap := runAgainstReference(t, 2, loadSpilling(t, "pipe_"), c); snap.SpillBytes == 0 {
 		t.Fatal("budget did not force spilling; test is vacuous")
+	}
+}
+
+// chunkSpy wraps a probe source whose chunks reach the spilling join as its
+// cursors cut them (a probe already partitioned on the join keys), and sorts
+// every chunk by where its live rows went: it lists the spill directory for
+// the level-0 build runs of the chunk's partition — they are all sealed
+// before the first probe chunk is pulled — and counts the chunks whose live
+// rows all hash to spilled sub-partitions, and those where none do.
+type chunkSpy struct {
+	Source
+	t         *testing.T
+	spill     *storage.SpillManager
+	key       int // the join key's offset in the source's schema
+	all, none atomic.Int64
+	selected  atomic.Int64 // chunks that carried a selection
+}
+
+func (s *chunkSpy) Open(p int) (Cursor, error) {
+	cur, err := s.Source.Open(p)
+	return &spyCursor{cur: cur, spy: s, p: p}, err
+}
+
+type spyCursor struct {
+	cur Cursor
+	spy *chunkSpy
+	p   int
+}
+
+func (c *spyCursor) Next() (*Chunk, error) {
+	ch, err := c.cur.Next()
+	if err != nil {
+		return ch, err
+	}
+	runs, err := filepath.Glob(filepath.Join(c.spy.spill.Dir(), fmt.Sprintf("run*_p%d_l0_s*_build", c.p)))
+	if err != nil {
+		c.spy.t.Error(err)
+	}
+	var spilled [spillFanout]bool
+	for _, run := range runs {
+		var seq, part, sub int
+		if _, err := fmt.Sscanf(filepath.Base(run), "run%d_p%d_l0_s%d_build", &seq, &part, &sub); err != nil {
+			c.spy.t.Errorf("run file %s: %v", run, err)
+		}
+		spilled[sub] = true
+	}
+	if ch.Proj == nil {
+		c.spy.t.Errorf("partition %d: a probe chunk arrived without a projection map", c.p)
+		return ch, nil
+	}
+	if ch.Sel != nil {
+		c.spy.selected.Add(1)
+	}
+	var toRun, toTable int
+	for k := 0; k < ch.Live(); k++ {
+		key := types.Tuple{ch.Rows[ch.liveAt(k)][ch.Proj[c.spy.key]]}
+		if spilled[spillSub(key.HashKeys([]int{0}), 0)] {
+			toRun++
+		} else {
+			toTable++
+		}
+	}
+	switch {
+	case toRun > 0 && toTable == 0:
+		c.spy.all.Add(1)
+	case toTable > 0 && toRun == 0:
+		c.spy.none.Add(1)
+	}
+	return ch, nil
+}
+
+// TestPipelineSpillProjectedProbe feeds the spilling join a probe that is a
+// filtered and projected scan — stored rows behind a selection and a column
+// map — at an eighth of the build side per node, with chunks of 1, 7 and 1024
+// rows. The build side is skewed so that one level-0 sub-partition holds
+// eleven twelfths of it and is the one evicted, and the probe partitions are
+// stored as a long run of rows for that sub-partition, a long run for the
+// others, then both mixed: at every capacity some chunks go to probe runs
+// whole, some go to the probe loop whole, and the rest are split between the
+// two (chunkSpy counts them). The rows are the model's, as a multiset — a
+// hybrid join emits resident sub-partitions before spilled ones — and, with
+// the counters, the spilling join's of the commit before it took chunks
+// (pipeline_golden.json: the same digest at all three capacities).
+func TestPipelineSpillProjectedProbe(t *testing.T) {
+	leakcheck.Check(t)
+	const (
+		nodes   = 2
+		hot     = 5    // the level-0 sub-partition the build side piles into
+		run     = 2048 // probe rows per partition in each single-class run
+		mixed   = 700  // and in the mixed tail
+		hotKeys = 20   // build keys per partition inside hot
+		coldKey = 30   // and outside it
+	)
+	keyHash := func(k int64) uint64 { return types.Tuple{types.Int(k)}.HashKeys([]int{0}) }
+	// dim rows (id, attr, grp, pad) in stored order; ids only grow, so each
+	// is unique and a partition (id hash mod nodes) keeps this order.
+	var dim [][]int64
+	var keys [2][]int64 // hot, cold build keys: the first ids of each run
+	next := int64(0)
+	take := func(perPart int, want func(isHot bool) bool) {
+		var got [nodes]int
+		for ; got[0] < perPart || got[1] < perPart; next++ {
+			h := keyHash(next)
+			isHot := spillSub(h, 0) == hot
+			if p := h % nodes; got[p] < perPart && want(isHot) {
+				got[p]++
+				class, quota := 1, coldKey
+				if isHot {
+					class, quota = 0, hotKeys
+				}
+				if len(keys[class]) < nodes*quota && got[p] <= quota {
+					keys[class] = append(keys[class], next)
+				}
+				dim = append(dim, []int64{next, next * 3, int64(len(dim) % 10), int64(len(dim))})
+			}
+		}
+	}
+	take(run, func(isHot bool) bool { return isHot })
+	take(run, func(isHot bool) bool { return !isHot })
+	take(mixed, func(bool) bool { return true })
+	fact := make([][]int64, 8000)
+	for i := range fact {
+		class := 0
+		if i%12 == 0 {
+			class = 1
+		}
+		fact[i] = []int64{int64(i), keys[class][i%len(keys[class])], int64(i * 10)}
+	}
+	c := joinCase{algo: refHash, buildLeft: true,
+		left: refSide{ds: "fact", alias: "f", keys: []string{"fk"}},
+		right: refSide{ds: "dim", alias: "d", keys: []string{"id"}, project: []string{"attr", "id"},
+			filter: &expr.Compare{Op: expr.CmpLt, L: &expr.Column{Qualifier: "d", Name: "grp"}, R: &expr.Literal{Val: types.Int(7)}},
+			keep:   func(row types.Tuple) bool { return row[2].I() < 7 }},
+	}
+	for _, chunkCap := range []int{1, 7, 1024} {
+		t.Run(fmt.Sprintf("chunkCap=%d", chunkCap), func(t *testing.T) {
+			withChunkCap(t, chunkCap)
+			ctx := testCtx(t, nodes)
+			register(t, ctx, "fact", []string{"id"}, []string{"id", "fk", "pay"}, fact)
+			register(t, ctx, "dim", []string{"id"}, []string{"id", "attr", "grp", "pad"}, dim)
+			factDS, _ := ctx.Catalog.Get("fact")
+			dimDS, _ := ctx.Catalog.Get("dim")
+			ctx.Cluster.SetMemoryPerNodeBytes(factDS.ByteSize() / (nodes * 8))
+			ctx.Spill = storage.NewSpillManager(t.TempDir(), "projspill_")
+			ctx.Grant = ctx.Cluster.Governor().Grant()
+			defer ctx.Grant.Close()
+
+			build, err := ScanSource(ctx, factDS, "f", nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe, err := ScanSource(ctx, dimDS, "d", c.right.filter, c.right.project)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spy := &chunkSpy{Source: probe, t: t, spill: ctx.Spill, key: 1}
+			rel, err := collectJoin(nodes, func(mk SinkFactory) error {
+				return HashJoinStream(ctx, build, spy, c.left.qualifiedKeys(), c.right.qualifiedKeys(), true, mk)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if spy.all.Load() == 0 || spy.none.Load() == 0 {
+				t.Errorf("%d chunks went to probe runs whole and %d to the probe loop whole; the case needs both", spy.all.Load(), spy.none.Load())
+			}
+			// A window of one row either fails the filter or passes it whole, and a
+			// full pass carries no selection.
+			if chunkCap > 1 && spy.selected.Load() == 0 {
+				t.Error("no probe chunk carried a selection")
+			}
+			snap := ctx.Cluster.Acct().Snapshot()
+			if snap.SpillBytes == 0 || snap.SpillBytes != ctx.Spill.BytesWritten() {
+				t.Errorf("SpillBytes = %d, the device wrote %d", snap.SpillBytes, ctx.Spill.BytesWritten())
+			}
+			if err := ctx.Spill.Sweep(); err != nil {
+				t.Fatal(err)
+			}
+			if held := ctx.Grant.Used(); held != 0 {
+				t.Errorf("the join returned holding %d granted bytes", held)
+			}
+			got := relRows(rel)
+			checkGolden(t, "sources", goldenCell{Rows: digestRows(got), Counters: snap})
+			parts, _, _ := c.expected(t, ctx)
+			want := relRows(&Relation{Parts: parts})
+			slices.Sort(got)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d rows, the model has %d (or the same count and other rows)", len(got), len(want))
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dynopt/internal/storage"
 	"dynopt/internal/types"
 )
 
@@ -121,6 +122,57 @@ func TestBroadcastProbeAllocationBounds(t *testing.T) {
 		t.Errorf("probe that matches everything allocates %.0f bytes per output row, want <= %.0f (one output tuple): probe rows are being copied twice", perOutput, outBytes+64)
 	}
 	t.Logf("%.1f bytes per probed row with no match, %.0f bytes per output row with every row matching", perProbed, perOutput)
+}
+
+// spillingProbeProjected streams fact, projected to five of its eight
+// columns, through a hash join whose build side really spills: an eighth of
+// it fits a node, so most probe rows go to a run file and come back.
+func spillingProbeProjected(tb testing.TB, ctx *Context, build *Relation) int64 {
+	tb.Helper()
+	ctx.Cluster.SetMemoryPerNodeBytes(build.ByteSize() / int64(8*len(build.Parts)))
+	ctx.Spill = storage.NewSpillManager(tb.TempDir(), "probealloc_")
+	ctx.Grant = ctx.Cluster.Governor().Grant()
+	defer ctx.Grant.Close()
+	fact, _ := ctx.Catalog.Get("fact")
+	src, err := ScanSource(ctx, fact, "f", nil, probeAllocProject)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var sink countSink
+	mk := func(*types.Schema, []int) (Sink, error) { return &sink, nil }
+	if err := HashJoinStream(ctx, SourceOf(ctx, build), src, []string{"d.k"}, []string{"f.fk"}, true, mk); err != nil {
+		tb.Fatal(err)
+	}
+	if ctx.Accounting().SpillRows.Load() == 0 {
+		tb.Fatal("budget did not force spilling; measurement is vacuous")
+	}
+	if err := ctx.Spill.Sweep(); err != nil {
+		tb.Fatal(err)
+	}
+	return sink.rows.Load()
+}
+
+// A probe row of the spilling join costs what its path costs: nothing beyond
+// a key read when its sub-partition is resident, and one encode into the run
+// writer's buffer plus one decoded tuple on read-back when it spilled — a
+// projected row on its way to a run is narrowed through a scratch tuple, never
+// into an arena. The rest is per run file, not per row: writer and reader
+// buffers, and a read-back stream's chunk. When the join flattened every chunk
+// into rows first, each probe row paid a gathered copy (five values, 160
+// bytes) on top, resident or not: 713 bytes a probe row on this fixture, 578
+// now.
+func TestSpillingProbeAllocationBound(t *testing.T) {
+	ctx, _, none := probeAllocFixture(t)
+	perProbed, _ := allocBytesPer(func() int64 {
+		if out := spillingProbeProjected(t, ctx, none); out != 0 {
+			t.Fatalf("disjoint build side produced %d rows", out)
+		}
+		return probeAllocRows
+	})
+	if perProbed > 600 {
+		t.Errorf("spilling join allocates %.0f bytes per probe row, want <= 600: probe rows are being copied before their sub-partition is known to have spilled", perProbed)
+	}
+	t.Logf("%.0f bytes per probe row", perProbed)
 }
 
 // A scan's window scratch — the reader with its column vectors, the selection

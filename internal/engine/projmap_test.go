@@ -16,7 +16,7 @@ import (
 // The projection-map contract, as one property: a resident scan emits stored
 // rows with a column map (Chunk.Proj), and every consumer fed those chunks
 // must behave exactly as if each chunk had been flattened and narrowed first
-// — same rows in the same order, same prehashes, same Sizes, same counters.
+// — same rows in the same order, same prehashes, same Bytes, same counters.
 // narrowFirst is that reference: the same scan, with every chunk passed
 // through appendLive before the consumer sees it.
 
@@ -183,8 +183,9 @@ func obsJoin(ctx *Context, run func(mk SinkFactory) error) ([]string, error) {
 	return append([]string{rel.Schema.String(), fmt.Sprint(rel.PartCols)}, relRows(rel)...), nil
 }
 
-// obsStream drains one probe stream, observing each chunk's live rows (at
-// schema width) beside its prehash and size sidecars.
+// obsStream drains one probe stream whose producer was asked for bytes,
+// observing each chunk's live rows (at schema width) beside their prehashes,
+// then the chunk's Bytes — which must be what the narrowed rows weigh.
 func obsStream(p int, st probeStream) ([]string, error) {
 	var out []string
 	var arena types.Arena
@@ -197,23 +198,25 @@ func obsStream(p int, st probeStream) ([]string, error) {
 			return nil, err
 		}
 		rows := c.appendLive(nil, &arena)
-		if len(c.Hashes) != len(rows) || (c.Sizes != nil && len(c.Sizes) != len(rows)) {
-			return nil, fmt.Errorf("sidecars misaligned: %d rows, %d hashes, %d sizes", len(rows), len(c.Hashes), len(c.Sizes))
+		if len(c.Hashes) != len(rows) {
+			return nil, fmt.Errorf("sidecars misaligned: %d rows, %d hashes", len(rows), len(c.Hashes))
 		}
+		var narrowed int64
 		for i, t := range rows {
-			sz := int64(-1)
-			if c.Sizes != nil {
-				sz = c.Sizes[i]
-			}
-			out = append(out, fmt.Sprintf("p%d: %s h=%x sz=%d", p, t, c.Hashes[i], sz))
+			narrowed += int64(t.EncodedSize()) //dynopt:size-ok the reference walk Bytes stands in for
+			out = append(out, fmt.Sprintf("p%d: %s h=%x", p, t, c.Hashes[i]))
 		}
+		if c.Bytes != narrowed {
+			return nil, fmt.Errorf("chunk says Bytes = %d, its %d narrowed rows weigh %d", c.Bytes, len(rows), narrowed)
+		}
+		out = append(out, fmt.Sprintf("p%d: chunk of %d bytes", p, c.Bytes))
 	}
 }
 
 func mapBuild(ctx *Context) (*Relation, error) { return ScanByName(ctx, "dim", "d", nil, nil) }
 
 // simSpill shrinks the per-node budget below any build side, so the
-// simulated spill model is live and the probe's Sizes feed SpillBytes.
+// simulated spill model is live and the probe's Bytes feed SpillBytes.
 func simSpill(_ *testing.T, ctx *Context) { ctx.Cluster.SetMemoryPerNodeBytes(64) }
 
 var mapConsumers = []mapConsumer{
@@ -228,7 +231,7 @@ var mapConsumers = []mapConsumer{
 			if err != nil {
 				return nil, err
 			}
-			obs, err := obsStream(p, &localStream{cur: cur, keys: keyHasher{keyCols: pCols}, wantSizes: true})
+			obs, err := obsStream(p, &localStream{cur: cur, keys: keyHasher{keyCols: pCols}, wantBytes: true})
 			if err != nil {
 				return nil, err
 			}

@@ -92,6 +92,44 @@ func prepareScan(ctx *Context, ds *storage.Dataset, alias string, filter expr.Ex
 	return sp, nil
 }
 
+// identitySel returns the selection of all n rows of a window in *buf,
+// regrown when short.
+func identitySel(n int, buf *[]int32) []int32 {
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
+	}
+	sel := (*buf)[:n]
+	//dynopt:hotpath
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return sel
+}
+
+// filter runs the fused predicate over a window — win its row form, cols its
+// column form — and returns the live selection, ascending, in *buf: the
+// vectorized kernel narrowing all rows when one compiled, else the rows the
+// scalar predicate keeps. Both scan cursors filter through here; they differ
+// in what a window is (stored rows, or a decoded page's filter columns).
+func (sp *scanPrep) filter(win []types.Tuple, cols types.ColSource, buf *[]int32) ([]int32, error) {
+	sel := identitySel(len(win), buf)
+	if sp.vpred != nil {
+		return sp.vpred(win, cols, sel)
+	}
+	sel = sel[:0]
+	//dynopt:hotpath
+	for i, t := range win {
+		v, err := sp.pred(t)
+		if err != nil {
+			return nil, err
+		}
+		if v.IsTrue() {
+			sel = append(sel, int32(i))
+		}
+	}
+	return sel, nil
+}
+
 // meterScanPart charges one partition's read: scan I/O for base datasets,
 // materialized-read I/O for temps (the Reader operator of Figure 4). Scan
 // I/O is metered for every stored row whether or not the filter keeps it,
@@ -249,34 +287,6 @@ type scanCursor struct {
 	c        Chunk
 }
 
-// filterWindow runs the fused predicate over the window and returns the
-// live selection (ascending, aliasing the cursor's reused buffer).
-func (c *scanCursor) filterWindow(win []types.Tuple) ([]int32, error) {
-	if cap(c.sel) < len(win) {
-		c.sel = make([]int32, len(win))
-	}
-	sel := c.sel[:len(win)]
-	if c.prep.vpred != nil {
-		//dynopt:hotpath
-		for i := range sel {
-			sel[i] = int32(i)
-		}
-		return c.prep.vpred(win, c.r, sel)
-	}
-	sel = sel[:0]
-	//dynopt:hotpath
-	for i, t := range win {
-		v, err := c.prep.pred(t)
-		if err != nil {
-			return nil, err
-		}
-		if v.IsTrue() {
-			sel = append(sel, int32(i))
-		}
-	}
-	return sel, nil
-}
-
 func (c *scanCursor) Next() (*Chunk, error) {
 	for {
 		if err := c.ctx.Err(); err != nil {
@@ -294,7 +304,7 @@ func (c *scanCursor) Next() (*Chunk, error) {
 		var sel []int32
 		if c.prep.pred != nil {
 			var err error
-			sel, err = c.filterWindow(win)
+			sel, err = c.prep.filter(win, c.r, &c.sel)
 			if err != nil {
 				return nil, err
 			}

@@ -57,87 +57,68 @@ func spillSub(h uint64, level int) int {
 	return int(x % spillFanout)
 }
 
-// rowSeq streams (tuple, key prehash, encoded size) triples: in-memory
-// partitions at level 0, run-file read-backs below. A size of -1 means
-// unknown (the consumer walks EncodedSize itself); the level-0 build side
-// carries the exact sizes the exchange already computed, and only build
-// sizes are ever read. next returns io.EOF at a clean end.
-type rowSeq interface {
-	next() (types.Tuple, uint64, int64, error)
+// partStream is a landed partition as a probe stream: all of its rows, with
+// their prehashes, in one dense chunk.
+type partStream struct {
+	c    Chunk
+	done bool
 }
 
-// memSeq streams an in-memory partition with its prehash array and
-// (optionally) its per-row encoded sizes.
-type memSeq struct {
-	rows   []types.Tuple
-	hashes []uint64
-	sizes  []int64 // nil: sizes unknown
-	i      int
-}
-
-func (s *memSeq) next() (types.Tuple, uint64, int64, error) {
-	if s.i >= len(s.rows) {
-		return nil, 0, 0, io.EOF
+func (s *partStream) next() (*Chunk, error) {
+	if s.done || len(s.c.Rows) == 0 {
+		return nil, io.EOF
 	}
-	t, h := s.rows[s.i], s.hashes[s.i]
-	sz := int64(-1)
-	if s.sizes != nil {
-		sz = s.sizes[s.i]
-	}
-	s.i++
-	return t, h, sz, nil
+	s.done = true
+	return &s.c, nil
 }
 
-// chunkSeq streams a probe chunk stream row-at-a-time for the spill join:
-// the adapter between the stage pipeline's chunked probe delivery and the
-// DHHJ's row-granular build/probe loops. Any of its rows may be headed for a
-// run file, so each arriving chunk is flattened and narrowed to schema width
-// here, once, and the rows then align with the chunk's sidecars.
-type chunkSeq struct {
-	st    probeStream
-	c     *Chunk
-	rows  []types.Tuple // c's live rows at schema width
-	i     int
-	buf   []types.Tuple
-	arena types.Arena
-}
-
-func (s *chunkSeq) next() (types.Tuple, uint64, int64, error) {
-	//dynopt:cancel-ok row-granular adapter: the DHHJ build/probe loops downstream check ctx.Err() on a row stride
-	for s.i >= len(s.rows) {
-		c, err := s.st.next()
-		if err != nil {
-			return nil, 0, 0, err // io.EOF passes through as the clean end
-		}
-		s.c, s.rows, s.i = c, c.dense(&s.buf, &s.arena), 0
-	}
-	i := s.i
-	s.i++
-	return s.rows[i], s.c.Hashes[i], -1, nil
-}
-
-// fileSeq streams a run file, recomputing each row's key prehash (run
-// records store the tuple only). At EOF it cross-checks the rows actually
-// decoded against the writer's in-memory count — the footer's consumer-side
-// assertion, independent of anything stored on disk.
-type fileSeq struct {
+// runStream reads a sealed run back as a probe stream: it fills one reused
+// dense chunk from the file and bulk-hashes the join keys (run records store
+// the tuple only). At EOF it cross-checks the rows actually decoded against
+// the writer's in-memory count — the footer's consumer-side assertion,
+// independent of anything stored on disk.
+type runStream struct {
 	r       *storage.SpillReader
 	keyCols []int
 	expect  int64 // rows the writer sealed (SpillFile.Rows)
 	n       int64 // rows decoded so far
+	rows    int   // chunk capacity
+	c       Chunk
 }
 
-func (s *fileSeq) next() (types.Tuple, uint64, int64, error) {
-	t, err := s.r.Next()
-	if err != nil {
-		if err == io.EOF && s.n != s.expect {
-			return nil, 0, 0, fmt.Errorf("engine: run read back %d rows but the writer appended %d: %w",
-				s.n, s.expect, faults.ErrCorrupt)
+func (s *runStream) next() (*Chunk, error) {
+	rows := s.c.Rows[:0]
+	//dynopt:cancel-ok fills one chunk: the loops that pull chunks from this stream check ctx.Err() per chunk
+	for len(rows) < s.rows {
+		t, err := s.r.Next()
+		if err == io.EOF {
+			if s.n != s.expect {
+				return nil, fmt.Errorf("engine: run read back %d rows but the writer appended %d: %w",
+					s.n, s.expect, faults.ErrCorrupt)
+			}
+			break
 		}
-		return nil, 0, 0, err
+		if err != nil {
+			return nil, err
+		}
+		s.n++
+		rows = append(rows, t)
 	}
-	s.n++
-	return t, t.HashKeys(s.keyCols), -1, nil
+	if len(rows) == 0 {
+		return nil, io.EOF
+	}
+	s.c.Rows, s.c.Hashes = rows, types.HashKeysInto(rows, s.keyCols, s.c.Hashes)
+	return &s.c, nil
+}
+
+// readRun opens a sealed run for read-back at the execution's chunk
+// capacity. The caller closes the stream's reader.
+func (j *spillJoin) readRun(f *storage.SpillFile, keyCols []int) (*runStream, error) {
+	r, err := f.Reader()
+	if err != nil {
+		return nil, err
+	}
+	return &runStream{r: r, keyCols: keyCols, expect: f.Rows(), rows: j.ctx.chunkRows()}, nil
 }
 
 // runSource names where a spilled run's rows came from, so a run found
@@ -148,63 +129,35 @@ func (s *fileSeq) next() (types.Tuple, uint64, int64, error) {
 // source — a probe fed by a scan or the scatter, whose chunks were consumed
 // as they arrived.
 type runSource struct {
-	reopen  func() (rowSeq, error)
+	reopen  func() (probeStream, error)
 	file    *storage.SpillFile
 	keyCols []int
 }
 
-// open returns a fresh pass over the source, plus a close func for
-// file-backed sources.
-func (s *runSource) open() (rowSeq, func() error, error) {
-	if s.file != nil {
-		r, err := s.file.Reader()
-		if err != nil {
-			return nil, nil, err
-		}
-		return &fileSeq{r: r, keyCols: s.keyCols, expect: s.file.Rows()}, r.Close, nil
-	}
-	seq, err := s.reopen()
-	return seq, nil, err
-}
-
 // spillJoin carries one partition's join through its recursion levels.
 type spillJoin struct {
-	ctx        *Context
-	acct       *cluster.Accounting
-	grant      *cluster.Grant
-	part       int   // partition index, for run-file labels
-	budget     int64 // per-node resident build budget
-	bCols      []int // build-side key columns
-	pCols      []int // probe-side key columns
-	buildFirst bool
+	ctx    *Context
+	acct   *cluster.Accounting
+	grant  *cluster.Grant
+	part   int   // partition index, for run-file labels
+	budget int64 // per-node resident build budget
+	bCols  []int // build-side key columns
 
-	arena types.Arena
-	// out buffers up to one chunk of output rows between flushes to sink.
-	out  []types.Tuple
-	sink Sink
+	// w is the one probe loop: every level and every read-back pair sets its
+	// table and streams probe chunks through it, so the output buffer and
+	// arena are shared by the whole partition.
+	w probeState
+	// Per-chunk scratch of the hybrid probe phase: the live rows (and their
+	// hashes) that stay resident, and the narrowed copy of a projected row on
+	// its way to a run file.
+	sel     []int32
+	hashes  []uint64
+	scratch types.Tuple
 	// noSpill marks the degraded mode entered when the spill device fails
 	// before any run file landed: the join holds its whole build side
 	// resident — reserving the bytes but ignoring budget and pressure, like
-	// the depth-capped inMemory fallback — instead of failing the query.
+	// the depth-capped fallback — instead of failing the query.
 	noSpill bool
-}
-
-// maybeFlush hands the buffered output to the sink once a chunk's worth has
-// accumulated. The buffer is reused: sinks copy the headers they keep.
-func (j *spillJoin) maybeFlush() error {
-	if len(j.out) < j.ctx.chunkRows() {
-		return nil
-	}
-	return j.flush()
-}
-
-func (j *spillJoin) flush() error {
-	if len(j.out) == 0 {
-		return nil
-	}
-	err := j.sink.Emit(j.part, j.out)
-	j.out = j.out[:0]
-	return err
 }
 
 // joinPartition is the hash join's per-partition worker, and the one place
@@ -237,61 +190,53 @@ func joinPartition(ctx *Context, p int,
 		}
 	}
 	if resident {
-		w := &probeState{
-			ctx:   ctx,
-			ht:    buildTable(bRows, bHash, bCols),
-			pCols: pCols, buildFirst: buildFirst,
-			sink: sink, p: p,
-		}
 		acct.BuildRows.Add(int64(len(bRows)))
-		if err := w.drain(probe); err != nil {
-			return err
-		}
-		acct.ProbeRows.Add(w.probeRows)
-		meterSpill(ctx, buildBytes, w.bytes(hint), int64(len(bRows)), w.probeRows)
-		return nil
+		return probePartition(ctx, p, buildTable(bRows, bHash, bCols), buildBytes, probe, hint, pCols, buildFirst, sink)
 	}
 	j := &spillJoin{
-		ctx: ctx, acct: acct, grant: gr, part: p, budget: budget,
-		bCols: bCols, pCols: pCols, buildFirst: buildFirst,
-		sink: sink,
+		ctx: ctx, acct: acct, grant: gr, part: p, budget: budget, bCols: bCols,
+		w: probeState{ctx: ctx, pCols: pCols, buildFirst: buildFirst, sink: sink, p: p},
+		// Never nil: a chunk whose live rows all went to runs keeps an empty
+		// selection, and a nil one would read as "every row is live".
+		sel: make([]int32, 0, ctx.chunkRows()),
 	}
-	build := &memSeq{rows: bRows, hashes: bHash, sizes: bSize}
-	bSrc := &runSource{reopen: func() (rowSeq, error) {
-		again := *build
-		again.i = 0
-		return &again, nil
-	}}
+	build := func() (probeStream, error) {
+		return &partStream{c: Chunk{Rows: bRows, Hashes: bHash}}, nil
+	}
 	// A probe with no second pass leaves pSrc nil: a corrupt probe run at
 	// level 0 then fails classified rather than rebuilding; the build side
 	// recovers as usual.
 	var pSrc *runSource
 	if reopen != nil {
-		pSrc = &runSource{reopen: func() (rowSeq, error) {
-			st, err := reopen()
-			if err != nil {
-				return nil, err
-			}
-			return &chunkSeq{st: st}, nil
-		}}
+		pSrc = &runSource{reopen: reopen}
 	}
-	if err := j.run(0, build, &chunkSeq{st: probe}, bSrc, pSrc); err != nil {
+	bst, _ := build() // cannot fail: the partition is in memory
+	if err := j.run(0, bst, bSize, probe, &runSource{reopen: build}, pSrc); err != nil {
 		return err
 	}
-	return j.flush()
+	acct.ProbeRows.Add(j.w.probeRows)
+	return nil
 }
 
-// run executes one recursion level of the dynamic hybrid hash join. bSrc
-// and pSrc name where the build/probe rows came from, for rebuilding a run
-// found corrupt on read-back (nil: that side is not replayable).
-func (j *spillJoin) run(level int, build, probe rowSeq, bSrc, pSrc *runSource) error {
+// run executes one recursion level of the dynamic hybrid hash join. Both
+// sides arrive as chunk streams; the build side's chunks are dense and at
+// schema width (a landed partition, or a run read back), and bSizes, when
+// non-nil, holds its rows' encoded sizes in stream order (level 0: the
+// exchange computed them). bSrc and pSrc name where the build/probe rows came
+// from, for rebuilding a run found corrupt on read-back (nil: that side is
+// not replayable).
+func (j *spillJoin) run(level int, build probeStream, bSizes []int64, probe probeStream, bSrc, pSrc *runSource) error {
 	if err := j.ctx.Err(); err != nil {
 		return err
 	}
 	if level > spillMaxDepth {
 		// Pathological skew: the same keys refuse to split any further.
 		// Join the pair in memory, over budget, rather than recurse forever.
-		return j.inMemory(build, probe)
+		rb, err := j.loadBuild(build)
+		if err != nil {
+			return err
+		}
+		return j.joinLoaded(rb, probe)
 	}
 
 	var (
@@ -354,34 +299,18 @@ func (j *spillJoin) run(level int, build, probe rowSeq, bSrc, pSrc *runSource) e
 		j.noSpill = true
 		return nil
 	}
-
-	// Build phase: scatter into sub-partitions, evicting the largest
-	// resident victim whenever the next row would push the resident set
-	// over the per-node budget (so peak resident build memory never
-	// exceeds it), and shedding one victim on governor pressure.
-	n := 0
-	for {
-		t, h, sz, err := build.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if n++; n&0xfff == 0 {
-			if err := j.ctx.Err(); err != nil {
-				return err
-			}
-		}
+	// place scatters one build row into its sub-partition, evicting the
+	// largest resident victim whenever the row would push the resident set
+	// over the per-node budget (so peak resident build memory never exceeds
+	// it), and shedding one victim on governor pressure. sz < 0 is a size
+	// nobody computed yet: the row is walked only if it stays resident.
+	place := func(t types.Tuple, h uint64, sz int64) error {
 		s := spillSub(h, level)
 		if bFile[s] != nil {
-			if err := bFile[s].Append(t); err != nil {
-				return err
-			}
-			continue
+			return bFile[s].Append(t)
 		}
 		if sz < 0 {
-			sz = int64(t.EncodedSize()) //dynopt:size-ok run-file rows carry no cached size; walked once on re-read
+			sz = int64(t.EncodedSize()) //dynopt:size-ok run-file rows (and a build side the exchange never moved) carry no cached size; walked once
 		}
 		if !j.noSpill {
 			for resident+sz > j.budget && !j.noSpill {
@@ -401,10 +330,7 @@ func (j *spillJoin) run(level int, build, probe rowSeq, bSrc, pSrc *runSource) e
 				}
 			}
 			if bFile[s] != nil {
-				if err := bFile[s].Append(t); err != nil {
-					return err
-				}
-				continue
+				return bFile[s].Append(t)
 			}
 		}
 		rows[s] = append(rows[s], t)
@@ -413,105 +339,106 @@ func (j *spillJoin) run(level int, build, probe rowSeq, bSrc, pSrc *runSource) e
 		resident += sz
 		if !j.grant.Reserve(sz) && !j.noSpill {
 			if v := largest(); v >= 0 {
-				if err := tryEvict(v); err != nil {
-					return err
-				}
+				return tryEvict(v)
 			}
 		}
-	}
-	// Seal the build run files: spill accounting charges the actual bytes
-	// and rows written.
-	for s := 0; s < spillFanout; s++ {
-		if bFile[s] == nil {
-			continue
-		}
-		nb, err := bFile[s].Finish()
-		if err != nil {
-			return err
-		}
-		j.acct.SpillBytes.Add(nb)
-		j.acct.SpillRows.Add(bFile[s].Rows())
+		return nil
 	}
 
-	// Hybrid probe phase: resident sub-partitions are probed through one
-	// in-memory table as probe rows arrive; rows belonging to spilled
-	// sub-partitions are deferred to probe run files.
-	var resRows []types.Tuple
-	var resHashes []uint64
-	for s := 0; s < spillFanout; s++ {
-		resRows = append(resRows, rows[s]...)
-		resHashes = append(resHashes, hashes[s]...)
-	}
-	ht := buildTable(resRows, resHashes, j.bCols)
-	j.acct.BuildRows.Add(int64(len(resRows)))
-
-	var pFile [spillFanout]*storage.SpillFile
-	var probed int64
-	n = 0
+	// Build phase. A landed partition is one chunk however long, so
+	// cancellation is checked on a row stride, not per chunk.
+	n := 0
 	for {
-		t, h, _, err := probe.next()
+		c, err := build.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		if n++; n&0xfff == 0 {
-			if err := j.ctx.Err(); err != nil {
-				return err
-			}
-		}
-		s := spillSub(h, level)
-		if bFile[s] != nil {
-			if pFile[s] == nil {
-				pFile[s], err = j.newFile(level, s, "probe")
-				if err != nil {
+		for k, t := range c.Rows {
+			if n&0xfff == 0 {
+				if err := j.ctx.Err(); err != nil {
 					return err
 				}
 			}
-			if err := pFile[s].Append(t); err != nil {
+			sz := int64(-1)
+			if bSizes != nil {
+				sz = bSizes[n]
+			}
+			n++
+			if err := place(t, c.Hashes[k], sz); err != nil {
 				return err
 			}
-			continue
 		}
-		probed++
-		j.out = ht.probeInto(j.out, &j.arena, t, h, j.pCols, j.buildFirst)
-		if err := j.maybeFlush(); err != nil {
+	}
+	spilled, err := j.seal(bFile[:])
+	if err != nil {
+		return err
+	}
+
+	// Hybrid probe phase: the resident sub-partitions go under one in-memory
+	// table. Per probe chunk, the live rows whose sub-partition spilled are
+	// appended to that sub-partition's probe run, and the rest — the same
+	// rows, selection narrowed, hashes compacted — take the probe loop.
+	var resRows []types.Tuple
+	var resHashes []uint64
+	for s := 0; s < spillFanout; s++ {
+		resRows = append(resRows, rows[s]...)
+		resHashes = append(resHashes, hashes[s]...)
+	}
+	j.w.ht = buildTable(resRows, resHashes, j.bCols)
+	j.acct.BuildRows.Add(int64(len(resRows)))
+
+	var pFile [spillFanout]*storage.SpillFile
+	var kept Chunk
+	for {
+		if err := j.ctx.Err(); err != nil {
+			return err
+		}
+		c, err := probe.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		if spilled {
+			j.sel, j.hashes = j.sel[:0], j.hashes[:0]
+			for k, h := range c.Hashes {
+				r := c.liveAt(k)
+				s := spillSub(h, level)
+				if bFile[s] == nil {
+					j.sel, j.hashes = append(j.sel, int32(r)), append(j.hashes, h)
+					continue
+				}
+				if pFile[s] == nil {
+					if pFile[s], err = j.newFile(level, s, "probe"); err != nil {
+						return err
+					}
+				}
+				if err := j.appendRow(pFile[s], c, r); err != nil {
+					return err
+				}
+			}
+			kept = Chunk{Rows: c.Rows, Sel: j.sel, Proj: c.Proj, Hashes: j.hashes}
+			c = &kept
+		}
+		if err := j.w.consume(c); err != nil {
 			return err
 		}
 	}
-	j.acct.ProbeRows.Add(probed)
 
 	// The resident set is done; return its memory before recursing so the
 	// read-back levels can use the budget.
 	j.grant.Release(resident)
-	resRows, resHashes, ht = nil, nil, nil
-	for s := 0; s < spillFanout; s++ {
-		rows[s], hashes[s] = nil, nil
-	}
-	for s := 0; s < spillFanout; s++ {
-		if pFile[s] == nil {
-			continue
-		}
-		nb, err := pFile[s].Finish()
-		if err != nil {
-			return err
-		}
-		j.acct.SpillBytes.Add(nb)
-		j.acct.SpillRows.Add(pFile[s].Rows())
+	resRows, resHashes, j.w.ht = nil, nil, nil
+	rows, hashes = [spillFanout][]types.Tuple{}, [spillFanout][]uint64{}
+	if _, err := j.seal(pFile[:]); err != nil {
+		return err
 	}
 
 	// Recursive pass: join every spilled (build, probe) pair on read-back.
-	// Probe runs — and build runs that must recurse — are verified
-	// (checksums, footer seal, row counts) before their pair is joined; a
-	// corrupt run is rebuilt once from its source. The verify-then-join
-	// order matters for those, because corruption discovered mid-join could
-	// not be retried without duplicating rows already streamed to the sink.
-	// A build run that already fits the budget skips the separate CRC walk:
-	// the in-memory join decodes it fully — checked block by block — before
-	// the first probe row streams, so corruption still surfaces with
-	// nothing emitted and the same rebuild-once ladder applies
-	// (verify-as-you-decode, one read of the run instead of two).
 	for s := 0; s < spillFanout; s++ {
 		if bFile[s] == nil {
 			continue
@@ -519,39 +446,9 @@ func (j *spillJoin) run(level int, build, probe rowSeq, bSrc, pSrc *runSource) e
 		if err := j.ctx.Err(); err != nil {
 			return err
 		}
-		if pFile[s] == nil || pFile[s].Rows() == 0 || bFile[s].Rows() == 0 {
-			// No rows on one side: the pair cannot produce matches.
-			if err := bFile[s].Remove(); err != nil {
-				return err
-			}
-			if pFile[s] != nil {
-				if err := pFile[s].Remove(); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if bFile[s].Bytes() <= j.budget {
-			// Build reads first (as in the non-resident path), so damage on
-			// the build device surfaces against the side that can rebuild.
-			rb, err := j.loadBuildRecovering(level, s, &bFile[s], bSrc)
-			if err != nil {
-				return err
-			}
-			if err := j.ensureIntact(level, s, "probe", &pFile[s], pSrc); err != nil {
-				return err
-			}
-			if err := j.probeSpilledRun(rb, pFile[s]); err != nil {
-				return err
-			}
-		} else {
-			if err := j.ensureIntact(level, s, "build", &bFile[s], bSrc); err != nil {
-				return err
-			}
-			if err := j.ensureIntact(level, s, "probe", &pFile[s], pSrc); err != nil {
-				return err
-			}
-			if err := j.joinSpilledPair(level, bFile[s], pFile[s]); err != nil {
+		// A pair with no rows on one side cannot produce matches.
+		if pFile[s] != nil && pFile[s].Rows() > 0 && bFile[s].Rows() > 0 {
+			if err := j.joinPair(level, s, &bFile[s], &pFile[s], bSrc, pSrc); err != nil {
 				return err
 			}
 		}
@@ -561,50 +458,100 @@ func (j *spillJoin) run(level int, build, probe rowSeq, bSrc, pSrc *runSource) e
 		if err := bFile[s].Remove(); err != nil {
 			return err
 		}
-		if err := pFile[s].Remove(); err != nil {
-			return err
+		if pFile[s] != nil {
+			if err := pFile[s].Remove(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// joinSpilledPair reads one spilled (build, probe) run pair back and joins
-// it one level deeper. Pairs whose build run fits the budget never reach
-// here — the recursion loop takes the verify-as-you-decode resident path
-// for those instead.
-func (j *spillJoin) joinSpilledPair(level int, bf, pf *storage.SpillFile) error {
-	br, err := bf.Reader()
-	if err != nil {
-		return err
+// appendRow appends live row r of a probe chunk to a run, at schema width: a
+// projected row is narrowed through one reused scratch tuple, which the run
+// writer encodes before returning.
+func (j *spillJoin) appendRow(f *storage.SpillFile, c *Chunk, r int) error {
+	t := c.Rows[r]
+	if c.Proj != nil {
+		j.scratch = j.scratch[:0]
+		for _, col := range c.Proj {
+			j.scratch = append(j.scratch, t[col])
+		}
+		t = j.scratch
 	}
-	defer br.Close()
-	pr, err := pf.Reader()
-	if err != nil {
-		return err
-	}
-	defer pr.Close()
-	build := &fileSeq{r: br, keyCols: j.bCols, expect: bf.Rows()}
-	probe := &fileSeq{r: pr, keyCols: j.pCols, expect: pf.Rows()}
-	// One level deeper: the pair's own run files (still on disk until this
-	// call returns) are the rebuild sources for the child level.
-	return j.run(level+1, build, probe,
-		&runSource{file: bf, keyCols: j.bCols},
-		&runSource{file: pf, keyCols: j.pCols})
+	return f.Append(t)
 }
 
-// ensureIntact verifies one sealed run end to end before its pair is
-// joined, rebuilding it once from src when corrupt. *f is replaced by the
-// rebuilt file (the corrupt original is unlinked); the rebuild is metered
-// as SpillRebuilds. Failure is classified: corruption with no replayable
-// source, a failed rebuild, or corruption recurring on the rebuilt run all
-// surface wrapped in faults.ErrCorrupt — never a silent short read.
-func (j *spillJoin) ensureIntact(level, sub int, side string, f **storage.SpillFile, src *runSource) error {
-	err := (*f).Verify()
+// joinPair joins one spilled (build, probe) run pair on read-back. Probe
+// runs — and build runs that must recurse — are verified (checksums, footer
+// seal, row counts) before the pair is joined; a corrupt run is rebuilt once
+// from its source. The verify-then-join order matters for those, because
+// corruption discovered mid-join could not be retried without duplicating
+// rows already streamed to the sink. A build run that already fits the budget
+// skips the separate CRC walk: loading it decodes it fully — checked block by
+// block — before the first probe row streams, so corruption still surfaces
+// with nothing emitted and the same rebuild-once ladder applies
+// (verify-as-you-decode, one read of the run instead of two). The build side
+// reads first either way, so damage on the device surfaces against the side
+// that can rebuild.
+func (j *spillJoin) joinPair(level, sub int, bf, pf **storage.SpillFile, bSrc, pSrc *runSource) error {
+	var rb *residentBuild
+	check := (*storage.SpillFile).Verify
+	if (*bf).Bytes() <= j.budget {
+		check = func(f *storage.SpillFile) error {
+			build, err := j.readRun(f, j.bCols)
+			if err != nil {
+				return err
+			}
+			defer build.r.Close()
+			rb, err = j.loadBuild(build)
+			return err
+		}
+	}
+	if err := j.ensureIntact(level, sub, "build", bf, bSrc, check); err != nil {
+		return err
+	}
+	if err := j.ensureIntact(level, sub, "probe", pf, pSrc, (*storage.SpillFile).Verify); err != nil {
+		return err
+	}
+	var build *runStream
+	if rb == nil {
+		var err error
+		if build, err = j.readRun(*bf, j.bCols); err != nil {
+			return err
+		}
+		defer build.r.Close()
+	}
+	probe, err := j.readRun(*pf, j.w.pCols)
+	if err != nil {
+		return err
+	}
+	defer probe.r.Close()
+	if rb != nil {
+		return j.joinLoaded(rb, probe)
+	}
+	// One level deeper: the pair's own run files (still on disk until this
+	// call returns) are the rebuild sources for the child level.
+	return j.run(level+1, build, nil, probe,
+		&runSource{file: *bf, keyCols: j.bCols},
+		&runSource{file: *pf, keyCols: j.w.pCols})
+}
+
+// ensureIntact holds one sealed run to check before its pair is joined —
+// SpillFile.Verify end to end, or a full load that verifies as it decodes —
+// rebuilding the run once from src when the check finds it corrupt. *f is
+// replaced by the rebuilt file (the corrupt original is unlinked); the
+// rebuild is metered as SpillRebuilds. Failure is classified: corruption
+// with no replayable source, a failed rebuild, or corruption recurring on the
+// rebuilt run all surface wrapped in faults.ErrCorrupt — never a silent short
+// read.
+func (j *spillJoin) ensureIntact(level, sub int, side string, f **storage.SpillFile, src *runSource, check func(*storage.SpillFile) error) error {
+	err := check(*f)
 	if err == nil {
 		return nil
 	}
 	if !errors.Is(err, faults.ErrCorrupt) {
-		return err // device failure on the verify read, not damage
+		return err // device failure on the read, not damage
 	}
 	if src == nil {
 		return fmt.Errorf("engine: corrupt %s run with no replayable source: %w", side, err)
@@ -613,7 +560,7 @@ func (j *spillJoin) ensureIntact(level, sub int, side string, f **storage.SpillF
 	if rerr != nil {
 		return fmt.Errorf("engine: rebuilding corrupt %s run: %w (%w)", side, rerr, faults.ErrCorrupt)
 	}
-	if verr := nf.Verify(); verr != nil {
+	if verr := check(nf); verr != nil {
 		_ = nf.Remove()
 		return fmt.Errorf("engine: corruption recurred on the rebuilt %s run: %w", side, verr)
 	}
@@ -632,59 +579,52 @@ func (j *spillJoin) ensureIntact(level, sub int, side string, f **storage.SpillF
 // same filter, so the rebuilt run is row-identical to what the corrupt file
 // held before the damage.
 func (j *spillJoin) rebuildRun(level, sub int, side string, src *runSource) (*storage.SpillFile, error) {
-	seq, cls, err := src.open()
-	if err != nil {
-		return nil, err
-	}
-	if cls != nil {
-		defer cls() //nolint:errcheck // read handle; the data was already consumed
+	var st probeStream
+	if src.file != nil {
+		rs, err := j.readRun(src.file, src.keyCols)
+		if err != nil {
+			return nil, err
+		}
+		defer rs.r.Close()
+		st = rs
+	} else {
+		var err error
+		if st, err = src.reopen(); err != nil {
+			return nil, err
+		}
 	}
 	f, err := j.ctx.Spill.Create(fmt.Sprintf("p%d_l%d_s%d_%s_rb", j.part, level, sub, side))
 	if err != nil {
 		return nil, err
 	}
-	n := 0
+	fail := func(err error) (*storage.SpillFile, error) {
+		_ = f.Remove()
+		return nil, err
+	}
 	for {
-		t, h, _, err := seq.next()
+		if err := j.ctx.Err(); err != nil {
+			return fail(err)
+		}
+		c, err := st.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			_ = f.Remove()
-			return nil, err
+			return fail(err)
 		}
-		if n++; n&0xfff == 0 {
-			if err := j.ctx.Err(); err != nil {
-				_ = f.Remove()
-				return nil, err
+		for k, h := range c.Hashes {
+			if spillSub(h, level) != sub {
+				continue
+			}
+			if err := j.appendRow(f, c, c.liveAt(k)); err != nil {
+				return fail(err)
 			}
 		}
-		if spillSub(h, level) != sub {
-			continue
-		}
-		if err := f.Append(t); err != nil {
-			_ = f.Remove()
-			return nil, err
-		}
 	}
-	nb, err := f.Finish()
-	if err != nil {
-		_ = f.Remove()
-		return nil, err
+	if _, err := j.seal([]*storage.SpillFile{f}); err != nil {
+		return fail(err)
 	}
-	j.acct.SpillBytes.Add(nb)
-	j.acct.SpillRows.Add(f.Rows())
 	return f, nil
-}
-
-// inMemory joins a (build, probe) pair with the whole build side resident:
-// the recursion leaf, and the over-budget fallback past spillMaxDepth.
-func (j *spillJoin) inMemory(build, probe rowSeq) error {
-	rb, err := j.loadBuild(build)
-	if err != nil {
-		return err
-	}
-	return j.probeResident(rb, probe)
 }
 
 // residentBuild is one pair's fully decoded build side, ready to hash.
@@ -694,164 +634,65 @@ type residentBuild struct {
 	bytes  int64
 }
 
-// loadBuild drains the build sequence into memory. Reading a run file to
-// io.EOF verifies it end to end (block checksums, footer seal, row counts),
-// and nothing has been emitted when an error surfaces here — which is what
-// lets the recursion skip the separate pre-join CRC walk for
+// loadBuild drains a build stream (dense chunks) into memory. Reading a run
+// file to io.EOF verifies it end to end (block checksums, footer seal, row
+// counts), and nothing has been emitted when an error surfaces here — which
+// is what lets the recursion skip the separate pre-join CRC walk for
 // in-memory-eligible build runs.
-func (j *spillJoin) loadBuild(build rowSeq) (*residentBuild, error) {
+func (j *spillJoin) loadBuild(build probeStream) (*residentBuild, error) {
 	rb := &residentBuild{}
-	n := 0
 	for {
-		t, h, sz, err := build.next()
+		if err := j.ctx.Err(); err != nil {
+			return nil, err
+		}
+		c, err := build.next()
 		if err == io.EOF {
-			break
+			return rb, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		if n++; n&0xfff == 0 {
-			if err := j.ctx.Err(); err != nil {
-				return nil, err
-			}
+		rb.rows = append(rb.rows, c.Rows...)
+		rb.hashes = append(rb.hashes, c.Hashes...)
+		for _, t := range c.Rows {
+			rb.bytes += int64(t.EncodedSize()) //dynopt:size-ok run-file rows carry no cached size; walked once on re-read
 		}
-		if sz < 0 {
-			sz = int64(t.EncodedSize()) //dynopt:size-ok run-file rows carry no cached size; walked once on re-read
-		}
-		rb.rows = append(rb.rows, t)
-		rb.hashes = append(rb.hashes, h)
-		rb.bytes += sz
 	}
-	return rb, nil
 }
 
-// probeResident hashes a loaded build side and streams the probe sequence
-// through it. Output rows flow to the sink from here on: any failure past
-// this point cannot be retried without duplicating emitted rows.
-func (j *spillJoin) probeResident(rb *residentBuild, probe rowSeq) error {
+// joinLoaded hashes a loaded build side and streams the probe through it: the
+// recursion leaf, and the over-budget fallback past spillMaxDepth. Output
+// rows flow to the sink from here on: any failure past this point cannot be
+// retried without duplicating emitted rows.
+func (j *spillJoin) joinLoaded(rb *residentBuild, probe probeStream) error {
 	j.grant.Reserve(rb.bytes)
 	defer j.grant.Release(rb.bytes)
-	ht := buildTable(rb.rows, rb.hashes, j.bCols)
+	j.w.ht = buildTable(rb.rows, rb.hashes, j.bCols)
 	j.acct.BuildRows.Add(int64(len(rb.rows)))
-	var probed int64
-	n := 0
-	for {
-		t, h, _, err := probe.next()
-		if err == io.EOF {
-			break
+	return j.w.drain(probe)
+}
+
+// seal finishes every run file in files (nil entries are sub-partitions that
+// never spilled), charging spill accounting the actual bytes and rows
+// written, and reports whether there was any.
+func (j *spillJoin) seal(files []*storage.SpillFile) (sealed bool, err error) {
+	for _, f := range files {
+		if f == nil {
+			continue
 		}
+		nb, err := f.Finish()
 		if err != nil {
-			return err
+			return sealed, err
 		}
-		if n++; n&0xfff == 0 {
-			if err := j.ctx.Err(); err != nil {
-				return err
-			}
-		}
-		probed++
-		j.out = ht.probeInto(j.out, &j.arena, t, h, j.pCols, j.buildFirst)
-		if err := j.maybeFlush(); err != nil {
-			return err
-		}
+		j.acct.SpillBytes.Add(nb)
+		j.acct.SpillRows.Add(f.Rows())
+		sealed = true
 	}
-	j.acct.ProbeRows.Add(probed)
-	return nil
-}
-
-// loadBuildFromFile decodes one sealed build run fully into memory. The
-// fileSeq it drains checks every block CRC before decode and cross-checks
-// the decoded row count against the writer's seal at EOF, so a clean return
-// carries the same end-to-end guarantee as SpillFile.Verify — from one read
-// of the file instead of two.
-func (j *spillJoin) loadBuildFromFile(bf *storage.SpillFile) (*residentBuild, error) {
-	br, err := bf.Reader()
-	if err != nil {
-		return nil, err
-	}
-	defer br.Close()
-	return j.loadBuild(&fileSeq{r: br, keyCols: j.bCols, expect: bf.Rows()})
-}
-
-// loadBuildRecovering decodes one budget-fitting build run into memory,
-// verifying it as it decodes instead of walking its checksums separately
-// first. Corruption found during the load surfaces before any output row is
-// emitted, so the same rebuild-once ladder as ensureIntact applies: rebuild
-// from src, swap *bf to the fresh run, retry the load once.
-func (j *spillJoin) loadBuildRecovering(level, sub int, bf **storage.SpillFile, src *runSource) (*residentBuild, error) {
-	rb, err := j.loadBuildFromFile(*bf)
-	if err == nil {
-		return rb, nil
-	}
-	if !errors.Is(err, faults.ErrCorrupt) {
-		return nil, err // device failure on the load read, not damage
-	}
-	if src == nil {
-		return nil, fmt.Errorf("engine: corrupt build run with no replayable source: %w", err)
-	}
-	nf, rerr := j.rebuildRun(level, sub, "build", src)
-	if rerr != nil {
-		return nil, fmt.Errorf("engine: rebuilding corrupt build run: %w (%w)", rerr, faults.ErrCorrupt)
-	}
-	if rb, err = j.loadBuildFromFile(nf); err != nil {
-		_ = nf.Remove()
-		return nil, fmt.Errorf("engine: corruption recurred on the rebuilt build run: %w", err)
-	}
-	if err := (*bf).Remove(); err != nil {
-		_ = nf.Remove()
-		return nil, err
-	}
-	*bf = nf
-	j.acct.SpillRebuilds.Add(1)
-	return rb, nil
-}
-
-// probeSpilledRun streams one verified probe run through a loaded build
-// side.
-func (j *spillJoin) probeSpilledRun(rb *residentBuild, pf *storage.SpillFile) error {
-	pr, err := pf.Reader()
-	if err != nil {
-		return err
-	}
-	defer pr.Close()
-	return j.probeResident(rb, &fileSeq{r: pr, keyCols: j.pCols, expect: pf.Rows()})
+	return sealed, nil
 }
 
 // newFile opens a run file labeled with this partition, level, and
 // sub-partition.
 func (j *spillJoin) newFile(level, sub int, side string) (*storage.SpillFile, error) {
 	return j.ctx.Spill.Create(fmt.Sprintf("p%d_l%d_s%d_%s", j.part, level, sub, side))
-}
-
-// probeInto streams one probe row through the table, appending one arena
-// tuple per match to out — the single-row counterpart of joinInto for the
-// spill path, where probe rows arrive from a stream instead of a slice.
-//
-//dynopt:hotpath
-func (ht *hashTable) probeInto(out []types.Tuple, arena *types.Arena, pt types.Tuple, h uint64, probeCols []int, buildFirst bool) []types.Tuple {
-	starts, idx, hs, bRows := ht.starts, ht.idx, ht.hashes, ht.rows
-	singleKey := len(probeCols) == 1 && len(ht.keyCols) == 1
-	var bCol0, pCol0 int
-	if singleKey {
-		bCol0, pCol0 = ht.keyCols[0], probeCols[0]
-	}
-	b := h & ht.mask
-	for _, ri := range idx[starts[b]:starts[b+1]] {
-		if hs[ri] != h {
-			continue
-		}
-		bt := bRows[ri]
-		if singleKey {
-			if !bt[bCol0].Equal(pt[pCol0]) {
-				continue
-			}
-		} else if !bt.KeysEqual(ht.keyCols, pt, probeCols) {
-			continue
-		}
-		if buildFirst {
-			out = append(out, arena.Concat(bt, pt))
-		} else {
-			out = append(out, arena.Concat(pt, bt))
-		}
-	}
-	return out
 }

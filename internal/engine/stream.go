@@ -28,23 +28,22 @@ import (
 // depth, so a stage's resident probe memory is O(parts² × chunkRows) tuple
 // headers regardless of relation size.
 
-// probeStream delivers one destination partition's probe chunks, prehashed
-// on the join keys. Chunks are valid until the following next call.
+// probeStream delivers one partition's chunks, prehashed on the join keys: a
+// destination's probe side, and either side of the spilling join below level
+// 0. Chunks are valid until the following next call.
 type probeStream interface {
 	next() (*Chunk, error)
 }
 
 // localStream adapts a partition cursor into a probe stream, computing key
-// prehashes (and per-row encoded sizes when metering needs them) chunk by
-// chunk into reusable buffers. Selection vectors and projection maps pass
-// through untouched — the prehash and size sidecars are computed for the
-// live rows only and over the projected columns only, via the columnar hash
-// when the cursor attached column vectors.
+// prehashes (and the chunk's encoded bytes when metering needs them) chunk by
+// chunk. Selection vectors and projection maps pass through untouched — both
+// sidecars cover the live rows only and the projected columns only, the
+// prehashes via the columnar hash when the cursor attached column vectors.
 type localStream struct {
 	cur       Cursor
 	keys      keyHasher
-	wantSizes bool
-	sizeBuf   []int64
+	wantBytes bool
 	c         Chunk
 }
 
@@ -53,31 +52,10 @@ func (s *localStream) next() (*Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := Chunk{Rows: c.Rows, Sel: c.Sel, Proj: c.Proj, Hashes: s.keys.hash(c), Sizes: c.Sizes, RowBytes: c.RowBytes}
-	if s.wantSizes && sc.Sizes == nil {
-		if cap(s.sizeBuf) < c.Live() {
-			s.sizeBuf = make([]int64, 0, c.Live())
-		}
-		s.sizeBuf = s.sizeBuf[:0]
-		if c.RowBytes > 0 {
-			s.sizeBuf = s.sizeBuf[:c.Live()]
-			for k := range s.sizeBuf {
-				s.sizeBuf[k] = c.RowBytes
-			}
-		} else if c.Sel != nil {
-			//dynopt:hotpath
-			for _, r := range c.Sel {
-				s.sizeBuf = append(s.sizeBuf, int64(c.Rows[r].EncodedSizeCols(c.Proj))) //dynopt:size-ok seeds the per-chunk Sizes cache every downstream consumer reuses
-			}
-		} else {
-			//dynopt:hotpath
-			for _, t := range c.Rows {
-				s.sizeBuf = append(s.sizeBuf, int64(t.EncodedSizeCols(c.Proj))) //dynopt:size-ok seeds the per-chunk Sizes cache every downstream consumer reuses
-			}
-		}
-		sc.Sizes = s.sizeBuf
+	s.c = Chunk{Rows: c.Rows, Sel: c.Sel, Proj: c.Proj, Hashes: s.keys.hash(c), RowBytes: c.RowBytes}
+	if s.wantBytes {
+		s.c.Bytes = c.liveBytes()
 	}
-	s.c = sc
 	return &s.c, nil
 }
 
@@ -94,17 +72,17 @@ type scatterExchange struct {
 	free      chan *Chunk
 	done      chan struct{}
 	rows      int  // per-chunk row capacity (the execution's chunkRows)
-	sizes     bool // shipped chunks carry per-row encoded sizes
+	bytes     bool // shipped chunks carry their rows' encoded bytes
 	closeOnce sync.Once
 }
 
-func newScatterExchange(n, rows int, sizes bool) *scatterExchange {
+func newScatterExchange(n, rows int, bytes bool) *scatterExchange {
 	ex := &scatterExchange{
 		chans: make([][]chan *Chunk, n),
 		free:  make(chan *Chunk, n*n*(exchangeChanDepth+2)),
 		done:  make(chan struct{}),
 		rows:  rows,
-		sizes: sizes,
+		bytes: bytes,
 	}
 	for s := range ex.chans {
 		ex.chans[s] = make([]chan *Chunk, n)
@@ -126,12 +104,12 @@ var framePool sync.Pool // of *Chunk
 
 // get returns a chunk with empty, full-row-capacity buffers: recycled from
 // this exchange's free list, taken from the pool if its capacity is this
-// exchange's (Sizes kept only by an exchange that ships them), or fresh.
+// exchange's, or fresh.
 func (ex *scatterExchange) get() *Chunk {
 	select {
 	case c := <-ex.free:
 		c.written = max(c.written, len(c.Rows))
-		c.Rows, c.Hashes, c.Sizes = c.Rows[:0], c.Hashes[:0], c.Sizes[:0]
+		c.Rows, c.Hashes, c.Bytes = c.Rows[:0], c.Hashes[:0], 0
 		return c
 	default:
 	}
@@ -141,11 +119,6 @@ func (ex *scatterExchange) get() *Chunk {
 			Rows:   make([]types.Tuple, 0, ex.rows),
 			Hashes: make([]uint64, 0, ex.rows),
 		}
-	}
-	if !ex.sizes {
-		c.Sizes = nil
-	} else if c.Sizes == nil {
-		c.Sizes = make([]int64, 0, ex.rows)
 	}
 	return c
 }
@@ -161,7 +134,7 @@ func (ex *scatterExchange) recycle() {
 		select {
 		case c := <-ex.free:
 			clear(c.Rows[:max(c.written, len(c.Rows))])
-			*c = Chunk{Rows: c.Rows[:0], Hashes: c.Hashes[:0], Sizes: c.Sizes[:0]}
+			*c = Chunk{Rows: c.Rows[:0], Hashes: c.Hashes[:0]}
 			framePool.Put(c)
 		default:
 			return
@@ -241,7 +214,7 @@ func (ex *scatterExchange) produce(ctx *Context, src int, cur Cursor, keyCols []
 		// consumers asked for sizes; one that stays put unasked is not read,
 		// and neither is one whose chunk knows what every row weighs.
 		sz := rowBytes
-		if sz == 0 && (d != src || ex.sizes) {
+		if sz == 0 && (d != src || ex.bytes) {
 			sz = int64(t.EncodedSizeCols(proj)) //dynopt:size-ok scatter seeds shuffle metering and downstream size hints in one walk
 		}
 		if d != src {
@@ -256,8 +229,8 @@ func (ex *scatterExchange) produce(ctx *Context, src int, cur Cursor, keyCols []
 		}
 		b.Rows = append(b.Rows, t)
 		b.Hashes = append(b.Hashes, h)
-		if ex.sizes {
-			b.Sizes = append(b.Sizes, sz)
+		if ex.bytes {
+			b.Bytes += sz
 		}
 		if len(b.Rows) == ex.rows {
 			return flush(d)
@@ -368,11 +341,10 @@ func (m *mergeStream) next() (*Chunk, error) {
 // error cancels the producers; the lowest-partition error wins, with
 // producer errors taking precedence over the cancellations they cause.
 // A row that changes partition is sized for shuffle metering either way;
-// wantSizes sizes every row and ships the sizes to the consumers, aligned
-// with the rows.
-func runScatter(ctx *Context, src Source, keyCols []int, wantSizes bool, consume func(p int, st probeStream) error) error {
+// wantBytes sizes every row and ships each chunk's total to the consumers.
+func runScatter(ctx *Context, src Source, keyCols []int, wantBytes bool, consume func(p int, st probeStream) error) error {
 	n := src.Parts()
-	ex := newScatterExchange(n, ctx.chunkRows(), wantSizes)
+	ex := newScatterExchange(n, ctx.chunkRows(), wantBytes)
 	consErrs := make([]error, n)
 	var wg sync.WaitGroup
 	for d := 0; d < n; d++ {
@@ -498,14 +470,8 @@ func (ex *replicateExchange) produce(ctx *Context, src Source) (totalRows, total
 			// destination.
 			out := &Chunk{Rows: c.appendLive(make([]types.Tuple, 0, c.Live()), &arena)}
 			totalRows += int64(len(out.Rows))
-			switch {
-			case hint >= 0: // the partition's total is known
-			case c.RowBytes > 0:
-				partBytes += c.RowBytes * int64(len(out.Rows))
-			default:
-				for _, t := range out.Rows {
-					partBytes += int64(t.EncodedSize()) //dynopt:size-ok fallback when the producer attached neither a size hint nor a row width; replicate meters bytes shipped per node
-				}
+			if hint < 0 { // else the partition's total is known
+				partBytes += c.liveBytes()
 			}
 			for _, ch := range ex.chans {
 				select {
