@@ -168,3 +168,76 @@ func TestChaosMatrix(t *testing.T) {
 		})
 	}
 }
+
+// TestChaosIndexJoin is the matrix's indexed row: a Figure 8 query with INLJ
+// enabled over indexed datasets, under every strategy, through the faults an
+// index join can meet — its outer's scan failing to open, a partition's index
+// worker failing or panicking where a hash probe's would (probe.drain), and
+// the stage sink failing to seal. Same contract as TestChaosMatrix.
+func TestChaosIndexJoin(t *testing.T) {
+	dir := t.TempDir()
+	reg := NewFaultRegistry(0xD15EA5E)
+	db := Open(Config{Nodes: 4, SpillDir: dir, EnableINLJ: true, Faults: reg})
+	if _, err := LoadTPCDS(db, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := CreateTPCDSIndexes(db); err != nil {
+		t.Fatal(err)
+	}
+	db.ctx.Cluster.SetMemoryPerNodeBytes(32 << 10)
+	env := &chaosEnv{db: db, reg: reg, dir: dir}
+	leakcheck.Check(t)
+
+	sql := TPCDSQ17()
+	baseline := map[Strategy][]string{}
+	var lookups int64
+	for _, s := range allStrategies {
+		res, err := db.Query(sql, &QueryOptions{Strategy: s})
+		if err != nil {
+			t.Fatalf("baseline %s: %v", s, err)
+		}
+		baseline[s] = sortedResultRows(res)
+		lookups += res.Metrics.Counters.IndexLookups
+	}
+	if lookups == 0 {
+		t.Fatal("vacuous: no strategy ran an index join")
+	}
+	baseDatasets := db.Datasets()
+
+	// The counts are chosen to land inside the index join, which the
+	// cost-based plan runs first — (ss ⋈i d1'), a filtered-scan outer landed
+	// over four cursors, then four index workers — and the dynamic plan right
+	// after its three push-down stages.
+	scenarios := []struct {
+		name string
+		rule FaultRule
+	}{
+		// The outer's third cursor fails to open while the others collect.
+		{"scan-open-fail", FaultRule{Point: "scan.open", EveryN: 3}},
+		// The third partition's index worker fails before its first lookup.
+		{"probe-drain-fail", FaultRule{Point: "probe.drain", EveryN: 3}},
+		// The first index worker panics: contained into a *QueryError.
+		{"operator-panic", FaultRule{Point: "probe.drain", OneShot: true, Panic: true}},
+		// The dynamic plan's fourth sink — the index-join stage's — fails to
+		// seal what the join streamed into it.
+		{"sink-finish-fail", FaultRule{Point: "sink.finish", EveryN: 4}},
+	}
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			fired := 0
+			for _, s := range allStrategies {
+				t.Run(string(s), func(t *testing.T) {
+					reg.Reset()
+					reg.Arm(sc.rule)
+					res, err := db.Query(sql, &QueryOptions{Strategy: s, Timeout: 2 * time.Minute})
+					env.checkInvariants(t, res, err, baseline[s], baseDatasets)
+					fired += reg.Fired(sc.rule.Point)
+				})
+			}
+			reg.Reset()
+			if fired == 0 {
+				t.Error("vacuous: the fault never fired")
+			}
+		})
+	}
+}

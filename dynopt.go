@@ -804,7 +804,10 @@ func (db *DB) attachSpill(qctx *engine.Context, scope string) (sweep func() erro
 
 // Explain runs the query under the selected strategy against a snapshot of
 // the catalog (base datasets only, fresh cost accounting) and returns the
-// plan it chose, without touching this DB's metering. Note that for the
+// plan it chose, without touching this DB's metering or its memory governor.
+// The shadow run has this DB's memory budget and spill device — the planners
+// decide by both — with its run files in a directory of its own, swept like
+// any query's; injected faults are not copied. Note that for the
 // adaptive strategies, explaining requires executing — the plan is only
 // fully known at the end; that is the nature of runtime dynamic
 // optimization. When the plan memo is enabled, the output additionally
@@ -821,7 +824,10 @@ func (db *DB) Explain(sql string, opts *QueryOptions) (string, error) {
 		},
 		algo:        db.algo,
 		reoptBudget: db.reoptBudget,
+		spillDir:    db.spillDir,
+		spillSync:   db.spillSync,
 	}
+	shadow.ctx.Cluster.SetMemoryPerNodeBytes(db.ctx.Cluster.MemoryPerNodeBytes())
 	res, err := shadow.Query(sql, opts)
 	if err != nil {
 		return "", err

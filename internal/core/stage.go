@@ -554,9 +554,9 @@ func (rs *runState) executeJoinStage(edge *sqlpp.JoinEdge, estCard int64, tables
 // side streams scan→exchange→probe chunk-by-chunk, and the output is
 // observed, metered and landed as it is produced — one pass over the probe
 // side with no probe relation and no sink re-walk; only the
-// materializations between re-optimization points remain. An index join's
-// rows arrive outer⧺inner; both halves carry their alias qualifiers, so
-// downstream flattening and reconstruction are orientation-independent.
+// materializations between re-optimization points remain. Rows arrive
+// left⧺right under every algorithm; both halves carry their alias qualifiers,
+// and downstream flattening and reconstruction go by name.
 func (rs *runState) runJoinJobStream(edge *sqlpp.JoinEdge, lt, rt *TableInfo, algo plan.Algo, buildLeft bool,
 	tempName string, statsFields map[string]bool) (*storage.Dataset, *stats.DatasetStats, *types.Schema, error) {
 	var sink *engine.StreamSink

@@ -58,11 +58,11 @@ func (c *Context) chunkRows() int {
 // Consumers that only look at rows (key hashing, key comparison, sizing,
 // the probe loop, the scatter) read through the map, resolved per chunk and
 // never per row; a join writes its output tuple in one step from the build
-// row, the stored probe row and the map. Consumers that keep rows (sinks,
-// build sides, the replicated INLJ outer) narrow them at their boundary
-// through appendLive, and a row appended to a probe run is narrowed through
-// the spilling join's scratch tuple — the only places a projected row is ever
-// built.
+// row, the stored probe row and the map. Consumers that keep rows (sinks, and
+// the small sides that land: build sides, an index join's outer) narrow them
+// at their boundary through appendLive, and a row appended to a probe run is
+// narrowed through the spilling join's scratch tuple — the only places a
+// projected row is ever built.
 type Chunk struct {
 	Rows   []types.Tuple
 	Sel    []int32  // live row indexes into Rows, ascending; nil = all rows live

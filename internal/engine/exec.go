@@ -14,9 +14,9 @@ import (
 // Execute runs a physical plan tree to a partitioned relation. Static
 // strategies execute their whole tree through this entry point in one
 // pipelined job; the dynamic optimizer instead executes one stage at a time
-// and materializes between stages. Interior projections (Join.Keep) are
-// applied in the same pipelined pass as the join that produces them. A join
-// node is JoinInto, collected.
+// and materializes between stages. Interior projections (Join.Keep) are a
+// ProjectColumns pass over the relation the join landed. A join node is
+// JoinInto, collected.
 func Execute(ctx *Context, n *plan.Node) (*Relation, error) {
 	if n.Leaf != nil {
 		return ScanByName(ctx, n.Leaf.Dataset, n.Leaf.Alias, n.Leaf.Filter, n.Leaf.Project)
@@ -27,13 +27,6 @@ func Execute(ctx *Context, n *plan.Node) (*Relation, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if j.Algo == plan.AlgoIndexNL && !j.BuildLeft {
-		// Plan orientation is left⧺right but the index join emitted
-		// outer⧺inner = right⧺left; swap the halves to keep downstream key
-		// offsets valid. The inner is scanned at its dataset's full width.
-		inner, _ := ctx.Catalog.Get(j.Left.Leaf.Dataset)
-		rel = swapSides(rel, rel.Schema.Len()-inner.Schema.Len())
 	}
 	if j.Keep != nil {
 		return ProjectColumns(rel, j.Keep)
@@ -64,12 +57,10 @@ func sourceForNode(ctx *Context, n *plan.Node) (Source, error) {
 // children feed the join as chunk sources — a leaf's scan fuses into the
 // exchange and probe loops, so a leaf under a join never materializes as a
 // Relation of its own; an interior join's result lands (a parent join must
-// hold its build side) and windows straight out of where it landed. Hash and
-// broadcast joins emit left⧺right whichever side builds; the index join
-// emits outer⧺inner, its (broadcast) outer being the build side and its
-// inner a base-dataset leaf whose index on the first join key is probed in
-// place — Execute restores plan orientation, a stage sink does not need it
-// (both halves carry their alias qualifiers).
+// hold its build side) and windows straight out of where it landed. Every
+// algorithm emits left⧺right whichever side builds; the index join's
+// (broadcast) outer is the build side and its inner a base-dataset leaf whose
+// index on the first join key is probed in place.
 func JoinInto(ctx *Context, j *plan.Join, mk SinkFactory) error {
 	buildNode, probeNode := j.Left, j.Right
 	buildKeys, probeKeys := j.LeftKeys, j.RightKeys
@@ -110,7 +101,7 @@ func JoinInto(ctx *Context, j *plan.Join, mk SinkFactory) error {
 		if err != nil {
 			return err
 		}
-		return IndexNLJoinStream(ctx, outer, ds, leaf.Alias, buildKeys, bare, leaf.Filter, mk)
+		return IndexNLJoinStream(ctx, outer, ds, leaf.Alias, buildKeys, bare, leaf.Filter, j.BuildLeft, mk)
 	default:
 		return fmt.Errorf("engine: unknown join algorithm %v", j.Algo)
 	}
@@ -118,8 +109,7 @@ func JoinInto(ctx *Context, j *plan.Join, mk SinkFactory) error {
 
 // ProjectColumns narrows a relation to the named qualified columns, keeping
 // partitioning knowledge when every partitioning column survives. Columns
-// named but absent from the schema are skipped (a parent may request keys a
-// swapped INLJ orientation already renamed).
+// named but absent from the schema are skipped.
 func ProjectColumns(rel *Relation, cols []string) (*Relation, error) {
 	var idxs []int
 	out := &types.Schema{}
@@ -170,35 +160,6 @@ func ProjectColumns(rel *Relation, cols []string) (*Relation, error) {
 		}
 	}
 	return proj, nil
-}
-
-func swapSides(rel *Relation, leftWidth int) *Relation {
-	rightWidth := rel.Schema.Len() - leftWidth
-	schema := &types.Schema{Fields: make([]types.Field, 0, rel.Schema.Len())}
-	schema.Fields = append(schema.Fields, rel.Schema.Fields[leftWidth:]...)
-	schema.Fields = append(schema.Fields, rel.Schema.Fields[:leftWidth]...)
-	out := &Relation{Schema: schema, Parts: make([][]types.Tuple, len(rel.Parts))}
-	for p, part := range rel.Parts {
-		rows := make([]types.Tuple, len(part))
-		var arena types.Arena
-		arena.Reserve(len(part) * rel.Schema.Len()) // exact: one chunk per partition
-		for i, t := range part {
-			rows[i] = arena.Concat(t[leftWidth:], t[:leftWidth])
-		}
-		out.Parts[p] = rows
-	}
-	if rel.PartCols != nil {
-		cols := make([]int, len(rel.PartCols))
-		for i, c := range rel.PartCols {
-			if c >= leftWidth {
-				cols[i] = c - leftWidth
-			} else {
-				cols[i] = c + rightWidth
-			}
-		}
-		out.PartCols = cols
-	}
-	return out
 }
 
 // Result is a finished query result at the coordinator.

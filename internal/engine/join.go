@@ -403,15 +403,15 @@ func BroadcastJoin(ctx *Context, left, right *Relation, leftKeys, rightKeys []st
 // IndexNLJoin is the indexed nested-loop join of §3: the (small, filtered)
 // outer relation is broadcast to every partition of the inner, which must be
 // a base dataset carrying a secondary index on the (single) inner join key.
-// Arriving outer rows immediately probe the partition-local index; residual
+// Outer rows probe the partition-local index a chunk at a time; residual
 // composite-key fields are checked after the fetch. Output tuples are
 // outer⧺inner and inherit the inner dataset's partitioning only if the inner
 // is scanned unfiltered (it is, per the algorithm's precondition). It is
-// IndexNLJoinStream over the outer relation's windows, collected.
+// IndexNLJoinStream over the outer relation, read where it landed, collected.
 func IndexNLJoin(ctx *Context, outer *Relation, inner *storage.Dataset, innerAlias string,
 	outerKeys []string, innerKeys []string, innerFilter expr.Expr) (*Relation, error) {
 	return collectJoin(len(inner.Parts), func(mk SinkFactory) error {
-		return IndexNLJoinStream(ctx, SourceOf(ctx, outer), inner, innerAlias, outerKeys, innerKeys, innerFilter, mk)
+		return IndexNLJoinStream(ctx, SourceOf(ctx, outer), inner, innerAlias, outerKeys, innerKeys, innerFilter, true, mk)
 	})
 }
 
@@ -429,6 +429,7 @@ type indexProbe struct {
 	oResidual, residual []int // composite-key columns checked after the fetch
 	pred                expr.Compiled
 	acct                *cluster.Accounting
+	outerFirst          bool // output tuples are outer⧺inner, else inner⧺outer
 	outWidth            int
 
 	arena  types.Arena
@@ -437,11 +438,11 @@ type indexProbe struct {
 	inner  []types.Tuple
 }
 
-func newIndexProbe(ctx *Context, inner *storage.Dataset, idx *storage.Index, p int, oCols, iCols []int, pred expr.Compiled, outWidth int) *indexProbe {
+func newIndexProbe(ctx *Context, inner *storage.Dataset, idx *storage.Index, p int, oCols, iCols []int, pred expr.Compiled, outerFirst bool, outWidth int) *indexProbe {
 	pr := &indexProbe{
 		idx: idx, p: p, part: inner.Parts[p], rowAt: idx.Rows(p),
 		key0: oCols[0], oResidual: oCols[1:], residual: iCols[1:],
-		pred: pred, acct: ctx.Accounting(), outWidth: outWidth,
+		pred: pred, acct: ctx.Accounting(), outerFirst: outerFirst, outWidth: outWidth,
 	}
 	if pgd := inner.Paged(); pgd != nil {
 		pr.view = pgd.Part(p, ctx.PageStats)
@@ -450,9 +451,8 @@ func newIndexProbe(ctx *Context, inner *storage.Dataset, idx *storage.Index, p i
 }
 
 // join probes the index with every row of outer and returns dst[:0] extended
-// with the matches' outer⧺inner tuples, in (outer row, index position)
-// order. The outer rows are the live rows of one batch: the replicated
-// chunks, coalesced up to chunk capacity.
+// with the matches' output tuples, in (outer row, index position) order. The
+// outer rows are one batch: a chunk-sized window of the landed outer.
 func (pr *indexProbe) join(outer []types.Tuple, dst []types.Tuple) ([]types.Tuple, error) {
 	// Pass 1: resolve every outer row's index range once. Lookup yields a
 	// position range over the sorted index keys — no per-probe []int
@@ -482,7 +482,7 @@ func (pr *indexProbe) join(outer []types.Tuple, dst []types.Tuple) ([]types.Tupl
 		pr.arena.Reserve(int(fetched) * pr.outWidth)
 		for o, ot := range outer {
 			for i := ranges[2*o]; i < ranges[2*o+1]; i++ {
-				dst = append(dst, pr.arena.Concat(ot, pr.part[rowAt[i]]))
+				dst = append(dst, pr.concat(ot, pr.part[rowAt[i]]))
 			}
 		}
 		return dst, nil
@@ -525,8 +525,16 @@ func (pr *indexProbe) join(outer []types.Tuple, dst []types.Tuple) ([]types.Tupl
 					continue
 				}
 			}
-			dst = append(dst, pr.arena.Concat(ot, it))
+			dst = append(dst, pr.concat(ot, it))
 		}
 	}
 	return dst, nil
+}
+
+// concat writes one match's output tuple, outer half first or second.
+func (pr *indexProbe) concat(ot, it types.Tuple) types.Tuple {
+	if pr.outerFirst {
+		return pr.arena.Concat(ot, it)
+	}
+	return pr.arena.Concat(it, ot)
 }

@@ -12,11 +12,12 @@ import (
 
 // This file holds the join executors, one per algorithm: both sides arrive
 // as chunk Sources — the build side lands under a hash table either way, a
-// scan feeding it fused into the exchange — and the output flows into a Sink
-// chunk-by-chunk: one pass from scan to sink with no probe-side relation and
-// no output re-walk. JoinInto (exec.go) is the one dispatcher over them; the
-// Relation-in/Relation-out entry points in join.go are these executors over
-// SourceOf views, collected into a relation.
+// scan feeding it fused into the exchange; an index join's outer lands the way
+// a broadcast build does and meets the inner's index instead of a table — and
+// the output flows into a Sink chunk-by-chunk: one pass from scan to sink with
+// no probe-side relation and no output re-walk. JoinInto (exec.go) is the one
+// dispatcher over them; the Relation-in/Relation-out entry points in join.go
+// are these executors over SourceOf views, collected into a relation.
 
 // probeState runs one destination partition's probe loop over a hash
 // table: per chunk, join matches into a reusable buffer and emit. Probe rows
@@ -197,6 +198,22 @@ func HashJoinStream(ctx *Context, buildSrc, probe Source, buildKeys, probeKeys [
 	})
 }
 
+// broadcastRows gathers a landed small side — a broadcast join's build, an
+// index join's outer — into the one slice every node reads, partitions in
+// order, and meters the n-1 copies that cross the network.
+func broadcastRows(ctx *Context, small *Relation, n int) []types.Tuple {
+	all := make([]types.Tuple, 0, small.RowCount())
+	for _, p := range small.Parts {
+		all = append(all, p...)
+	}
+	if n > 1 {
+		acct := ctx.Accounting()
+		acct.BroadcastRows.Add(int64(len(all)) * int64(n-1))
+		acct.BroadcastBytes.Add(small.ByteSize() * int64(n-1))
+	}
+	return all
+}
+
 // BroadcastJoinStream lands the (small) build source and replicates it to
 // every probe partition — metering (n-1)× its bytes as broadcast traffic —
 // then streams each probe partition through the shared table in place, with
@@ -246,20 +263,12 @@ func BroadcastJoinStream(ctx *Context, buildSrc, probe Source, buildKeys, probeK
 		defer ctx.Grant.Release(hold)
 	}
 
-	acct := ctx.Accounting()
-	all := make([]types.Tuple, 0, build.RowCount())
-	for _, p := range build.Parts {
-		all = append(all, p...)
-	}
+	all := broadcastRows(ctx, build, n)
 	if len(all) > maxPartRows {
 		return fmt.Errorf("engine: broadcast build side has %d rows, exceeding the %d-row limit of int32 row indexing", len(all), maxPartRows)
 	}
-	if n > 1 {
-		acct.BroadcastRows.Add(int64(len(all)) * int64(n-1))
-		acct.BroadcastBytes.Add(buildBytes * int64(n-1))
-	}
 	ht := buildTable(all, types.HashKeysInto(all, bCols, nil), bCols)
-	acct.BuildRows.Add(int64(len(all)) * int64(n)) // each partition builds its copy
+	ctx.Accounting().BuildRows.Add(int64(len(all)) * int64(n)) // each partition builds its copy
 
 	var outSchema *types.Schema
 	if buildFirst {
@@ -300,13 +309,17 @@ func BroadcastJoinStream(ctx *Context, buildSrc, probe Source, buildKeys, probeK
 	})
 }
 
-// IndexNLJoinStream streams the (small, filtered) outer source through the
-// inner dataset's partition-local secondary indexes: outer chunks are
-// replicated to every partition as they are produced and probe the index on
-// arrival, so the outer is never materialized anywhere. Output tuples are
-// outer⧺inner.
-func IndexNLJoinStream(ctx *Context, outer Source, inner *storage.Dataset, innerAlias string,
-	outerKeys, innerKeys []string, innerFilter expr.Expr, mk SinkFactory) error {
+// IndexNLJoinStream lands the (small, filtered) outer source as a broadcast
+// join lands its build side — metering (n-1)× its bytes as broadcast traffic —
+// and walks it through each partition of the inner dataset's partition-local
+// secondary index, a chunk's worth of outer rows per probe batch, so a paged
+// inner sees one page-ordered fetch per full chunk however thinly the outer
+// was spread over its partitions. The inner never moves. The outer is bounded
+// by the rule that bounds a broadcast build (ChooseAlgo picks this join only
+// when its estimated bytes fit the broadcast threshold). outerFirst selects
+// whether outer columns form the left half of the output schema.
+func IndexNLJoinStream(ctx *Context, outerSrc Source, inner *storage.Dataset, innerAlias string,
+	outerKeys, innerKeys []string, innerFilter expr.Expr, outerFirst bool, mk SinkFactory) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -317,13 +330,14 @@ func IndexNLJoinStream(ctx *Context, outer Source, inner *storage.Dataset, inner
 	if !ok {
 		return fmt.Errorf("engine: dataset %s has no index on %q", inner.Name, innerKeys[0])
 	}
-	if outer.Parts() != len(inner.Parts) {
-		return fmt.Errorf("engine: partition count mismatch %d vs %d", outer.Parts(), len(inner.Parts))
+	n := len(inner.Parts)
+	if outerSrc.Parts() != n {
+		return fmt.Errorf("engine: partition count mismatch %d vs %d", outerSrc.Parts(), n)
 	}
 	if err := checkPartRows(inner.Parts); err != nil {
 		return err
 	}
-	oCols, err := resolveKeys(outer.Schema(), outerKeys)
+	oCols, err := resolveKeys(outerSrc.Schema(), outerKeys)
 	if err != nil {
 		return err
 	}
@@ -343,15 +357,25 @@ func IndexNLJoinStream(ctx *Context, outer Source, inner *storage.Dataset, inner
 			return err
 		}
 	}
+	outer, err := materializeSource(ctx, outerSrc)
+	if err != nil {
+		return err
+	}
 
-	n := len(inner.Parts)
-	outSchema := outer.Schema().Concat(innerSchema)
-	// Inner partitioning survives (inner rows do not move).
+	var outSchema *types.Schema
+	offset := 0
+	if outerFirst {
+		outSchema = outer.Schema.Concat(innerSchema)
+		offset = outer.Schema.Len()
+	} else {
+		outSchema = innerSchema.Concat(outer.Schema)
+	}
+	// Inner partitioning survives (inner rows do not move), at shifted offsets
+	// when the outer forms the left half.
 	var outPartCols []int
 	if pf := inner.PartitionFields(); len(pf) > 0 {
 		cols := make([]int, 0, len(pf))
 		ok := true
-		offset := outer.Schema().Len()
 		for _, f := range pf {
 			ci, found := inner.Schema.Index(f)
 			if !found {
@@ -369,52 +393,29 @@ func IndexNLJoinStream(ctx *Context, outer Source, inner *storage.Dataset, inner
 		return err
 	}
 
-	totalRows, totalBytes, err := runReplicate(ctx, outer, n, func(p int, st probeStream) error {
-		pr := newIndexProbe(ctx, inner, idx, p, oCols, iCols, pred, outSchema.Len())
-		// Outer chunks arrive one per source-partition window and — the outer
-		// being small and filtered — mostly far below chunk capacity. They are
-		// coalesced up to that capacity before probing, so one probe batch
-		// (one page-ordered fetch on a paged inner) serves as many outer rows
-		// as a full chunk holds instead of revisiting the inner's pages once
-		// per sliver. Output order is unchanged: batches keep arrival order.
-		var pending, rows []types.Tuple
-		probe := func() error {
-			var err error
-			rows, err = pr.join(pending, rows)
-			pending = pending[:0]
-			if err != nil || len(rows) == 0 {
-				return err
-			}
-			return sink.Emit(p, rows)
+	all := broadcastRows(ctx, outer, n)
+	step := ctx.chunkRows()
+	return forEachPart(n, func(p int) error {
+		if err := ctx.Faults.Fire(faults.Point("probe.drain")); err != nil {
+			return err
 		}
-		for {
+		pr := newIndexProbe(ctx, inner, idx, p, oCols, iCols, pred, outerFirst, outSchema.Len())
+		var rows []types.Tuple
+		for off := 0; off < len(all); off += step {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			c, err := st.next()
-			if err == io.EOF {
-				return probe()
-			}
+			var err error
+			rows, err = pr.join(all[off:min(off+step, len(all))], rows)
 			if err != nil {
 				return err
 			}
-			// Replicated chunks are dense (the broadcast flattens selections),
-			// so c.Rows is the live set.
-			pending = append(pending, c.Rows...)
-			if len(pending) >= ctx.chunkRows() {
-				if err := probe(); err != nil {
+			if len(rows) > 0 {
+				if err := sink.Emit(p, rows); err != nil {
 					return err
 				}
 			}
 		}
+		return nil
 	})
-	if err != nil {
-		return err
-	}
-	acct := ctx.Accounting()
-	if n > 1 {
-		acct.BroadcastRows.Add(totalRows * int64(n-1))
-		acct.BroadcastBytes.Add(totalBytes * int64(n-1))
-	}
-	return nil
 }

@@ -168,3 +168,77 @@ func TestPagedScanWarmRepeatIsCacheResident(t *testing.T) {
 		}
 	}
 }
+
+// TestPagedIndexJoinFetchesOncePerChunk: an index join whose outer lies thin
+// over its partitions — a handful of rows in each — probes a paged inner in
+// chunk-sized batches of the whole outer, never one batch per sliver. With a
+// chunk that holds the outer, every inner partition reads each page its
+// matches touch exactly once; at chunk capacity k, at most ⌈R/k⌉ times. Rows
+// and their order are the reference model's either way.
+func TestPagedIndexJoinFetchesOncePerChunk(t *testing.T) {
+	const outerRows, keys, pageRows = 24, 40, 8
+	outer := make([][]int64, outerRows)
+	for i := range outer {
+		outer[i] = []int64{int64(i), int64(i * 7 % keys)}
+	}
+	for _, chunkRows := range []int{1024, 5} {
+		t.Run(fmt.Sprintf("chunk%d", chunkRows), func(t *testing.T) {
+			ctx := testCtx(t, 4)
+			ctx.ChunkRows = chunkRows
+			// grp = id % keys: one key's matches lie on many pages.
+			inner := register(t, ctx, "t", []string{"id"}, []string{"id", "grp", "pay"}, seqTable(960, keys))
+			if _, err := storage.BuildIndex(inner, "grp"); err != nil {
+				t.Fatal(err)
+			}
+			pctx := pagedCopy(t, ctx, "t", pageRows, 0)
+			register(t, pctx, "o", []string{"id"}, []string{"id", "k"}, outer)
+			orel, err := ScanByName(pctx, "o", "o", nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p, part := range orel.Parts {
+				if len(part) == 0 || len(part) == outerRows {
+					t.Fatalf("vacuous: outer partition %d holds %d of %d rows", p, len(part), outerRows)
+				}
+			}
+			paged, _ := pctx.Catalog.Get("t")
+			got, err := IndexNLJoin(pctx, orel, paged, "t", []string{"o.k"}, []string{"grp"}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refJoin(refIndexNL, refInput{parts: orel.Parts, keys: []int{1}}, refInput{parts: inner.Parts, keys: []int{1}}, false)
+			if !reflect.DeepEqual(relRows(got), relRows(&Relation{Parts: want})) {
+				t.Errorf("paged index join diverged from the reference model")
+			}
+
+			// The pages the outer's keys touch, from the page directory.
+			probed := map[int64]bool{}
+			for _, o := range outer {
+				probed[o[1]] = true
+			}
+			pgd := paged.Paged()
+			var touched int64
+			for p, part := range inner.Parts {
+				row := 0
+				for i := 0; i < pgd.Pages(p); i++ {
+					end := row + int(pgd.Page(p, i).Rows)
+					for hit := false; row < end; row++ {
+						if k, _ := part[row][1].AsInt(); !hit && probed[k] {
+							hit = true
+							touched++
+						}
+					}
+				}
+			}
+			if touched == 0 || touched > int64(pgd.TotalPages()) {
+				t.Fatalf("model touched %d of %d pages", touched, pgd.TotalPages())
+			}
+			read := pctx.PageStats.PagesRead.Load()
+			batches := int64((outerRows + chunkRows - 1) / chunkRows)
+			if read < touched || read > batches*touched {
+				t.Errorf("read %d pages for %d touched in %d batches; want within [%d, %d]",
+					read, touched, batches, touched, batches*touched)
+			}
+		})
+	}
+}

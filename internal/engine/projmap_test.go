@@ -303,7 +303,7 @@ var mapConsumers = []mapConsumer{
 	{name: "replicate-inlj-outer", run: func(ctx *Context, mc mapCase, src Source) ([]string, error) {
 		dim, _ := ctx.Catalog.Get("dim")
 		return obsJoin(ctx, func(mk SinkFactory) error {
-			return IndexNLJoinStream(ctx, src, dim, "d", mc.qualified("f"), mc.keys, nil, mk)
+			return IndexNLJoinStream(ctx, src, dim, "d", mc.qualified("f"), mc.keys, nil, true, mk)
 		})
 	}},
 	{name: "run-to-sink", run: func(ctx *Context, mc mapCase, src Source) ([]string, error) {

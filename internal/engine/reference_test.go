@@ -252,7 +252,7 @@ func (c joinCase) viaSources(ctx *Context) (*Relation, error) {
 		lk, rk := c.left.qualifiedKeys(), c.right.qualifiedKeys()
 		if c.algo == refIndexNL {
 			inner, _ := ctx.Catalog.Get(c.right.ds)
-			return IndexNLJoinStream(ctx, l, inner, c.right.alias, lk, c.right.keys, c.right.filter, mk)
+			return IndexNLJoinStream(ctx, l, inner, c.right.alias, lk, c.right.keys, c.right.filter, true, mk)
 		}
 		r, err := source(c.right)
 		if err != nil {

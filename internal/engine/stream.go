@@ -9,20 +9,21 @@ import (
 	"dynopt/internal/types"
 )
 
-// This file implements the three streaming topologies a stage pipeline is
-// built from:
+// This file implements the two streaming topologies a stage pipeline moves
+// its probe side through:
 //
-//   - local:     partition p's cursor feeds worker p directly (exchange
-//                skipped for pre-partitioned probes, and broadcast-join
-//                probes, which never move),
-//   - scatter:   the hash exchange — source partitions route rows by key
-//                hash into per-destination chunk buffers shipped over
-//                bounded channels; each destination merges its inputs in
-//                source order — the order the build side's exchange
-//                (exchange, join.go) lands its rows in,
-//   - replicate: the broadcast — one producer merges the source partitions
-//                in order and ships every chunk to all destinations (the
-//                INLJ outer side).
+//   - local:   partition p's cursor feeds worker p directly (exchange skipped
+//              for pre-partitioned probes, and broadcast-join probes, which
+//              never move),
+//   - scatter: the hash exchange — source partitions route rows by key hash
+//              into per-destination chunk buffers shipped over bounded
+//              channels; each destination merges its inputs in source order —
+//              the order the build side's exchange (exchange, join.go) lands
+//              its rows in.
+//
+// A small side that goes to every node — a broadcast join's build, an index
+// join's outer — is not streamed at all: it lands (materializeSource, below)
+// and every partition's worker reads the one landed copy.
 //
 // All buffering is bounded: per-(src,dst) chunk buffers plus a small channel
 // depth, so a stage's resident probe memory is O(parts² × chunkRows) tuple
@@ -165,15 +166,19 @@ func (ex *scatterExchange) cancel() {
 // and are sized over their projected columns — the bytes a narrowed row would
 // have shipped. Rows staying on their source partition are not metered as
 // shuffle — identical to the relation exchange's accounting. The producer
-// closes its destination channels on every exit path so consumers always see
-// a clean end of stream.
-func (ex *scatterExchange) produce(ctx *Context, src int, cur Cursor, keyCols []int) error {
+// closes its destination channels on every exit path — a cursor that fails to
+// open included — so consumers always see a clean end of stream.
+func (ex *scatterExchange) produce(ctx *Context, src int, from Source, keyCols []int) error {
 	n := len(ex.chans)
 	defer func() {
 		for _, ch := range ex.chans[src] {
 			close(ch)
 		}
 	}()
+	cur, err := from.Open(src)
+	if err != nil {
+		return err
+	}
 	bufs := make([]*Chunk, n)
 	keys := keyHasher{keyCols: keyCols}
 	var hashBuf []uint64
@@ -280,24 +285,6 @@ func (ex *scatterExchange) produce(ctx *Context, src int, cur Cursor, keyCols []
 
 var errExchangeCancelled = fmt.Errorf("engine: exchange cancelled by failed consumer")
 
-// faultingStream interposes the exchange.consume injection point on a
-// destination's probe stream — one Fire per received chunk, so consumer
-// errors and consumer stalls land mid-exchange, with producers still live
-// and channels still full. Only wrapped around the primary consumer when a
-// registry is armed; the drain-after-failure streams stay raw so teardown
-// cannot be re-faulted into a deadlock.
-type faultingStream struct {
-	st  probeStream
-	reg *faults.Registry
-}
-
-func (s *faultingStream) next() (*Chunk, error) {
-	if err := s.reg.Fire(faults.Point("exchange.consume")); err != nil {
-		return nil, err
-	}
-	return s.st.next()
-}
-
 // mergeStream is destination dst's side of the scatter: it drains source 0's
 // channel to exhaustion, then source 1's, and so on, reproducing the relation
 // exchange's source-block order exactly. It also guards the int32 row-index
@@ -308,9 +295,17 @@ type mergeStream struct {
 	src  int
 	rows int64
 	prev *Chunk // recycled on the following next call
+	// faults carries the exchange.consume injection point — one Fire per pull,
+	// so consumer errors and consumer stalls land mid-exchange, with producers
+	// still live and channels still full. Nil on the drain-after-failure
+	// stream, so teardown cannot be re-faulted into a deadlock.
+	faults *faults.Registry
 }
 
 func (m *mergeStream) next() (*Chunk, error) {
+	if err := m.faults.Fire(faults.Point("exchange.consume")); err != nil {
+		return nil, err
+	}
 	if m.prev != nil {
 		// The consumer pulled again, so it is done with the previous chunk
 		// (consumers copy anything they keep); recycle its buffers.
@@ -351,10 +346,7 @@ func runScatter(ctx *Context, src Source, keyCols []int, wantBytes bool, consume
 		wg.Add(1)
 		go func(d int) {
 			defer wg.Done()
-			st := probeStream(&mergeStream{ex: ex, dst: d})
-			if ctx.Faults != nil {
-				st = &faultingStream{st: st, reg: ctx.Faults}
-			}
+			st := &mergeStream{ex: ex, dst: d, faults: ctx.Faults}
 			// Contain consumer panics here, on the consumer's own goroutine:
 			// a panicking probe worker becomes this destination's error and
 			// flows into the same cancel-and-drain teardown as an error
@@ -383,11 +375,7 @@ func runScatter(ctx *Context, src Source, keyCols []int, wantBytes bool, consume
 		}(d)
 	}
 	prodErr := forEachPart(n, func(s int) error {
-		cur, err := src.Open(s)
-		if err != nil {
-			return err
-		}
-		return ex.produce(ctx, s, cur, keyCols)
+		return ex.produce(ctx, s, src, keyCols)
 	})
 	wg.Wait()
 	// Every exit path — producer error, consumer error and its drain,
@@ -403,160 +391,6 @@ func runScatter(ctx *Context, src Source, keyCols []int, wantBytes bool, consume
 		}
 	}
 	return prodErr
-}
-
-// replicateExchange broadcasts one merged stream to every destination — the
-// streaming counterpart of gathering a relation and handing every partition
-// the same slice. One producer pulls the source partitions in order; each
-// chunk's live rows are copied once — narrowed to schema width if the source
-// projects — and shared read-only by all consumers.
-type replicateExchange struct {
-	chans     []chan *Chunk
-	done      chan struct{}
-	closeOnce sync.Once
-}
-
-func newReplicateExchange(n int) *replicateExchange {
-	ex := &replicateExchange{chans: make([]chan *Chunk, n), done: make(chan struct{})}
-	for d := range ex.chans {
-		ex.chans[d] = make(chan *Chunk, exchangeChanDepth)
-	}
-	return ex
-}
-
-func (ex *replicateExchange) cancel() {
-	ex.closeOnce.Do(func() { close(ex.done) })
-}
-
-// produce streams every source partition in order, shipping each chunk to
-// all destinations, and returns the total rows and encoded bytes seen (the
-// broadcast metering inputs). Per-partition byte hints are used when the
-// source knows them; otherwise rows are sized as they pass.
-func (ex *replicateExchange) produce(ctx *Context, src Source) (totalRows, totalBytes int64, err error) {
-	defer func() {
-		for _, ch := range ex.chans {
-			close(ch)
-		}
-	}()
-	var cancelled <-chan struct{}
-	if ctx.Cancel != nil {
-		cancelled = ctx.Cancel.Done()
-	}
-	var arena types.Arena
-	for p := 0; p < src.Parts(); p++ {
-		cur, err := src.Open(p)
-		if err != nil {
-			return totalRows, totalBytes, err
-		}
-		hint := src.PartBytesHint(p)
-		var partBytes int64
-		for {
-			if err := ctx.Err(); err != nil {
-				return totalRows, totalBytes, err
-			}
-			c, err := cur.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return totalRows, totalBytes, err
-			}
-			if err := ctx.Faults.Fire(faults.Point("exchange.produce")); err != nil {
-				return totalRows, totalBytes, err
-			}
-			// Flatten any selection and projection map on the copy the
-			// consumers share: the broadcast copies rows anyway, so dead rows
-			// and dead columns are dropped here rather than shipped to every
-			// destination.
-			out := &Chunk{Rows: c.appendLive(make([]types.Tuple, 0, c.Live()), &arena)}
-			totalRows += int64(len(out.Rows))
-			if hint < 0 { // else the partition's total is known
-				partBytes += c.liveBytes()
-			}
-			for _, ch := range ex.chans {
-				select {
-				case ch <- out:
-				case <-ex.done:
-					return totalRows, totalBytes, errExchangeCancelled
-				case <-cancelled:
-					return totalRows, totalBytes, ctx.Cancel.Err()
-				}
-			}
-		}
-		if hint >= 0 {
-			partBytes = hint
-		}
-		totalBytes += partBytes
-	}
-	return totalRows, totalBytes, nil
-}
-
-// chanStream adapts one replicate channel into a probe stream.
-type chanStream struct {
-	ch <-chan *Chunk
-}
-
-func (s *chanStream) next() (*Chunk, error) {
-	c, ok := <-s.ch
-	if !ok {
-		return nil, io.EOF
-	}
-	return c, nil
-}
-
-// runReplicate drives a replicate pipeline: one producer goroutine, one
-// consumer goroutine per destination. It returns the producer's row/byte
-// totals for broadcast metering.
-func runReplicate(ctx *Context, src Source, n int, consume func(p int, st probeStream) error) (totalRows, totalBytes int64, err error) {
-	ex := newReplicateExchange(n)
-	consErrs := make([]error, n)
-	var wg sync.WaitGroup
-	for d := 0; d < n; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			st := probeStream(&chanStream{ch: ex.chans[d]})
-			if ctx.Faults != nil {
-				st = &faultingStream{st: st, reg: ctx.Faults}
-			}
-			err := func() (err error) {
-				defer func() {
-					if v := recover(); v != nil {
-						err = faults.FromPanic("exchange", fmt.Sprintf("consumer %d", d), v)
-					}
-				}()
-				return consume(d, st)
-			}()
-			if err != nil {
-				consErrs[d] = err
-				ex.cancel()
-				for range ex.chans[d] { // drain so the producer can finish
-				}
-			}
-		}(d)
-	}
-	// The producer runs inline on the caller's goroutine; contain its panics
-	// the same way forEachPart does for scatter producers. produce's own
-	// channel-close defer runs during the unwind, so consumers still see end
-	// of stream.
-	totalRows, totalBytes, prodErr := func() (tr, tb int64, err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				err = faults.FromPanic("exchange", "replicate producer", v)
-			}
-		}()
-		return ex.produce(ctx, src)
-	}()
-	wg.Wait()
-	if prodErr != nil && prodErr != errExchangeCancelled {
-		return totalRows, totalBytes, prodErr
-	}
-	for _, err := range consErrs {
-		if err != nil {
-			return totalRows, totalBytes, err
-		}
-	}
-	return totalRows, totalBytes, prodErr
 }
 
 // landed returns the relation a source is a view of, nil for one that must be

@@ -1,6 +1,6 @@
 // Package leakcheck asserts that a test leaves no goroutines behind: the
-// operator goroutines of a query (scatter/replicate producers and
-// consumers, partition workers, sink writers) must all have exited by the
+// operator goroutines of a query (scatter producers and consumers,
+// partition workers, sink writers) must all have exited by the
 // time the query returns, on every path — success, error, contained panic,
 // cancellation. A leaked goroutine here is a leaked grant or a deadlocked
 // bounded channel waiting to happen.

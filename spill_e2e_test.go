@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -170,6 +171,35 @@ func TestFailingQueryLeavesSpillDirEmpty(t *testing.T) {
 	dirEmpty(t, dir)
 	if used := db.ctx.Cluster.Governor().Used(); used != 0 {
 		t.Errorf("failed query left %d bytes held on the governor", used)
+	}
+}
+
+// TestExplainPlansUnderSpillBudget: Explain's shadow run has the DB's spill
+// device and memory budget, so the plan it prints is the one Query runs — an
+// over-budget broadcast is downgraded in both or in neither — and the shadow's
+// run files are swept with it.
+func TestExplainPlansUnderSpillBudget(t *testing.T) {
+	for _, s := range []Strategy{StrategyDynamic, StrategyCostBased} {
+		t.Run(string(s), func(t *testing.T) {
+			dir := t.TempDir()
+			db := spillDB(t, dir, 256)
+			opts := &QueryOptions{Strategy: s}
+			res := mustQuery(t, db, apiQuery, opts)
+			if res.Metrics.Counters.SpillBytes == 0 {
+				t.Fatal("vacuous: the query did not spill at this budget")
+			}
+			out, err := db.Explain(apiQuery, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan, _, _ := strings.Cut(out, "\n"); plan != res.Metrics.Plan {
+				t.Errorf("Explain shows %q, Query ran %q", plan, res.Metrics.Plan)
+			}
+			dirEmpty(t, dir)
+			if used := db.ctx.Cluster.Governor().Used(); used != 0 {
+				t.Errorf("Explain left %d bytes held on the live governor", used)
+			}
+		})
 	}
 }
 
