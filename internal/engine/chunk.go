@@ -35,8 +35,9 @@ func (c *Context) chunkRows() int {
 // Chunk is one batch of tuples flowing through a stage pipeline, with
 // optional sidecars the producer computed anyway: a selection vector, a
 // projection map, typed column vectors, join-key prehashes (exchange
-// scatter), and encoded byte sizes — the width every row shares, or the live
-// rows' total (metering). A chunk handed out by a Cursor is valid only until the next
+// scatter), encoded byte sizes — the width every row shares, or the live
+// rows' total (metering) — and the count of rows a join filter kept off the
+// wire. A chunk handed out by a Cursor is valid only until the next
 // Next call; consumers that retain rows copy them out through appendLive
 // (the values themselves live in arena or dataset storage and stay valid).
 //
@@ -64,10 +65,15 @@ func (c *Context) chunkRows() int {
 // narrowed through the spilling join's scratch tuple — the only places a
 // projected row is ever built.
 type Chunk struct {
-	Rows   []types.Tuple
-	Sel    []int32  // live row indexes into Rows, ascending; nil = all rows live
-	Proj   []int    // schema column -> offset into each row; nil = rows are at schema width
-	Hashes []uint64 // key prehashes aligned with live rows, nil when not computed
+	Rows []types.Tuple
+	Sel  []int32 // live row indexes into Rows, ascending; nil = all rows live
+	Proj []int   // schema column -> offset into each row; nil = rows are at schema width
+	// Hashes are the join-key prehashes aligned with the live rows. Nil means
+	// not hashed yet: a chunk straight off a cursor is hashed where it is first
+	// needed (the probe loop, after the join filter; the spilling join, before
+	// it routes rows to sub-partitions). The scatter, a build exchange and a
+	// run read back hand chunks on hashed.
+	Hashes []uint64
 	// RowBytes, when > 0, is the encoded size of every live row over the
 	// projected columns — EncodedSizeCols(Proj) without the walk. A resident
 	// base scan sets it from the partition's width profile
@@ -76,8 +82,16 @@ type Chunk struct {
 	RowBytes int64
 	// Bytes is the encoded size of the live rows together, over the projected
 	// columns, when the producer was asked for it (the simulated spill model's
-	// probe bytes); 0 otherwise.
+	// probe bytes); 0 otherwise. It includes the Skipped rows' bytes.
 	Bytes int64
+	// Skipped counts probe rows the scatter routed to this chunk's
+	// destination and the join filter then ruled out (keyFilter): they are
+	// not in Rows, but they were hashed, routed and metered as shuffle, their
+	// bytes are in Bytes, and the probe loop counts them as probed — so
+	// ProbeRows and the simulated spill model's probe rows and bytes read
+	// exactly as if they had shipped. A chunk may hold only skipped rows.
+	// 0 everywhere but the scatter.
+	Skipped int
 	// Cols serves typed column vectors over Rows (NOT selection-filtered and
 	// NOT projected: vectors align with Rows and are indexed by stored column
 	// offset; consumers apply Sel and Proj themselves). Nil when the producer

@@ -143,7 +143,7 @@ func (fx *scatterFixture) run(t testing.TB, see func(p int, c *Chunk)) (rows, su
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	err = runScatter(fx.ctx, src, []int{1}, false, func(p int, st probeStream) error {
+	err = runScatter(fx.ctx, src, []int{1}, nil, false, func(p int, st probeStream) error {
 		var n, s int64
 		for {
 			c, err := st.next()
@@ -242,16 +242,16 @@ func TestRecycledFrameHoldsNothing(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		c.Rows, c.Hashes, c.Bytes = append(c.Rows, row), append(c.Hashes, 1), c.Bytes+9
 	}
-	c.Proj = []int{0}
+	c.Proj, c.Skipped = []int{0}, 3
 	ex.release(c)
 	c = ex.get() // second, shorter use: six stale headers past its length
-	if c.Bytes != 0 {
-		t.Fatalf("a frame off the free list still carries its last use's %d bytes", c.Bytes)
+	if c.Bytes != 0 || c.Skipped != 0 {
+		t.Fatalf("a frame off the free list still carries its last use's %d bytes and %d skipped rows", c.Bytes, c.Skipped)
 	}
 	c.Rows, c.Hashes, c.Bytes = append(c.Rows, row, row), append(c.Hashes, 1, 1), 18
 	ex.release(c)
 	ex.recycle()
-	if len(c.Rows) != 0 || c.Proj != nil || c.Sel != nil || c.Cols != nil || c.written != 0 || c.Bytes != 0 {
+	if len(c.Rows) != 0 || c.Proj != nil || c.Sel != nil || c.Cols != nil || c.written != 0 || c.Bytes != 0 || c.Skipped != 0 {
 		t.Fatalf("recycled frame not emptied: %+v", c)
 	}
 	if cap(c.Rows) != 8 || cap(c.Hashes) != 8 {

@@ -321,9 +321,11 @@ func buildTable(rows []types.Tuple, hashes []uint64, keyCols []int) *hashTable {
 // and a match writes build row and projected probe columns into the output
 // tuple in one step, so a probe row that matches nothing is never copied at
 // all. probeCols are offsets into probeRows as passed (already mapped
-// through proj by the caller). hashes align with the live rows and come from
-// upstream (exchange or broadcast-probe prehash) — rows are never hashed
-// here. Matches sharing a full hash are emitted in build row order. Match
+// through proj by the caller). hashes align with the live rows; the caller
+// (probeState.consume) took them off the chunk — the scatter's, a run's —
+// or computed them for the filter's survivors of a chunk that arrived
+// unhashed. Rows are never hashed here. Matches sharing a full hash are
+// emitted in build row order. Match
 // semantics and output order are identical to flattening and narrowing the
 // probe rows first. The flat loop — no per-row closure — is the join's
 // innermost hot path.

@@ -22,33 +22,66 @@ import (
 // probeState runs one destination partition's probe loop over a hash
 // table: per chunk, join matches into a reusable buffer and emit. Probe rows
 // are read where they lie — through the chunk's selection and projection
-// map — and only a match is ever copied, once, into its output tuple. One
-// instance per partition worker — the spilling join swaps ht per level and
-// read-back pair; buffers are reused across chunks.
+// map — and only a match is ever copied, once, into its output tuple. A chunk
+// that arrives unhashed (straight off its partition's cursor) is first
+// narrowed through the join filter, when there is one, and only the
+// survivors are hashed. One instance per partition worker — the spilling join
+// swaps ht per level and read-back pair; buffers are reused across chunks.
 type probeState struct {
 	ctx        *Context
 	ht         *hashTable
-	pCols      []int // probe key columns, schema offsets
+	filter     *keyFilter // nil: every probe row is hashed and probed
+	pCols      []int      // probe key columns, schema offsets
 	buildFirst bool
 	sink       Sink
 	p          int
 
+	keys       keyHasher // hashes the chunks that arrive unhashed
 	arena      types.Arena
 	rows       []types.Tuple
-	phys       []int // scratch: pCols mapped through the current chunk's Proj
+	phys       []int   // scratch: pCols mapped through the current chunk's Proj
+	keep       []bool  // scratch: the filter's marks over the live rows
+	sel        []int32 // scratch: the filter's survivors, as a selection
+	narrowed   Chunk
 	probeRows  int64
 	probeBytes int64
 }
 
+func newProbeState(ctx *Context, p int, ht *hashTable, filter *keyFilter, pCols []int, buildFirst bool, sink Sink) probeState {
+	return probeState{ctx: ctx, ht: ht, filter: filter, pCols: pCols, buildFirst: buildFirst, sink: sink, p: p,
+		keys: keyHasher{keyCols: pCols}}
+}
+
 //dynopt:hotpath
 func (w *probeState) consume(c *Chunk) error {
-	w.probeRows += int64(c.Live())
+	w.probeRows += int64(c.Live() + c.Skipped)
 	w.probeBytes += c.Bytes
+	hashes := c.Hashes
+	if hashes == nil {
+		if w.filter != nil {
+			w.keep = w.filter.mark(c, w.filter.probeCol(c, w.pCols), w.keep)
+			w.sel = w.sel[:0]
+			for k, ok := range w.keep {
+				if ok {
+					w.sel = append(w.sel, int32(c.liveAt(k)))
+				}
+			}
+			if len(w.sel) == 0 {
+				return nil
+			}
+			if len(w.sel) < len(w.keep) {
+				w.narrowed = *c
+				w.narrowed.Sel = w.sel
+				c = &w.narrowed
+			}
+		}
+		hashes = w.keys.hash(c)
+	}
 	// No counting pre-pass: a chunk's output lives in a reusable buffer whose
 	// capacity converges after a few chunks, and the arena grows
 	// geometrically — so the probe pays one pass over the buckets, not two.
 	pCols := physCols(c.Proj, w.pCols, &w.phys)
-	w.rows = w.ht.joinInto(w.rows[:0], &w.arena, c.Rows, c.Sel, c.Proj, c.Hashes, pCols, w.buildFirst)
+	w.rows = w.ht.joinInto(w.rows[:0], &w.arena, c.Rows, c.Sel, c.Proj, hashes, pCols, w.buildFirst)
 	if len(w.rows) == 0 {
 		return nil
 	}
@@ -74,15 +107,16 @@ func (w *probeState) drain(st probeStream) error {
 }
 
 // probePartition streams one partition's probe side through a finished build
-// table — the resident hash join's worker, and the broadcast join's — and
-// charges the simulated spill model for a build side of buildBytes. hint is
-// the probe partition's encoded size when its source knew it, else -1.
-func probePartition(ctx *Context, p int, ht *hashTable, buildBytes int64,
+// table and the join's filter (nil: none) — the resident hash join's worker,
+// and the broadcast join's — and charges the simulated spill model for a build
+// side of buildBytes. hint is the probe partition's encoded size when its
+// source knew it, else -1.
+func probePartition(ctx *Context, p int, ht *hashTable, filter *keyFilter, buildBytes int64,
 	probe probeStream, hint int64, pCols []int, buildFirst bool, sink Sink) error {
 	if err := ctx.Faults.Fire(faults.Point("probe.drain")); err != nil {
 		return err
 	}
-	w := &probeState{ctx: ctx, ht: ht, pCols: pCols, buildFirst: buildFirst, sink: sink, p: p}
+	w := newProbeState(ctx, p, ht, filter, pCols, buildFirst, sink)
 	if err := w.drain(probe); err != nil {
 		return err
 	}
@@ -126,6 +160,13 @@ func HashJoinStream(ctx *Context, buildSrc, probe Source, buildKeys, probeKeys [
 	if err != nil {
 		return err
 	}
+	// The landed build side filters the probe — but not under a spill budget,
+	// where run-file I/O is metered from what is actually written and a
+	// filter would change what reaches a run file.
+	var filter *keyFilter
+	if !spilling {
+		filter = newKeyFilter(build.Parts, bCols)
+	}
 	var outSchema *types.Schema
 	var outPartCols []int
 	if buildFirst {
@@ -154,7 +195,7 @@ func HashJoinStream(ctx *Context, buildSrc, probe Source, buildKeys, probeKeys [
 		probe = SourceOf(ctx, exchanged)
 	}
 	worker := func(p int, st probeStream, reopen func() (probeStream, error), hint int64) error {
-		return joinPartition(ctx, p, build.Parts[p], bHash[p], partSizes(bSize, p), bCols, build.PartBytes(p),
+		return joinPartition(ctx, p, build.Parts[p], bHash[p], partSizes(bSize, p), bCols, build.PartBytes(p), filter,
 			st, reopen, hint, pCols, buildFirst, sink)
 	}
 
@@ -171,7 +212,7 @@ func HashJoinStream(ctx *Context, buildSrc, probe Source, buildKeys, probeKeys [
 				if err != nil {
 					return nil, err
 				}
-				return &localStream{cur: cur, keys: keyHasher{keyCols: pCols}, wantBytes: wantBytes}, nil
+				return &localStream{cur: cur, wantBytes: wantBytes}, nil
 			}
 			st, err := open()
 			if err != nil {
@@ -193,7 +234,7 @@ func HashJoinStream(ctx *Context, buildSrc, probe Source, buildKeys, probeKeys [
 	for p := 0; p < n && !wantBytes; p++ {
 		wantBytes = simSpills(ctx, build.PartBytes(p))
 	}
-	return runScatter(ctx, probe, pCols, wantBytes, func(p int, st probeStream) error {
+	return runScatter(ctx, probe, pCols, filter, wantBytes, func(p int, st probeStream) error {
 		return worker(p, st, nil, -1)
 	})
 }
@@ -269,6 +310,8 @@ func BroadcastJoinStream(ctx *Context, buildSrc, probe Source, buildKeys, probeK
 	}
 	ht := buildTable(all, types.HashKeysInto(all, bCols, nil), bCols)
 	ctx.Accounting().BuildRows.Add(int64(len(all)) * int64(n)) // each partition builds its copy
+	// A broadcast probe never spills, so it is filtered under any budget.
+	filter := newKeyFilter([][]types.Tuple{all}, bCols)
 
 	var outSchema *types.Schema
 	if buildFirst {
@@ -303,9 +346,9 @@ func BroadcastJoinStream(ctx *Context, buildSrc, probe Source, buildKeys, probeK
 			return err
 		}
 		hint := probe.PartBytesHint(p)
-		st := &localStream{cur: cur, keys: keyHasher{keyCols: pCols}, wantBytes: modelSpill && hint < 0}
+		st := &localStream{cur: cur, wantBytes: modelSpill && hint < 0}
 		// Each partition holds a full copy of the broadcast build side.
-		return probePartition(ctx, p, ht, buildBytes, st, hint, pCols, buildFirst, sink)
+		return probePartition(ctx, p, ht, filter, buildBytes, st, hint, pCols, buildFirst, sink)
 	})
 }
 

@@ -124,6 +124,82 @@ func TestBroadcastProbeAllocationBounds(t *testing.T) {
 	t.Logf("%.1f bytes per probed row with no match, %.0f bytes per output row with every row matching", perProbed, perOutput)
 }
 
+// The join filter's scratch — its marks, the survivors' selection, the
+// narrowed chunk — belongs to the probe worker (or the scatter's producer) and
+// is reused chunk to chunk: once warm, a chunk the filter narrows or empties
+// costs no allocation on either path it reads keys by. The probe keys here
+// miss the build side: some fall outside its range, some are NULL, and the
+// rest lie inside it and reach the table only when their bit collides.
+func TestKeyFilterScratchAllocatesNothing(t *testing.T) {
+	ctx := testCtx(t, 1)
+	build := make([]types.Tuple, 100)
+	for i := range build {
+		build[i] = types.Tuple{types.Int(int64(i) * 10)}
+	}
+	ht := buildTable(build, types.HashKeysInto(build, []int{0}, nil), []int{0})
+	f := newKeyFilter([][]types.Tuple{build}, []int{0})
+	rows := make([]types.Tuple, probeAllocChunk)
+	for i := range rows {
+		switch {
+		case i%10 == 0:
+			rows[i] = types.Tuple{types.Int(int64(-i - 1))} // below the range
+		case i%7 == 0:
+			rows[i] = types.Tuple{types.Null()}
+		default:
+			rows[i] = types.Tuple{types.Int(int64(i))}
+		}
+	}
+	cols := types.NewColCache(types.NewSchema(types.Field{Name: "k", Kind: types.KindInt}))
+	cols.SetWindow(rows)
+	var sel, below []int32 // every other row; only the rows below the range
+	for r := 1; r < len(rows); r += 2 {
+		sel = append(sel, int32(r))
+	}
+	for r := 0; r < len(rows); r += 10 {
+		below = append(below, int32(r))
+	}
+	for _, c := range []struct {
+		name    string
+		c       Chunk
+		empties bool
+	}{
+		{"vector", Chunk{Rows: rows, Cols: cols}, false},
+		{"vector-sel", Chunk{Rows: rows, Sel: sel, Cols: cols}, false},
+		{"vector-emptied", Chunk{Rows: rows, Sel: below, Cols: cols}, true},
+		{"row", Chunk{Rows: rows}, false},
+		{"row-sel", Chunk{Rows: rows, Sel: sel}, false},
+		{"row-emptied", Chunk{Rows: rows, Sel: below}, true},
+	} {
+		var sink countSink
+		w := newProbeState(ctx, 0, ht, f, []int{0}, true, &sink)
+		keep := f.mark(&c.c, 0, nil)
+		survivors := 0
+		for _, ok := range keep {
+			if ok {
+				survivors++
+			}
+		}
+		if c.empties != (survivors == 0) || survivors == len(keep) {
+			t.Fatalf("%s: %d of %d rows pass; the case is mislabeled", c.name, survivors, len(keep))
+		}
+		consume := func() {
+			if err := w.consume(&c.c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		consume()
+		if allocs := testing.AllocsPerRun(20, consume); allocs != 0 {
+			t.Errorf("%s: the probe loop allocates %.1f times per filtered chunk once warm", c.name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { keep = f.mark(&c.c, 0, keep) }); allocs != 0 {
+			t.Errorf("%s: the filter's marks allocate %.1f times per chunk once warm", c.name, allocs)
+		}
+		if out := sink.rows.Load(); out != 0 {
+			t.Errorf("%s: %d output rows from keys the build side never saw", c.name, out)
+		}
+	}
+}
+
 // spillingProbeProjected streams fact, projected to five of its eight
 // columns, through a hash join whose build side really spills: an eighth of
 // it fits a node, so most probe rows go to a run file and come back.

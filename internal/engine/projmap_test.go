@@ -184,11 +184,14 @@ func obsJoin(ctx *Context, run func(mk SinkFactory) error) ([]string, error) {
 }
 
 // obsStream drains one probe stream whose producer was asked for bytes,
-// observing each chunk's live rows (at schema width) beside their prehashes,
-// then the chunk's Bytes — which must be what the narrowed rows weigh.
-func obsStream(p int, st probeStream) ([]string, error) {
+// observing each chunk's live rows (at schema width) beside their prehashes —
+// computed over key columns pCols, as the probe loop does, for a chunk that
+// arrives unhashed — then the chunk's Bytes, which must be what the narrowed
+// rows weigh.
+func obsStream(p int, st probeStream, pCols []int) ([]string, error) {
 	var out []string
 	var arena types.Arena
+	keys := keyHasher{keyCols: pCols}
 	for {
 		c, err := st.next()
 		if err == io.EOF {
@@ -198,13 +201,17 @@ func obsStream(p int, st probeStream) ([]string, error) {
 			return nil, err
 		}
 		rows := c.appendLive(nil, &arena)
-		if len(c.Hashes) != len(rows) {
-			return nil, fmt.Errorf("sidecars misaligned: %d rows, %d hashes", len(rows), len(c.Hashes))
+		hashes := c.Hashes
+		if hashes == nil {
+			hashes = keys.hash(c)
+		}
+		if len(hashes) != len(rows) {
+			return nil, fmt.Errorf("sidecars misaligned: %d rows, %d hashes", len(rows), len(hashes))
 		}
 		var narrowed int64
 		for i, t := range rows {
 			narrowed += int64(t.EncodedSize()) //dynopt:size-ok the reference walk Bytes stands in for
-			out = append(out, fmt.Sprintf("p%d: %s h=%x", p, t, c.Hashes[i]))
+			out = append(out, fmt.Sprintf("p%d: %s h=%x", p, t, hashes[i]))
 		}
 		if c.Bytes != narrowed {
 			return nil, fmt.Errorf("chunk says Bytes = %d, its %d narrowed rows weigh %d", c.Bytes, len(rows), narrowed)
@@ -231,7 +238,7 @@ var mapConsumers = []mapConsumer{
 			if err != nil {
 				return nil, err
 			}
-			obs, err := obsStream(p, &localStream{cur: cur, keys: keyHasher{keyCols: pCols}, wantBytes: true})
+			obs, err := obsStream(p, &localStream{cur: cur, wantBytes: true}, pCols)
 			if err != nil {
 				return nil, err
 			}
@@ -255,8 +262,8 @@ var mapConsumers = []mapConsumer{
 		}
 		var mu sync.Mutex
 		byPart := make([][]string, src.Parts())
-		err = runScatter(ctx, src, pCols, true, func(p int, st probeStream) error {
-			obs, err := obsStream(p, st)
+		err = runScatter(ctx, src, pCols, nil, true, func(p int, st probeStream) error {
+			obs, err := obsStream(p, st, pCols)
 			mu.Lock()
 			byPart[p] = obs
 			mu.Unlock()

@@ -145,7 +145,8 @@ type spillJoin struct {
 
 	// w is the one probe loop: every level and every read-back pair sets its
 	// table and streams probe chunks through it, so the output buffer and
-	// arena are shared by the whole partition.
+	// arena are shared by the whole partition. It has no filter, and its key
+	// hasher also hashes the unhashed chunks the hybrid phase routes (prehash).
 	w probeState
 	// Per-chunk scratch of the hybrid probe phase: the live rows (and their
 	// hashes) that stay resident, and the narrowed copy of a projected row on
@@ -167,12 +168,14 @@ type spillJoin struct {
 // side fits it and the governor has room, the whole build side goes under one
 // table and probe chunks stream through it; otherwise the dynamic hybrid hash
 // join holds at most the budget of build rows resident and evicts the rest
-// to run files — a build side that fits simply never evicts. reopen, when the
-// probe can be read again, starts a second pass over it (nil: it cannot);
-// hint is the probe partition's encoded size when its source knew it, else
-// -1.
+// to run files — a build side that fits simply never evicts. filter is the
+// join's filter for the one-table arm; the caller passes nil under a budget,
+// and the hybrid join never filters: what reaches a run file is every probe
+// row of a spilled sub-partition. reopen, when the probe can be read again,
+// starts a second pass over it (nil: it cannot); hint is the probe
+// partition's encoded size when its source knew it, else -1.
 func joinPartition(ctx *Context, p int,
-	bRows []types.Tuple, bHash []uint64, bSize []int64, bCols []int, buildBytes int64,
+	bRows []types.Tuple, bHash []uint64, bSize []int64, bCols []int, buildBytes int64, filter *keyFilter,
 	probe probeStream, reopen func() (probeStream, error), hint int64, pCols []int, buildFirst bool, sink Sink) error {
 
 	budget := ctx.SpillBudget()
@@ -191,14 +194,16 @@ func joinPartition(ctx *Context, p int,
 	}
 	if resident {
 		acct.BuildRows.Add(int64(len(bRows)))
-		return probePartition(ctx, p, buildTable(bRows, bHash, bCols), buildBytes, probe, hint, pCols, buildFirst, sink)
+		return probePartition(ctx, p, buildTable(bRows, bHash, bCols), filter, buildBytes, probe, hint, pCols, buildFirst, sink)
 	}
 	j := &spillJoin{
 		ctx: ctx, acct: acct, grant: gr, part: p, budget: budget, bCols: bCols,
-		w: probeState{ctx: ctx, pCols: pCols, buildFirst: buildFirst, sink: sink, p: p},
+		w: newProbeState(ctx, p, nil, nil, pCols, buildFirst, sink),
 		// Never nil: a chunk whose live rows all went to runs keeps an empty
-		// selection, and a nil one would read as "every row is live".
-		sel: make([]int32, 0, ctx.chunkRows()),
+		// selection and empty hashes, and a nil one would read as "every row is
+		// live" or "not hashed yet".
+		sel:    make([]int32, 0, ctx.chunkRows()),
+		hashes: make([]uint64, 0, ctx.chunkRows()),
 	}
 	build := func() (probeStream, error) {
 		return &partStream{c: Chunk{Rows: bRows, Hashes: bHash}}, nil
@@ -378,9 +383,10 @@ func (j *spillJoin) run(level int, build probeStream, bSizes []int64, probe prob
 	}
 
 	// Hybrid probe phase: the resident sub-partitions go under one in-memory
-	// table. Per probe chunk, the live rows whose sub-partition spilled are
-	// appended to that sub-partition's probe run, and the rest — the same
-	// rows, selection narrowed, hashes compacted — take the probe loop.
+	// table. Per probe chunk — hashed first if it arrived unhashed — the live
+	// rows whose sub-partition spilled are appended to that sub-partition's
+	// probe run, and the rest — the same rows, selection narrowed, hashes
+	// compacted — take the probe loop.
 	var resRows []types.Tuple
 	var resHashes []uint64
 	for s := 0; s < spillFanout; s++ {
@@ -405,7 +411,7 @@ func (j *spillJoin) run(level int, build probeStream, bSizes []int64, probe prob
 		}
 		if spilled {
 			j.sel, j.hashes = j.sel[:0], j.hashes[:0]
-			for k, h := range c.Hashes {
+			for k, h := range j.prehash(c) {
 				r := c.liveAt(k)
 				s := spillSub(h, level)
 				if bFile[s] == nil {
@@ -480,6 +486,16 @@ func (j *spillJoin) appendRow(f *storage.SpillFile, c *Chunk, r int) error {
 		t = j.scratch
 	}
 	return f.Append(t)
+}
+
+// prehash returns a probe chunk's key prehashes: the ones it arrived with, or,
+// for a level-0 chunk straight off its partition's cursor, computed here
+// (valid until the next call). Build chunks always arrive hashed.
+func (j *spillJoin) prehash(c *Chunk) []uint64 {
+	if c.Hashes != nil {
+		return c.Hashes
+	}
+	return j.w.keys.hash(c)
 }
 
 // joinPair joins one spilled (build, probe) run pair on read-back. Probe
@@ -612,7 +628,7 @@ func (j *spillJoin) rebuildRun(level, sub int, side string, src *runSource) (*st
 		if err != nil {
 			return fail(err)
 		}
-		for k, h := range c.Hashes {
+		for k, h := range j.prehash(c) {
 			if spillSub(h, level) != sub {
 				continue
 			}

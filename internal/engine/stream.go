@@ -29,21 +29,23 @@ import (
 // depth, so a stage's resident probe memory is O(parts² × chunkRows) tuple
 // headers regardless of relation size.
 
-// probeStream delivers one partition's chunks, prehashed on the join keys: a
-// destination's probe side, and either side of the spilling join below level
-// 0. Chunks are valid until the following next call.
+// probeStream delivers one partition's chunks: a destination's probe side,
+// and either side of the spilling join. Chunks off the scatter, a landed
+// partition and a run read back carry their join-key prehashes; a chunk
+// straight off its partition's cursor (localStream) does not, and is hashed
+// where it is first needed — by the probe loop after the join filter, or by
+// the spilling join before it routes rows to sub-partitions. Chunks are valid
+// until the following next call.
 type probeStream interface {
 	next() (*Chunk, error)
 }
 
-// localStream adapts a partition cursor into a probe stream, computing key
-// prehashes (and the chunk's encoded bytes when metering needs them) chunk by
-// chunk. Selection vectors and projection maps pass through untouched — both
-// sidecars cover the live rows only and the projected columns only, the
-// prehashes via the columnar hash when the cursor attached column vectors.
+// localStream adapts a partition cursor into a probe stream, adding only the
+// chunk's encoded bytes when metering needs them. Rows, selection, projection
+// map and column vectors pass through untouched; Hashes stays nil (not hashed
+// yet).
 type localStream struct {
 	cur       Cursor
-	keys      keyHasher
 	wantBytes bool
 	c         Chunk
 }
@@ -53,7 +55,7 @@ func (s *localStream) next() (*Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.c = Chunk{Rows: c.Rows, Sel: c.Sel, Proj: c.Proj, Hashes: s.keys.hash(c), RowBytes: c.RowBytes}
+	s.c = Chunk{Rows: c.Rows, Sel: c.Sel, Proj: c.Proj, Cols: c.Cols, RowBytes: c.RowBytes}
 	if s.wantBytes {
 		s.c.Bytes = c.liveBytes()
 	}
@@ -72,8 +74,9 @@ type scatterExchange struct {
 	chans     [][]chan *Chunk // [src][dst]
 	free      chan *Chunk
 	done      chan struct{}
-	rows      int  // per-chunk row capacity (the execution's chunkRows)
-	bytes     bool // shipped chunks carry their rows' encoded bytes
+	rows      int        // per-chunk row capacity (the execution's chunkRows)
+	bytes     bool       // shipped chunks carry their rows' encoded bytes
+	filter    *keyFilter // the probe join's filter; nil: every row ships
 	closeOnce sync.Once
 }
 
@@ -110,7 +113,7 @@ func (ex *scatterExchange) get() *Chunk {
 	select {
 	case c := <-ex.free:
 		c.written = max(c.written, len(c.Rows))
-		c.Rows, c.Hashes, c.Bytes = c.Rows[:0], c.Hashes[:0], 0
+		c.Rows, c.Hashes, c.Bytes, c.Skipped = c.Rows[:0], c.Hashes[:0], 0, 0
 		return c
 	default:
 	}
@@ -165,7 +168,11 @@ func (ex *scatterExchange) cancel() {
 // stored rows ship as they are, with the source's column map on the buffer,
 // and are sized over their projected columns — the bytes a narrowed row would
 // have shipped. Rows staying on their source partition are not metered as
-// shuffle — identical to the relation exchange's accounting. The producer
+// shuffle — identical to the relation exchange's accounting. A row the join
+// filter rules out is hashed, routed and metered like any other, then counted
+// on its destination's buffer (Chunk.Skipped, its bytes in Chunk.Bytes)
+// instead of shipped, so every counter downstream reads as if it had been;
+// a buffer holding only such rows still ships at the end. The producer
 // closes its destination channels on every exit path — a cursor that fails to
 // open included — so consumers always see a clean end of stream.
 func (ex *scatterExchange) produce(ctx *Context, src int, from Source, keyCols []int) error {
@@ -182,6 +189,7 @@ func (ex *scatterExchange) produce(ctx *Context, src int, from Source, keyCols [
 	bufs := make([]*Chunk, n)
 	keys := keyHasher{keyCols: keyCols}
 	var hashBuf []uint64
+	var keep []bool    // the current chunk's filter marks; nil: no filter
 	var proj []int     // the current chunk's column map
 	var rowBytes int64 // the current chunk's RowBytes
 	var shuffleRows, shuffleBytes int64
@@ -210,8 +218,8 @@ func (ex *scatterExchange) produce(ctx *Context, src int, from Source, keyCols [
 	}
 	// route places one live row (whose prehash sits at sidecar index k) into
 	// its destination buffer, flushing the buffer when it fills. Declared
-	// once per producer — the chunk loop below reassigns hashBuf, proj and
-	// rowBytes and the closure reads them through the captured variables.
+	// once per producer — the chunk loop below reassigns hashBuf, keep, proj
+	// and rowBytes and the closure reads them through the captured variables.
 	route := func(k int, t types.Tuple) error {
 		h := hashBuf[k]
 		d := int(h % uint64(n))
@@ -232,11 +240,15 @@ func (ex *scatterExchange) produce(ctx *Context, src int, from Source, keyCols [
 			b.Proj = proj
 			bufs[d] = b
 		}
-		b.Rows = append(b.Rows, t)
-		b.Hashes = append(b.Hashes, h)
 		if ex.bytes {
 			b.Bytes += sz
 		}
+		if keep != nil && !keep[k] {
+			b.Skipped++
+			return nil
+		}
+		b.Rows = append(b.Rows, t)
+		b.Hashes = append(b.Hashes, h)
 		if len(b.Rows) == ex.rows {
 			return flush(d)
 		}
@@ -254,6 +266,9 @@ func (ex *scatterExchange) produce(ctx *Context, src int, from Source, keyCols [
 			return err
 		}
 		hashBuf, proj, rowBytes = keys.hash(c), c.Proj, c.RowBytes
+		if ex.filter != nil {
+			keep = ex.filter.mark(c, ex.filter.probeCol(c, keyCols), keep)
+		}
 		if c.Sel != nil {
 			//dynopt:hotpath
 			for k, r := range c.Sel {
@@ -271,7 +286,7 @@ func (ex *scatterExchange) produce(ctx *Context, src int, from Source, keyCols [
 		}
 	}
 	for d := 0; d < n; d++ {
-		if bufs[d] != nil && len(bufs[d].Rows) > 0 {
+		if bufs[d] != nil {
 			if err := flush(d); err != nil {
 				return err
 			}
@@ -337,9 +352,11 @@ func (m *mergeStream) next() (*Chunk, error) {
 // producer errors taking precedence over the cancellations they cause.
 // A row that changes partition is sized for shuffle metering either way;
 // wantBytes sizes every row and ships each chunk's total to the consumers.
-func runScatter(ctx *Context, src Source, keyCols []int, wantBytes bool, consume func(p int, st probeStream) error) error {
+// A non-nil filter keeps the rows it rules out off the channels (produce).
+func runScatter(ctx *Context, src Source, keyCols []int, filter *keyFilter, wantBytes bool, consume func(p int, st probeStream) error) error {
 	n := src.Parts()
 	ex := newScatterExchange(n, ctx.chunkRows(), wantBytes)
+	ex.filter = filter
 	consErrs := make([]error, n)
 	var wg sync.WaitGroup
 	for d := 0; d < n; d++ {
