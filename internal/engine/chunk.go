@@ -84,13 +84,14 @@ type Chunk struct {
 	// columns, when the producer was asked for it (the simulated spill model's
 	// probe bytes); 0 otherwise. It includes the Skipped rows' bytes.
 	Bytes int64
-	// Skipped counts probe rows the scatter routed to this chunk's
-	// destination and the join filter then ruled out (keyFilter): they are
-	// not in Rows, but they were hashed, routed and metered as shuffle, their
-	// bytes are in Bytes, and the probe loop counts them as probed — so
-	// ProbeRows and the simulated spill model's probe rows and bytes read
-	// exactly as if they had shipped. A chunk may hold only skipped rows.
-	// 0 everywhere but the scatter.
+	// Skipped counts probe rows the join filter (keyFilter) ruled out before
+	// this chunk: rows the scatter routed to its destination — hashed, routed
+	// and metered as shuffle, their bytes in Bytes — or rows a paged scan
+	// dropped before building them (pagedCursor.pushFilter, only where no
+	// one reads Bytes). They are not in Rows, but the probe loop counts them
+	// as probed, so ProbeRows and the simulated spill model's probe rows and
+	// bytes read exactly as if they had arrived. A chunk may hold only
+	// skipped rows. 0 everywhere but those two producers.
 	Skipped int
 	// Cols serves typed column vectors over Rows (NOT selection-filtered and
 	// NOT projected: vectors align with Rows and are indexed by stored column

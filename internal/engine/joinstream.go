@@ -194,35 +194,34 @@ func HashJoinStream(ctx *Context, buildSrc, probe Source, buildKeys, probeKeys [
 		}
 		probe = SourceOf(ctx, exchanged)
 	}
-	worker := func(p int, st probeStream, reopen func() (probeStream, error), hint int64) error {
+	worker := func(p int, filter *keyFilter, st probeStream, reopen func() (probeStream, error), hint int64) error {
 		return joinPartition(ctx, p, build.Parts[p], bHash[p], partSizes(bSize, p), bCols, build.PartBytes(p), filter,
 			st, reopen, hint, pCols, buildFirst, sink)
 	}
 
 	if colsMatch(probe.PartCols(), pCols) || n == 1 {
 		// Exchange skipped (§3's pre-partitioned optimization) or a single
-		// partition: each probe partition pipes straight into its worker.
+		// partition: each probe partition pipes straight into its worker,
+		// which applies the filter unless the cursor took it (openLocal).
 		return forEachPart(n, func(p int) error {
 			hint := probe.PartBytesHint(p)
 			// Probe bytes feed only the simulated spill model; a probe it will
 			// not charge is never sized.
 			wantBytes := hint < 0 && simSpills(ctx, build.PartBytes(p))
-			open := func() (probeStream, error) {
-				cur, err := probe.Open(p)
-				if err != nil {
-					return nil, err
-				}
-				return &localStream{cur: cur, wantBytes: wantBytes}, nil
-			}
-			st, err := open()
+			st, pf, err := openLocal(probe, p, filter, pCols, wantBytes)
 			if err != nil {
 				return err
 			}
 			var reopen func() (probeStream, error)
 			if replayable {
-				reopen = open
+				// A second open of the same cursor kind makes the same
+				// pushdown decision, so the worker's filter stays right.
+				reopen = func() (probeStream, error) {
+					st, _, err := openLocal(probe, p, filter, pCols, wantBytes)
+					return st, err
+				}
 			}
-			return worker(p, st, reopen, hint)
+			return worker(p, pf, st, reopen, hint)
 		})
 	}
 	// The consumers read chunk bytes under the same condition as the local
@@ -235,7 +234,7 @@ func HashJoinStream(ctx *Context, buildSrc, probe Source, buildKeys, probeKeys [
 		wantBytes = simSpills(ctx, build.PartBytes(p))
 	}
 	return runScatter(ctx, probe, pCols, filter, wantBytes, func(p int, st probeStream) error {
-		return worker(p, st, nil, -1)
+		return worker(p, filter, st, nil, -1)
 	})
 }
 
@@ -341,14 +340,13 @@ func BroadcastJoinStream(ctx *Context, buildSrc, probe Source, buildKeys, probeK
 	// the broadcast build side exceeds the per-node budget.
 	modelSpill := simSpills(ctx, buildBytes)
 	return forEachPart(n, func(p int) error {
-		cur, err := probe.Open(p)
+		hint := probe.PartBytesHint(p)
+		st, pf, err := openLocal(probe, p, filter, pCols, modelSpill && hint < 0)
 		if err != nil {
 			return err
 		}
-		hint := probe.PartBytesHint(p)
-		st := &localStream{cur: cur, wantBytes: modelSpill && hint < 0}
 		// Each partition holds a full copy of the broadcast build side.
-		return probePartition(ctx, p, ht, filter, buildBytes, st, hint, pCols, buildFirst, sink)
+		return probePartition(ctx, p, ht, pf, buildBytes, st, hint, pCols, buildFirst, sink)
 	})
 }
 

@@ -24,7 +24,10 @@ import (
 //     Value.Equal, and other kinds are too rare in a join key to tell apart.
 //
 // The filter is read-only once built and shared by every partition's worker;
-// each worker owns its own mark scratch.
+// each worker owns its own mark scratch. It is applied in three places: the
+// probe loop (probeState.consume), the scatter's producer, and — for a paged
+// probe that does not move — inside the page scan (pagedCursor), before the
+// rows it drops are built.
 type keyFilter struct {
 	key    int // the covered column's position in the join's key list
 	lo, hi int64
@@ -143,6 +146,25 @@ func (f *keyFilter) mark(c *Chunk, col int, keep []bool) []bool {
 		}
 	}
 	return keep
+}
+
+// narrow keeps, in place and in order, the rows of sel whose covered key in
+// the decoded page column col can match. A column that did not decode as
+// typed ints — fallback-encoded, or of another kind — passes whole.
+//
+//dynopt:hotpath
+func (f *keyFilter) narrow(col *types.PageCol, sel []int32) []int32 {
+	if col.Skipped || col.Fallback || col.Vec.Kind != types.KindInt {
+		return sel
+	}
+	ints, nulls := col.Vec.Ints, col.Vec.Null
+	out := sel[:0]
+	for _, r := range sel {
+		if !nulls[r] && f.has(ints[r]) {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // probeCol returns the covered key's offset into c's rows, for probe key

@@ -119,6 +119,51 @@ func filteredScanPaged(tb testing.TB, ctx *Context) int64 {
 	return rows
 }
 
+// broadcastJoinPaged streams wide, unprojected, as the probe of a broadcast
+// join against o on fk = k and returns the output row count.
+func broadcastJoinPaged(tb testing.TB, ctx *Context) int64 {
+	tb.Helper()
+	outer, err := ScanByName(ctx, "o", "o", nil, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	wide, _ := ctx.Catalog.Get("wide")
+	probe, err := ScanSource(ctx, wide, "w", nil, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var sink countSink
+	mk := func(*types.Schema, []int) (Sink, error) { return &sink, nil }
+	if err := BroadcastJoinStream(ctx, SourceOf(ctx, outer), probe, []string{"o.k"}, []string{"w.fk"}, true, mk); err != nil {
+		tb.Fatal(err)
+	}
+	return sink.rows.Load()
+}
+
+// filterSurvivors counts wide's rows whose fk passes the join filter built
+// from o's keys.
+func filterSurvivors(tb testing.TB, ctx *Context) int64 {
+	tb.Helper()
+	outer, err := ScanByName(ctx, "o", "o", nil, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f := newKeyFilter(outer.Parts, []int{1})
+	wide, err := ScanByName(ctx, "wide", "w", nil, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var n int64
+	for _, part := range wide.Parts {
+		for _, row := range part {
+			if f.passes(row[1]) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // allocBytesPer runs op once to warm the page cache, then reports the bytes
 // allocated per unit of the count op returns (the lower of two measured runs).
 func allocBytesPer(op func() int64) (perUnit float64, units int64) {
@@ -158,7 +203,21 @@ func TestPagedAccessAllocationBounds(t *testing.T) {
 	if perSurvivor > 4<<10 {
 		t.Errorf("filtered scan over pages allocates %.0f bytes per surviving row, want <= 4 KiB: rows are being built before the filter runs", perSurvivor)
 	}
-	t.Logf("%.0f bytes per fetched row (%d rows), %.0f bytes per surviving scanned row (%d rows)", perFetched, fetched, perSurvivor, survivors)
+	// A probe row the join filter passes costs its 16-value tuple and five
+	// strings, and the join's output adds an 18-value tuple per match — spread
+	// over the survivors, under 2 KB. Building every probe row the filter
+	// rejects as well costs over 8 KB per survivor.
+	passed := filterSurvivors(t, ctx)
+	perPassed, outputs := allocBytesPer(func() int64 { return broadcastJoinPaged(t, ctx) })
+	if want := int64(allocOuter * allocRows / allocKeys); outputs != want {
+		t.Fatalf("broadcast join produced %d rows, want %d", outputs, want)
+	}
+	perPassed *= float64(outputs) / float64(passed)
+	if perPassed > 4<<10 {
+		t.Errorf("broadcast join over pages allocates %.0f bytes per probe row the join filter passes, want <= 4 KiB: rows are being built that the filter rejects", perPassed)
+	}
+	t.Logf("%.0f bytes per fetched row (%d rows), %.0f bytes per surviving scanned row (%d rows), %.0f bytes per filter-passed probe row (%d of %d rows)",
+		perFetched, fetched, perSurvivor, survivors, perPassed, passed, allocRows)
 }
 
 func BenchmarkIndexNLJoinPaged(b *testing.B) {

@@ -19,6 +19,10 @@ import (
 //   - Filter before materialize: only the filter's columns decode into the
 //     ColVec form the vectorized predicate kernels consume, and the predicate
 //     runs over them; a row that fails it is never built.
+//   - Join filter before materialize: when a join that does not move this
+//     probe hands the scan its filter (pushFilter), the covered key's column
+//     is decoded too and the filter narrows the predicate's survivors — a
+//     row whose key the build side never saw is never built either.
 //   - Projection pushdown: survivors are built straight from the page payload
 //     (types.MaterializePageRows) at the projected width — every unprojected
 //     column's bytes are skipped inside the payload.
@@ -69,12 +73,13 @@ func pagePruned(zones []expr.ColRange, pi *storage.PageInfo) bool {
 }
 
 // pagedCursor streams one partition of a paged dataset: prune → read (through
-// the shared page cache) → filter → materialize survivors → emit, page by
-// page. A filtered page decodes only the predicate's columns and evaluates
-// the predicate over them; tuples are then built, straight from the page
-// payload into the arena at the scan's output width, for exactly the rows
-// that passed. Chunks are dense windows of at most ctx.chunkRows() survivors,
-// so chunk capacity and page boundaries stay independent.
+// the shared page cache) → filter → join filter → materialize survivors →
+// emit, page by page. A filtered page decodes only the predicate's columns
+// (and the join filter's key column) and evaluates the predicate over them;
+// tuples are then built, straight from the page payload into the arena at the
+// scan's output width, for exactly the rows that passed. Chunks are dense
+// windows of at most ctx.chunkRows() survivors, so chunk capacity and page
+// boundaries stay independent.
 type pagedCursor struct {
 	ctx  *Context
 	prep *scanPrep
@@ -91,6 +96,14 @@ type pagedCursor struct {
 	pwidth int
 	pwin   []types.Tuple
 	pvals  []types.Value
+	need   []bool // the decode mask: the predicate's columns, and the join filter's key
+
+	// Join filter state, set by pushFilter: the filter, the covered key's
+	// stored column, and the rows dropped since the last emitted chunk, which
+	// the next one reports as Chunk.Skipped.
+	filter  *keyFilter
+	keyCol  int
+	skipped int
 
 	sel   []int32
 	arena types.Arena
@@ -100,13 +113,28 @@ type pagedCursor struct {
 }
 
 func newPagedCursor(ctx *Context, ds *storage.Dataset, prep *scanPrep, p int) *pagedCursor {
-	c := &pagedCursor{ctx: ctx, prep: prep, pg: ds.Paged(), part: p, mixed: types.ColVec{Mixed: true}}
+	c := &pagedCursor{ctx: ctx, prep: prep, pg: ds.Paged(), part: p, mixed: types.ColVec{Mixed: true}, need: prep.filterCols}
 	for col, need := range prep.filterCols {
 		if need {
 			c.pwidth = col + 1
 		}
 	}
 	return c
+}
+
+// pushFilter makes the cursor apply a join's filter ahead of building rows;
+// col is the covered key's offset in the scan's output schema. The consumer
+// then sees only the rows that pass, and each dropped row as one count of
+// Chunk.Skipped on the next chunk — a zero-row chunk at the end of the
+// partition when no other follows. Called before the first Next.
+func (c *pagedCursor) pushFilter(f *keyFilter, col int) {
+	if c.prep.projIdx != nil {
+		col = c.prep.projIdx[col]
+	}
+	need := make([]bool, c.prep.qualified.Len())
+	copy(need, c.need)
+	need[col] = true
+	c.filter, c.keyCol, c.need = f, col, need
 }
 
 // Col implements types.ColSource for the vectorized predicate: the current
@@ -149,16 +177,21 @@ func (c *pagedCursor) loadPage() error {
 		if err != nil {
 			return err
 		}
+		if c.prep.pred != nil || c.filter != nil {
+			if err := c.pd.DecodePage(buf, schema, c.need); err != nil {
+				return err
+			}
+		}
 		var sel []int32
 		if c.prep.pred == nil {
 			sel = identitySel(nrows, &c.sel)
-		} else {
-			if err := c.pd.DecodePage(buf, schema, c.prep.filterCols); err != nil {
-				return err
-			}
-			if sel, err = c.prep.filter(c.predWindow(), c, &c.sel); err != nil {
-				return err
-			}
+		} else if sel, err = c.prep.filter(c.predWindow(), c, &c.sel); err != nil {
+			return err
+		}
+		if c.filter != nil {
+			n := len(sel)
+			sel = c.filter.narrow(&c.pd.Cols[c.keyCol], sel)
+			c.skipped += n - len(sel)
 		}
 		if len(sel) == 0 {
 			continue
@@ -202,11 +235,17 @@ func (c *pagedCursor) Next() (*Chunk, error) {
 	}
 	if c.lo >= len(c.rows) {
 		if err := c.loadPage(); err != nil {
+			if err == io.EOF && c.skipped > 0 {
+				c.c = Chunk{Skipped: c.skipped}
+				c.skipped = 0
+				return &c.c, nil
+			}
 			return nil, err
 		}
 	}
 	hi := min(c.lo+c.ctx.chunkRows(), len(c.rows))
-	c.c = Chunk{Rows: c.rows[c.lo:hi]}
+	c.c = Chunk{Rows: c.rows[c.lo:hi], Skipped: c.skipped}
+	c.skipped = 0
 	c.lo = hi
 	return &c.c, nil
 }

@@ -42,12 +42,32 @@ type probeStream interface {
 
 // localStream adapts a partition cursor into a probe stream, adding only the
 // chunk's encoded bytes when metering needs them. Rows, selection, projection
-// map and column vectors pass through untouched; Hashes stays nil (not hashed
-// yet).
+// map, column vectors and skipped-row count pass through untouched; Hashes
+// stays nil (not hashed yet).
 type localStream struct {
 	cur       Cursor
 	wantBytes bool
 	c         Chunk
+}
+
+// openLocal opens partition p of a probe that does not move, for a join whose
+// filter is filter (nil: none) over probe key columns pCols. When the
+// consumer reads no chunk bytes and the cursor is a paged scan's, the filter
+// goes into the cursor (pagedCursor.pushFilter) — the rows it drops are never built, and arrive
+// counted as Chunk.Skipped — and openLocal returns a nil filter, so the worker
+// does not mark the survivors twice; otherwise it returns filter for the
+// worker to apply. Under wantBytes the worker filters: a dropped row's bytes
+// are metered, and only a built row can be sized.
+func openLocal(probe Source, p int, filter *keyFilter, pCols []int, wantBytes bool) (*localStream, *keyFilter, error) {
+	cur, err := probe.Open(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	if pc, ok := cur.(*pagedCursor); ok && filter != nil && !wantBytes {
+		pc.pushFilter(filter, pCols[filter.key])
+		filter = nil
+	}
+	return &localStream{cur: cur, wantBytes: wantBytes}, filter, nil
 }
 
 func (s *localStream) next() (*Chunk, error) {
@@ -55,7 +75,7 @@ func (s *localStream) next() (*Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.c = Chunk{Rows: c.Rows, Sel: c.Sel, Proj: c.Proj, Cols: c.Cols, RowBytes: c.RowBytes}
+	s.c = Chunk{Rows: c.Rows, Sel: c.Sel, Proj: c.Proj, Cols: c.Cols, RowBytes: c.RowBytes, Skipped: c.Skipped}
 	if s.wantBytes {
 		s.c.Bytes = c.liveBytes()
 	}

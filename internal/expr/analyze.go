@@ -219,11 +219,48 @@ func Compile(e Expr, env *Env) (Compiled, error) {
 			}
 			return types.Bool(!v.IsTrue()), nil
 		}, nil
-	default:
-		// Calls and arithmetic fall back to tree interpretation; their cost
-		// dominates dispatch anyway.
-		return func(t types.Tuple) (types.Value, error) { return e.Eval(t, env) }, nil
+	case *Call:
+		if c, ok := compileCall(n, env); ok {
+			return c, nil
+		}
 	}
+	// Arithmetic, and calls that cannot resolve, fall back to tree
+	// interpretation.
+	return func(t types.Tuple) (types.Value, error) { return e.Eval(t, env) }, nil
+}
+
+// compileCall resolves a UDF call once per scan, not per row: no registry
+// lock, name folding or column lookup on the hot path. It declines (false)
+// when there is no registry, the name is unknown or an argument does not
+// compile, leaving the interpreted path to report the error row by row with
+// the text it always has.
+func compileCall(n *Call, env *Env) (Compiled, bool) {
+	if env.UDFs == nil {
+		return nil, false
+	}
+	fn, ok := env.UDFs.Lookup(n.Name)
+	if !ok {
+		return nil, false
+	}
+	args := make([]Compiled, len(n.Args))
+	for i, a := range n.Args {
+		c, err := Compile(a, env)
+		if err != nil {
+			return nil, false
+		}
+		args[i] = c
+	}
+	return func(t types.Tuple) (types.Value, error) {
+		vals := make([]types.Value, len(args))
+		for i, a := range args {
+			v, err := a(t)
+			if err != nil {
+				return types.Null(), err
+			}
+			vals[i] = v
+		}
+		return fn.Fn(vals)
+	}, true
 }
 
 // constOperand resolves an operand that is constant for the whole scan —

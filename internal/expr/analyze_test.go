@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -189,5 +190,61 @@ func TestStaticSelectivityNoStats(t *testing.T) {
 	colcol := &Compare{Op: CmpEq, L: &Column{Name: "a"}, R: &Column{Name: "b"}}
 	if got := StaticSelectivity(colcol, nil); got != stats.DefaultEqSelectivity {
 		t.Errorf("col=col selectivity = %v", got)
+	}
+}
+
+// TestCompiledCallMatchesEval holds the compiled UDF call to the interpreted
+// one on normal, NULL and malformed input: the same value, or the same error
+// text — including the calls Compile cannot resolve (no registry, unknown
+// name, unknown column), which keep the interpreted path.
+func TestCompiledCallMatchesEval(t *testing.T) {
+	env := testEnv()
+	noUDFs := *env
+	noUDFs.UDFs = nil
+	col := func(name string) Expr { return &Column{Qualifier: "o", Name: name} }
+	lit := func(v types.Value) Expr { return &Literal{Val: v} }
+	calls := []struct {
+		env  *Env
+		call *Call
+	}{
+		{env, &Call{Name: "myyear", Args: []Expr{col("d")}}},
+		{env, &Call{Name: "MyYear", Args: []Expr{col("d")}}},
+		{env, &Call{Name: "myyear", Args: []Expr{col("k")}}},
+		{env, &Call{Name: "myyear"}},
+		{env, &Call{Name: "mysub", Args: []Expr{col("d")}}},
+		{env, &Call{Name: "mysub", Args: []Expr{lit(types.Str("Brand#32"))}}},
+		{env, &Call{Name: "mysub", Args: []Expr{col("p")}}},
+		{env, &Call{Name: "myrand", Args: []Expr{col("k"), lit(types.Int(20))}}},
+		{env, &Call{Name: "myrand", Args: []Expr{col("p"), &Param{Name: "year"}}}},
+		{env, &Call{Name: "myrand", Args: []Expr{col("d"), col("k")}}},
+		{env, &Call{Name: "myrand", Args: []Expr{col("k")}}},
+		{env, &Call{Name: "myyear", Args: []Expr{col("missing")}}},
+		{env, &Call{Name: "myrand", Args: []Expr{col("k"), &Param{Name: "unbound"}}}},
+		{env, &Call{Name: "nosuchudf", Args: []Expr{col("d")}}},
+		{&noUDFs, &Call{Name: "myyear", Args: []Expr{col("d")}}},
+	}
+	tuples := []types.Tuple{
+		testTuple(),
+		{types.Null(), types.Null(), types.Null()},
+		{types.Int(-3), types.Str("19x8-01-01"), types.Float(7.5)},
+		{types.Int(0), types.Str("98"), types.Float(-1)},
+		{types.Int(1 << 40), types.Str("Brand#"), types.Float(2)},
+	}
+	for _, tc := range calls {
+		c, err := Compile(tc.call, tc.env)
+		if err != nil {
+			t.Fatalf("Compile(%s): %v", tc.call.SQL(), err)
+		}
+		for _, tup := range tuples {
+			want, werr := tc.call.Eval(tup, tc.env)
+			got, gerr := c(tup)
+			if fmt.Sprint(werr) != fmt.Sprint(gerr) {
+				t.Errorf("%s on %v: compiled error %v, interpreted %v", tc.call.SQL(), tup, gerr, werr)
+				continue
+			}
+			if got.K != want.K || !got.Equal(want) && !(got.IsNull() && want.IsNull()) {
+				t.Errorf("%s on %v: compiled %v, interpreted %v", tc.call.SQL(), tup, got, want)
+			}
+		}
 	}
 }

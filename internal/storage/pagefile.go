@@ -436,32 +436,35 @@ func (pf *PageFile) Part(p int) *PartDir { return &pf.parts[p] }
 // Rows returns the total sealed row count.
 func (pf *PageFile) Rows() int64 { return pf.rows }
 
-// ReadPage reads and CRC-verifies page i of partition p into buf (reused
-// when capacity suffices), returning the verified payload.
+// ReadPage reads and CRC-verifies page i of partition p, returning the
+// verified payload. The whole frame — 8 header bytes, then the payload whose
+// length the directory holds — comes in one read, into buf when its capacity
+// holds the frame (the payload is then a subslice of buf), else into a fresh
+// buffer.
 func (pf *PageFile) ReadPage(buf []byte, p, i int) ([]byte, error) {
 	if err := pf.Faults.Fire(faults.Point("page.read")); err != nil {
 		return nil, classifySpill("page read", err)
 	}
 	pg := &pf.parts[p].Pages[i]
-	var hdr [8]byte
-	if _, err := pf.f.ReadAt(hdr[:], pg.Offset); err != nil {
+	n := 8 + int(pg.Len)
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	frame := buf[:n]
+	got, err := pf.f.ReadAt(frame, pg.Offset)
+	if got >= 8 {
+		if plen := binary.LittleEndian.Uint32(frame[0:4]); int32(plen) != pg.Len {
+			return nil, corruptPagef("page %d/%d frame length %d disagrees with its directory entry %d", p, i, plen, pg.Len)
+		}
+	}
+	if err != nil {
 		return nil, classifySpill("page read", err)
 	}
-	plen := binary.LittleEndian.Uint32(hdr[0:4])
-	if int32(plen) != pg.Len {
-		return nil, corruptPagef("page %d/%d frame length %d disagrees with its directory entry %d", p, i, plen, pg.Len)
-	}
-	if cap(buf) < int(plen) {
-		buf = make([]byte, plen)
-	}
-	buf = buf[:plen]
-	if _, err := io.ReadFull(io.NewSectionReader(pf.f, pg.Offset+8, int64(plen)), buf); err != nil {
-		return nil, classifySpill("page read", err)
-	}
-	if got, want := types.CRC32C(buf), binary.LittleEndian.Uint32(hdr[4:8]); got != want {
+	payload := frame[8:]
+	if got, want := types.CRC32C(payload), binary.LittleEndian.Uint32(frame[4:8]); got != want {
 		return nil, corruptPagef("page %d/%d checksum mismatch (stored %08x, computed %08x)", p, i, want, got)
 	}
-	return buf, nil
+	return payload, nil
 }
 
 // Verify checks the whole file end to end: every page frame against its CRC
