@@ -230,13 +230,14 @@ func spillingProbeProjected(tb testing.TB, ctx *Context, build *Relation) int64 
 
 // A probe row of the spilling join costs what its path costs: nothing beyond
 // a key read when its sub-partition is resident, and one encode into the run
-// writer's buffer plus one decoded tuple on read-back when it spilled — a
-// projected row on its way to a run is narrowed through a scratch tuple, never
-// into an arena. The rest is per run file, not per row: writer and reader
-// buffers, and a read-back stream's chunk. When the join flattened every chunk
-// into rows first, each probe row paid a gathered copy (five values, 160
-// bytes) on top, resident or not: 713 bytes a probe row on this fixture, 578
-// now.
+// writer's pooled frame plus one decode into a reused slab (and its string
+// payload) on read-back when it spilled — a projected row on its way to a run
+// is narrowed through a scratch tuple, never into an arena. The rest is per
+// run file, not per row. When the join flattened every chunk into rows first,
+// each probe row paid a gathered copy (five values, 160 bytes) on top,
+// resident or not: 713 bytes a probe row on this fixture; 578 with a heap
+// tuple per row read back and a block buffer per run; 58 with neither
+// (TestSpillAllocationBounds holds that line).
 func TestSpillingProbeAllocationBound(t *testing.T) {
 	ctx, _, none := probeAllocFixture(t)
 	perProbed, _ := allocBytesPer(func() int64 {

@@ -74,25 +74,38 @@ func (s *partStream) next() (*Chunk, error) {
 
 // runStream reads a sealed run back as a probe stream: it fills one reused
 // dense chunk from the file and bulk-hashes the join keys (run records store
-// the tuple only). At EOF it cross-checks the rows actually decoded against
-// the writer's in-memory count — the footer's consumer-side assertion,
-// independent of anything stored on disk.
+// the tuple only). Rows decode into into: the join's arena for a build run,
+// whose rows stay under a table, or the stream's own slab for a probe run or
+// a rebuild's source, whose rows die with their chunk — every consumer copies
+// a match out (probeState.consume) or re-encodes the row (appendRow) — so the
+// slab is reset and refilled per chunk. At EOF it cross-checks the rows
+// actually decoded against the writer's in-memory count — the footer's
+// consumer-side assertion, independent of anything stored on disk.
 type runStream struct {
 	r       *storage.SpillReader
 	keyCols []int
 	expect  int64 // rows the writer sealed (SpillFile.Rows)
 	n       int64 // rows decoded so far
 	rows    int   // chunk capacity
+	into    *types.Arena
+	slab    types.Arena
+	width   int // values per row of the last chunk: the slab holds rows × width
 	c       Chunk
 }
 
+//dynopt:hotpath
 func (s *runStream) next() (*Chunk, error) {
+	if s.into == &s.slab {
+		s.slab.Reset()
+		s.slab.Reserve(s.rows * s.width)
+	}
 	rows := s.c.Rows[:0]
 	//dynopt:cancel-ok fills one chunk: the loops that pull chunks from this stream check ctx.Err() per chunk
 	for len(rows) < s.rows {
-		t, err := s.r.Next()
+		t, err := s.r.NextIn(s.into)
 		if err == io.EOF {
 			if s.n != s.expect {
+				//dynopt:alloc-ok corruption error path, never taken on an intact run
 				return nil, fmt.Errorf("engine: run read back %d rows but the writer appended %d: %w",
 					s.n, s.expect, faults.ErrCorrupt)
 			}
@@ -107,18 +120,42 @@ func (s *runStream) next() (*Chunk, error) {
 	if len(rows) == 0 {
 		return nil, io.EOF
 	}
+	s.width = len(rows[0])
 	s.c.Rows, s.c.Hashes = rows, types.HashKeysInto(rows, s.keyCols, s.c.Hashes)
 	return &s.c, nil
 }
 
 // readRun opens a sealed run for read-back at the execution's chunk
-// capacity. The caller closes the stream's reader.
-func (j *spillJoin) readRun(f *storage.SpillFile, keyCols []int) (*runStream, error) {
+// capacity, on a stream from the join's free list when one is there. keep
+// decodes the rows into the join's arena, for a build side whose rows outlive
+// their chunk; otherwise they live in the stream's slab until the next chunk.
+// The caller hands the stream back with closeRun.
+func (j *spillJoin) readRun(f *storage.SpillFile, keyCols []int, keep bool) (*runStream, error) {
 	r, err := f.Reader()
 	if err != nil {
 		return nil, err
 	}
-	return &runStream{r: r, keyCols: keyCols, expect: f.Rows(), rows: j.ctx.chunkRows()}, nil
+	var s *runStream
+	if n := len(j.free); n > 0 {
+		s, j.free = j.free[n-1], j.free[:n-1]
+	} else {
+		s = &runStream{}
+	}
+	s.r, s.keyCols, s.expect, s.n, s.rows = r, keyCols, f.Rows(), 0, j.ctx.chunkRows()
+	s.into = &s.slab
+	if keep {
+		s.into = &j.arena
+	}
+	return s, nil
+}
+
+// closeRun closes a read-back stream's reader and keeps the stream — its
+// chunk's row and hash slices, its slab — for the join's next readRun. Only
+// a stream whose last chunk nobody reads any more may be handed back.
+func (j *spillJoin) closeRun(s *runStream) {
+	_ = s.r.Close() // returns the reader's frame; it cannot fail
+	s.r = nil
+	j.free = append(j.free, s)
 }
 
 // runSource names where a spilled run's rows came from, so a run found
@@ -154,6 +191,11 @@ type spillJoin struct {
 	sel     []int32
 	hashes  []uint64
 	scratch types.Tuple
+	// arena holds the rows of build runs read back: they stay under a table
+	// (or in a resident sub-partition) after their chunk is gone.
+	arena types.Arena
+	// free holds closed read-back streams for reuse (readRun, closeRun).
+	free []*runStream
 	// noSpill marks the degraded mode entered when the spill device fails
 	// before any run file landed: the join holds its whole build side
 	// resident — reserving the bytes but ignoring budget and pressure, like
@@ -515,11 +557,11 @@ func (j *spillJoin) joinPair(level, sub int, bf, pf **storage.SpillFile, bSrc, p
 	check := (*storage.SpillFile).Verify
 	if (*bf).Bytes() <= j.budget {
 		check = func(f *storage.SpillFile) error {
-			build, err := j.readRun(f, j.bCols)
+			build, err := j.readRun(f, j.bCols, true)
 			if err != nil {
 				return err
 			}
-			defer build.r.Close()
+			defer j.closeRun(build)
 			rb, err = j.loadBuild(build)
 			return err
 		}
@@ -533,16 +575,16 @@ func (j *spillJoin) joinPair(level, sub int, bf, pf **storage.SpillFile, bSrc, p
 	var build *runStream
 	if rb == nil {
 		var err error
-		if build, err = j.readRun(*bf, j.bCols); err != nil {
+		if build, err = j.readRun(*bf, j.bCols, true); err != nil {
 			return err
 		}
-		defer build.r.Close()
+		defer j.closeRun(build)
 	}
-	probe, err := j.readRun(*pf, j.w.pCols)
+	probe, err := j.readRun(*pf, j.w.pCols, false)
 	if err != nil {
 		return err
 	}
-	defer probe.r.Close()
+	defer j.closeRun(probe)
 	if rb != nil {
 		return j.joinLoaded(rb, probe)
 	}
@@ -597,11 +639,11 @@ func (j *spillJoin) ensureIntact(level, sub int, side string, f **storage.SpillF
 func (j *spillJoin) rebuildRun(level, sub int, side string, src *runSource) (*storage.SpillFile, error) {
 	var st probeStream
 	if src.file != nil {
-		rs, err := j.readRun(src.file, src.keyCols)
+		rs, err := j.readRun(src.file, src.keyCols, false)
 		if err != nil {
 			return nil, err
 		}
-		defer rs.r.Close()
+		defer j.closeRun(rs)
 		st = rs
 	} else {
 		var err error

@@ -54,7 +54,7 @@ type SpillManager struct {
 	mu      sync.Mutex
 	dir     string // created lazily by the first Create
 	seq     int
-	open    map[*SpillFile]struct{} // files not yet closed (swept on exit)
+	open    map[*SpillFile]struct{} // files whose descriptor is open: unfinished or sealed, not yet removed
 	written int64                   // actual bytes on disk across finished files
 }
 
@@ -81,6 +81,9 @@ func (m *SpillManager) BytesWritten() int64 {
 
 // Create opens a fresh append-only run file. label names the file for
 // debugging (partition/level/sub-partition of the join that spilled it).
+// The file is opened once, read-write: the writer appends through the
+// descriptor, and Verify and every read-back pread the sealed run through the
+// same descriptor until Remove or Sweep closes it.
 func (m *SpillManager) Create(label string) (*SpillFile, error) {
 	if err := m.Faults.Fire(faults.Point("spill.create")); err != nil {
 		return nil, classifySpill(fmt.Sprintf("spill file %q", label), err)
@@ -99,7 +102,7 @@ func (m *SpillManager) Create(label string) (*SpillFile, error) {
 	}
 	m.seq++
 	path := filepath.Join(m.dir, fmt.Sprintf("run%04d_%s", m.seq, label))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, classifySpill("spill file", err)
 	}
@@ -109,8 +112,9 @@ func (m *SpillManager) Create(label string) (*SpillFile, error) {
 }
 
 // Sweep removes the query's spill directory and everything in it, closing
-// any file a failed join left open. Safe to call when nothing spilled, and
-// on every exit path (success, error, panic, cancellation).
+// the descriptor of every run not yet removed: one a failed join left
+// unfinished, or a sealed run nobody removed. Safe to call when nothing
+// spilled, and on every exit path (success, error, panic, cancellation).
 func (m *SpillManager) Sweep() error {
 	m.mu.Lock()
 	open := make([]*SpillFile, 0, len(m.open))
@@ -121,8 +125,8 @@ func (m *SpillManager) Sweep() error {
 	m.dir = ""
 	m.mu.Unlock()
 	for _, sf := range open {
-		// Error discarded: these are force-closed mid-write during an abort
-		// sweep, and RemoveAll below deletes their directory regardless.
+		// Error discarded: these are force-closed, some mid-write during an
+		// abort sweep, and RemoveAll below deletes their directory regardless.
 		_ = sf.close()
 	}
 	if dir == "" {
@@ -133,11 +137,12 @@ func (m *SpillManager) Sweep() error {
 
 // SpillFile is one append-only run file: written once by its owning
 // partition goroutine, sealed with Finish, read back with Reader, removed
-// when its sub-join completes.
+// when its sub-join completes. It holds one descriptor from Create to Remove
+// (or Sweep): Verify and read-back do not open the file again.
 type SpillFile struct {
 	m     *SpillManager
 	path  string
-	f     *os.File
+	f     *os.File // nil once closed
 	w     *types.RunWriter
 	bytes int64 // on-disk size, set by Finish
 }
@@ -156,10 +161,10 @@ func (s *SpillFile) Append(t types.Tuple) error {
 // Rows returns the number of tuples appended so far.
 func (s *SpillFile) Rows() int64 { return s.w.Rows() }
 
-// Finish flushes the last block, seals the run with its checksummed footer
-// (fsyncing it when the manager's Sync knob is set), and closes the write
-// side, returning the file's actual on-disk byte size — the figure spill
-// accounting charges.
+// Finish flushes the last block and seals the run with its checksummed
+// footer (fsyncing it when the manager's Sync knob is set), returning the
+// file's actual on-disk byte size — the figure spill accounting charges. The
+// descriptor stays open for Verify and read-back; a failed Finish closes it.
 func (s *SpillFile) Finish() (int64, error) {
 	if err := s.m.Faults.Fire(faults.Point("spill.finish")); err != nil {
 		_ = s.close()
@@ -185,9 +190,6 @@ func (s *SpillFile) Finish() (int64, error) {
 		return 0, classifySpill("spill stat", err)
 	}
 	s.bytes = info.Size()
-	if err := s.close(); err != nil {
-		return 0, err
-	}
 	s.m.mu.Lock()
 	s.m.written += s.bytes
 	s.m.mu.Unlock()
@@ -197,8 +199,8 @@ func (s *SpillFile) Finish() (int64, error) {
 // Bytes returns the on-disk size recorded by Finish.
 func (s *SpillFile) Bytes() int64 { return s.bytes }
 
-// close closes the write handle and deregisters from the manager's sweep
-// set. Idempotent.
+// close closes the descriptor and deregisters from the manager's sweep set.
+// Idempotent.
 func (s *SpillFile) close() error {
 	s.m.mu.Lock()
 	delete(s.m.open, s)
@@ -211,10 +213,13 @@ func (s *SpillFile) close() error {
 	return f.Close()
 }
 
-// Reader opens the finished run for sequential read-back. The spill.corrupt
-// injection point mutates the sealed file in place first (bit flip,
-// truncated tail, torn write — see faults.CorruptKind), modelling damage
-// that happened at rest; the reader's checksums are what must catch it.
+// Reader starts a sequential read-back of the finished run from its first
+// byte, by pread on the run's one descriptor, so readers never share or move
+// a file offset. The spill.corrupt injection point mutates the sealed file in
+// place first (bit flip, truncated tail, torn write — see
+// faults.CorruptKind), modelling damage that happened at rest; it goes
+// through the path to the same inode, so the held descriptor reads the
+// damage, and the reader's checksums are what must catch it.
 func (s *SpillFile) Reader() (*SpillReader, error) {
 	if err := s.m.Faults.Fire(faults.Point("spill.read")); err != nil {
 		return nil, classifySpill("spill read", err)
@@ -222,11 +227,12 @@ func (s *SpillFile) Reader() (*SpillReader, error) {
 	if err := s.m.Faults.MutateFile(faults.Point("spill.corrupt"), s.path); err != nil {
 		return nil, classifySpill("spill corrupt", err)
 	}
-	f, err := os.Open(s.path)
-	if err != nil {
-		return nil, classifySpill("spill read", err)
+	if s.f == nil {
+		return nil, classifySpill("spill read", os.ErrClosed)
 	}
-	return &SpillReader{f: f, r: types.NewRunReader(f)}, nil
+	r := &SpillReader{at: fileAt{f: s.f}}
+	r.r = types.NewRunReader(&r.at)
+	return r, nil
 }
 
 // Verify checks the sealed run end to end without decoding tuples: every
@@ -250,9 +256,9 @@ func (s *SpillFile) Verify() error {
 	return nil
 }
 
-// Remove deletes the run file from disk (after its sub-join consumed it).
-// A close error on a still-open (unfinished) file is reported after the
-// unlink is attempted — removal is the caller's primary intent.
+// Remove closes the run's descriptor and deletes the file from disk (after
+// its sub-join consumed it). A close error is reported after the unlink is
+// attempted — removal is the caller's primary intent.
 func (s *SpillFile) Remove() error {
 	if err := s.m.Faults.Fire(faults.Point("spill.remove")); err != nil {
 		return classifySpill("spill remove", err)
@@ -266,14 +272,37 @@ func (s *SpillFile) Remove() error {
 
 // SpillReader streams tuples back out of a run file.
 type SpillReader struct {
-	f *os.File
-	r *types.RunReader
+	at fileAt
+	r  *types.RunReader
 }
 
 // Next returns the next tuple, io.EOF at the end of the run.
 func (r *SpillReader) Next() (types.Tuple, error) {
-	return r.r.Next()
+	return r.NextIn(nil)
 }
 
-// Close releases the read handle.
-func (r *SpillReader) Close() error { return r.f.Close() }
+// NextIn is Next with the tuple carved from a (nil: the heap) — see
+// types.RunReader.NextIn. A reader used after Close fails classified
+// faults.ErrSpillIO, never with io.EOF.
+func (r *SpillReader) NextIn(a *types.Arena) (types.Tuple, error) {
+	return r.r.NextIn(a)
+}
+
+// Close returns the reader's block frame to the pool. The run's descriptor
+// stays open: it belongs to the SpillFile. Idempotent.
+func (r *SpillReader) Close() error {
+	r.r.Close()
+	return nil
+}
+
+// fileAt reads a file from its start by pread, keeping its own offset.
+type fileAt struct {
+	f   *os.File
+	off int64
+}
+
+func (r *fileAt) Read(p []byte) (int, error) {
+	n, err := r.f.ReadAt(p, r.off)
+	r.off += int64(n)
+	return n, err
+}

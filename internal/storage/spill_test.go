@@ -2,9 +2,12 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -333,4 +336,155 @@ func TestSpillSyncKnob(t *testing.T) {
 	if _, err := sf2.Finish(); !errors.Is(err, faults.ErrSpillIO) {
 		t.Errorf("faulted sync classified %v, want ErrSpillIO", err)
 	}
+}
+
+// TestRunRowsSurviveReaderClose: rows read back from run A into a caller's
+// arena keep their values after A's reader is closed and run B has been
+// written and read through the same frame pool.
+func TestRunRowsSurviveReaderClose(t *testing.T) {
+	m := NewSpillManager(t.TempDir(), "q12_")
+	defer m.Sweep()
+	want := make([]types.Tuple, 500)
+	a, err := m.Create("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		want[i] = types.Tuple{types.Int(int64(i)), types.Str(fmt.Sprintf("row-a-%d", i))}
+		if err := a.Append(want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := a.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	var arena types.Arena
+	got := readRows(t, a, &arena)
+
+	b, err := m.Create("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5000; i++ {
+		if err := b.Append(types.Tuple{types.Int(-1), types.Str(fmt.Sprintf("row-b-overwrites-%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	readRows(t, b, &types.Arena{})
+
+	if len(got) != len(want) {
+		t.Fatalf("run A read back %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].String() != want[i].String() {
+			t.Fatalf("row %d of run A is %s after run B, want %s", i, got[i], want[i])
+		}
+	}
+}
+
+// readRows reads a sealed run to its verified end into arena and closes the
+// reader.
+func readRows(t *testing.T, sf *SpillFile, arena *types.Arena) []types.Tuple {
+	t.Helper()
+	r, err := sf.Reader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var rows []types.Tuple
+	for {
+		tu, err := r.NextIn(arena)
+		if err == io.EOF {
+			return rows
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, tu)
+	}
+}
+
+// TestRunNextAfterClose: a closed SpillReader fails classified ErrSpillIO,
+// never with the io.EOF of a clean, complete run.
+func TestRunNextAfterClose(t *testing.T) {
+	m := NewSpillManager(t.TempDir(), "q13_")
+	defer m.Sweep()
+	sf := sealedRun(t, m)
+	r, err := sf.Reader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); !errors.Is(err, faults.ErrSpillIO) {
+		t.Errorf("Next after Close: %v, want ErrSpillIO", err)
+	}
+	if err := r.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+	// The run itself is untouched: a new reader reads it whole.
+	if got := readRows(t, sf, nil); len(got) != 200 {
+		t.Errorf("run read back %d rows after a reader closed, want 200", len(got))
+	}
+	// A removed run has no descriptor left to read through.
+	if err := sf.Remove(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sf.Reader(); !errors.Is(err, faults.ErrSpillIO) {
+		t.Errorf("Reader of a removed run: %v, want ErrSpillIO", err)
+	}
+}
+
+// TestRunSweepClosesDescriptors: a sealed run keeps one descriptor open for
+// Verify and read-back, so Sweep must close the descriptors of runs that
+// were sealed, verified and read but never removed — none may outlive the
+// query's spill dir. Linux only: it reads /proc/self/fd.
+func TestRunSweepClosesDescriptors(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("descriptor check reads /proc/self/fd")
+	}
+	m := NewSpillManager(t.TempDir(), "q14_")
+	var runs []*SpillFile
+	for i := 0; i < 3; i++ {
+		sf := sealedRun(t, m)
+		if err := sf.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, sf)
+	}
+	readRows(t, runs[0], nil)
+	dir := m.Dir()
+	if n := openUnder(t, dir); n != len(runs) {
+		t.Fatalf("%d descriptors open under the spill dir before Sweep, want %d (one per sealed run)", n, len(runs))
+	}
+	if err := m.Sweep(); err != nil {
+		t.Fatal(err)
+	}
+	if n := openUnder(t, dir); n != 0 {
+		t.Errorf("%d descriptors still open under the swept spill dir", n)
+	}
+}
+
+// openUnder counts this process's open descriptors on files under dir.
+func openUnder(t *testing.T, dir string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open descriptors: %v", err)
+	}
+	n := 0
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			n++
+		}
+	}
+	return n
 }

@@ -20,8 +20,9 @@ const (
 // building, projection) stop paying one heap allocation per row. Tuples
 // returned by an Arena are full-sliced ([lo:hi:hi]) so appends to them can
 // never clobber a neighbor, and they stay valid for the life of the chunk
-// they came from — the arena never reuses or frees space, it only moves on
-// to a fresh chunk when the current one is full.
+// they came from — the arena never reuses or frees space unless its owner
+// calls Reset, it only moves on to a fresh chunk when the current one is
+// full.
 //
 // An Arena is not safe for concurrent use; operators keep one per partition
 // goroutine.
@@ -53,6 +54,16 @@ func (a *Arena) Reserve(n int) {
 		a.held += n
 		a.chunk = make([]Value, 0, n)
 	}
+}
+
+// Reset starts carving again from the front of the current chunk, so a
+// caller whose tuples die together — a read-back chunk's rows, dead once the
+// next chunk is read — reuses one slab instead of allocating per batch. Every
+// tuple carved from that chunk before is overwritten by what is carved
+// after: only a caller that holds none of them may Reset. Slots are not
+// cleared; a stale value stays reachable until it is overwritten.
+func (a *Arena) Reset() {
+	a.chunk = a.chunk[:0]
 }
 
 // Concat returns l⧺r carved from the arena — the allocation-free equivalent

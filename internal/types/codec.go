@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"dynopt/internal/faults"
 )
@@ -110,16 +111,33 @@ func EncodeTuple(dst []byte, t Tuple) []byte {
 // tags, or lengths beyond MaxRecordBytes — returns an error classified
 // faults.ErrCorrupt; allocation is always bounded by the input length.
 func DecodeTuple(src []byte) (Tuple, int, error) {
+	return decodeTuple(src, nil)
+}
+
+// decodeTuple is the one decode loop behind DecodeTuple (a == nil: a heap
+// tuple) and RunReader.NextIn (the tuple carved from a). Only the value
+// slots come from the arena — string payloads are still copied out of src,
+// so the tuple aliases neither src nor the pooled frame src lives in.
+//
+//dynopt:hotpath
+func decodeTuple(src []byte, a *Arena) (Tuple, int, error) {
 	n, off := binary.Uvarint(src)
 	if off <= 0 {
 		return nil, 0, corruptf("decode tuple: bad column count")
 	}
 	if n > uint64(len(src)) { // cheap sanity bound: ≥1 byte per column
+		//dynopt:alloc-ok corruption error path, never taken on an intact run
 		return nil, 0, corruptf("decode tuple: column count %d exceeds input", n)
 	}
-	t := make(Tuple, n)
+	var t Tuple
+	if a != nil {
+		t = a.Make(int(n))
+	} else {
+		t = make(Tuple, n) //dynopt:alloc-ok the heap decode (DecodeTuple): a tuple per call is its contract
+	}
 	for i := range t {
 		if off >= len(src) {
+			//dynopt:alloc-ok corruption error path, never taken on an intact run
 			return nil, 0, corruptf("decode tuple: truncated at column %d", i)
 		}
 		k := Kind(src[off])
@@ -129,6 +147,7 @@ func DecodeTuple(src []byte) (Tuple, int, error) {
 			t[i] = Value{K: KindNull}
 		case KindInt, KindFloat:
 			if off+8 > len(src) {
+				//dynopt:alloc-ok corruption error path, never taken on an intact run
 				return nil, 0, corruptf("decode tuple: truncated %v payload", k)
 			}
 			t[i] = Value{K: k, num: binary.LittleEndian.Uint64(src[off:])}
@@ -136,13 +155,14 @@ func DecodeTuple(src []byte) (Tuple, int, error) {
 		case KindString:
 			sl, m := binary.Uvarint(src[off:])
 			if m <= 0 || sl > MaxRecordBytes {
+				//dynopt:alloc-ok corruption error path, never taken on an intact run
 				return nil, 0, corruptf("decode tuple: string length %d out of bounds", sl)
 			}
 			if uint64(len(src)-off-m) < sl {
 				return nil, 0, corruptf("decode tuple: truncated string payload")
 			}
 			off += m
-			t[i] = Value{K: KindString, S: string(src[off : off+int(sl)])}
+			t[i] = Value{K: KindString, S: string(src[off : off+int(sl)])} //dynopt:alloc-ok string payloads are copied, never aliased into a pooled block
 			off += int(sl)
 		case KindBool:
 			if off >= len(src) {
@@ -151,25 +171,45 @@ func DecodeTuple(src []byte) (Tuple, int, error) {
 			t[i] = Value{K: KindBool, B: src[off] != 0}
 			off++
 		default:
+			//dynopt:alloc-ok corruption error path, never taken on an intact run
 			return nil, 0, corruptf("decode tuple: unknown kind tag %d", k)
 		}
 	}
 	return t, off, nil
 }
 
+// Block buffers come from a process-wide pool of fixed-size frames, the
+// frame discipline of the dynamic hybrid hash join ("Design Trade-offs for a
+// Robust Dynamic Hybrid Hash Join", PAPERS.md): a run holds one frame while
+// it is written and each reader holds one while it reads, so a query stream
+// spilling thousands of runs cycles the same frames instead of allocating a
+// block buffer per run for the collector to find. A frame holds a block
+// header, a payload at the flush threshold, and one record of slack past it —
+// a flush fires only once the payload reaches the threshold, so a full block
+// is the threshold plus the record that crossed it. A reader reads a block's
+// payload together with the next block's header, which fits the same frame.
+// Only a record wider than the slack makes a writer or reader outgrow its
+// frame, into a buffer of its own that never enters the pool.
+const runFrameSlack = 4 << 10
+
+type runFrame [blockHeaderLen + runWriterBufSize + runFrameSlack]byte
+
+var runFrames = sync.Pool{New: func() any { return new(runFrame) }}
+
 // RunWriter appends encoded tuples to an io.Writer as checksummed blocks
 // (see the format comment above). It is the write half of a spill run file:
 // append-only, buffered, and it counts exactly the bytes it hands to the
 // underlying writer so spill metering can charge actual I/O. Finish seals
-// the run with the footer; a run without a footer reads back as corrupt by
-// design — an unsealed file is indistinguishable from a truncated one.
+// the run with the footer and returns the writer's frame to the pool; a run
+// without a footer reads back as corrupt by design — an unsealed file is
+// indistinguishable from a truncated one.
 //
 // Not safe for concurrent use; each run file is owned by one partition
 // goroutine.
 type RunWriter struct {
 	w        io.Writer
-	buf      []byte // block under construction; [0:8] reserved for the header
-	scratch  []byte
+	frame    *runFrame // pooled backing of buf, returned by Finish
+	buf      []byte    // block under construction; [0:8] reserved for the header
 	rows     int64
 	bytes    int64  // bytes written through, framing included
 	payload  int64  // block payload bytes written (excludes headers/footer)
@@ -179,20 +219,33 @@ type RunWriter struct {
 
 // NewRunWriter returns a writer appending records to w.
 func NewRunWriter(w io.Writer) *RunWriter {
-	return &RunWriter{w: w, buf: make([]byte, blockHeaderLen, blockHeaderLen+4096)}
+	f := runFrames.Get().(*runFrame)
+	return &RunWriter{w: w, frame: f, buf: f[:blockHeaderLen]}
 }
 
-// Append encodes one tuple into the run.
+// Append encodes one tuple into the run. The record is encoded in place
+// behind a one-byte length prefix; a record of 128 bytes or more, whose
+// uvarint length is wider, is shifted right to make room.
 func (w *RunWriter) Append(t Tuple) error {
 	if w.finished {
 		return fmt.Errorf("types: append to a finished run")
 	}
-	w.scratch = EncodeTuple(w.scratch[:0], t)
-	if len(w.scratch) > MaxRecordBytes {
-		return fmt.Errorf("types: record of %d bytes exceeds MaxRecordBytes (%d)", len(w.scratch), MaxRecordBytes)
+	start := len(w.buf)
+	w.buf = EncodeTuple(append(w.buf, 0), t)
+	n := len(w.buf) - start - 1
+	if n > MaxRecordBytes {
+		w.buf = w.buf[:start]
+		return fmt.Errorf("types: record of %d bytes exceeds MaxRecordBytes (%d)", n, MaxRecordBytes)
 	}
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(w.scratch)))
-	w.buf = append(w.buf, w.scratch...)
+	if n >= 0x80 {
+		var pfx [binary.MaxVarintLen64]byte
+		k := binary.PutUvarint(pfx[:], uint64(n))
+		w.buf = append(w.buf, pfx[1:k]...)
+		copy(w.buf[start+k:], w.buf[start+1:start+1+n])
+		copy(w.buf[start:], pfx[:k])
+	} else {
+		w.buf[start] = byte(n)
+	}
 	w.rows++
 	if len(w.buf)-blockHeaderLen >= runWriterBufSize {
 		return w.Flush()
@@ -203,6 +256,9 @@ func (w *RunWriter) Append(t Tuple) error {
 // Flush seals the buffered records into one checksummed block and writes it
 // through to the underlying writer.
 func (w *RunWriter) Flush() error {
+	if w.finished {
+		return nil
+	}
 	payload := w.buf[blockHeaderLen:]
 	if len(payload) == 0 {
 		return nil
@@ -225,7 +281,8 @@ func (w *RunWriter) Flush() error {
 // Finish flushes the last block and seals the run with the footer: magic,
 // total row count, total payload bytes, and the whole-file checksum. A
 // reader verifies all of it back, so truncation at any boundary — block,
-// record, or mid-byte — is detected, never silent. Idempotent.
+// record, or mid-byte — is detected, never silent. A sealed writer's frame
+// goes back to the pool. Idempotent.
 func (w *RunWriter) Finish() error {
 	if w.finished {
 		return nil
@@ -249,6 +306,8 @@ func (w *RunWriter) Finish() error {
 		return err
 	}
 	w.finished = true
+	runFrames.Put(w.frame)
+	w.frame, w.buf = nil, nil
 	return nil
 }
 
@@ -260,31 +319,61 @@ func (w *RunWriter) Rows() int64 { return w.rows }
 // counted; call Finish first for the final figure).
 func (w *RunWriter) Bytes() int64 { return w.bytes }
 
+// errRunClosed is what a RunReader returns once Close handed its frame back:
+// never io.EOF, which would read as a clean, complete run. It is classified
+// like a read from a closed file.
+var errRunClosed = fmt.Errorf("types: read from a closed run reader: %w", faults.ErrSpillIO)
+
 // RunReader streams tuples back out of a run written by RunWriter, verifying
 // every block checksum before decoding and the footer seal at EOF. Next
 // returns io.EOF only after the footer verified; every other irregularity —
 // checksum mismatch, bad framing, truncation anywhere, trailing garbage,
 // row or byte counts disagreeing with the seal — is an error classified
-// faults.ErrCorrupt.
+// faults.ErrCorrupt. Each block is read in one call together with the
+// header of the block after it, into a pooled frame that Close returns.
 type RunReader struct {
 	r       io.Reader
-	block   []byte // current verified block payload
-	off     int    // consumed bytes within block
-	buf     []byte // backing storage for block
+	frame   *runFrame // pooled backing of buf, returned by Close
+	buf     []byte    // backing storage for block and the read-ahead header
+	block   []byte    // current verified block payload
+	off     int       // consumed bytes within block
+	hdr     [blockHeaderLen]byte
+	ahead   bool   // hdr holds the next block's header, read with the last block
 	rows    int64  // records consumed (or counted, under Verify)
 	payload int64  // payload bytes of verified blocks
 	fileCRC uint32 // running CRC32-C over verified block payloads
 	sealed  bool   // footer verified; subsequent reads return io.EOF
+	closed  bool
 }
 
 // NewRunReader returns a reader over r.
 func NewRunReader(r io.Reader) *RunReader {
-	return &RunReader{r: r, buf: make([]byte, 0, blockHeaderLen+runWriterBufSize)}
+	f := runFrames.Get().(*runFrame)
+	return &RunReader{r: r, frame: f, buf: f[:0]}
 }
 
-// Next decodes the next tuple, returning io.EOF at the verified end of the
-// run and an ErrCorrupt-classified error for any damage in between.
+// Close returns the reader's frame to the pool. Every read after it fails
+// classified faults.ErrSpillIO — never io.EOF. Idempotent.
+func (r *RunReader) Close() {
+	if r.closed {
+		return
+	}
+	r.closed = true
+	runFrames.Put(r.frame)
+	r.frame, r.buf, r.block, r.off = nil, nil, nil, 0
+}
+
+// Next decodes the next tuple onto the heap, returning io.EOF at the
+// verified end of the run and an ErrCorrupt-classified error for any damage
+// in between.
 func (r *RunReader) Next() (Tuple, error) {
+	return r.NextIn(nil)
+}
+
+// NextIn is Next with the tuple carved from a (nil: the heap). The tuple's
+// strings are copied out of the block; its value slots live as long as a
+// keeps them.
+func (r *RunReader) NextIn(a *Arena) (Tuple, error) {
 	for r.off >= len(r.block) {
 		if err := r.loadBlock(); err != nil {
 			return nil, err // io.EOF only after a verified footer
@@ -294,7 +383,7 @@ func (r *RunReader) Next() (Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, used, err := DecodeTuple(payload)
+	t, used, err := decodeTuple(payload, a)
 	if err != nil {
 		return nil, err
 	}
@@ -324,58 +413,75 @@ func (r *RunReader) record() ([]byte, error) {
 	return p, nil
 }
 
-// loadBlock reads and verifies the next block, or the footer. On return
-// either r.block holds a verified payload (off reset to 0), or the footer
-// verified and the error is io.EOF.
+// loadBlock reads and verifies the next block, or the footer. The block's
+// payload and the header after it arrive in one read (every block is
+// followed by another header: the next block's, or the footer's); only the
+// first block's header is read on its own. On return either r.block holds a
+// verified payload (off reset to 0), or the footer verified and the error
+// is io.EOF.
 func (r *RunReader) loadBlock() error {
+	if r.closed {
+		return errRunClosed
+	}
 	if r.sealed {
 		return io.EOF
 	}
-	var hdr [blockHeaderLen]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return corruptf("run truncated before its footer")
+	if !r.ahead {
+		if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return corruptf("run truncated before its footer")
+			}
+			return err
 		}
-		return err
 	}
-	ln := binary.LittleEndian.Uint32(hdr[:4])
-	crc := binary.LittleEndian.Uint32(hdr[4:])
+	r.ahead = false
+	ln := binary.LittleEndian.Uint32(r.hdr[:4])
+	crc := binary.LittleEndian.Uint32(r.hdr[4:])
 	if ln == 0 {
 		return r.readFooter(crc)
 	}
 	if ln > maxBlockBytes {
 		return corruptf("run block length %d exceeds the %d-byte bound", ln, maxBlockBytes)
 	}
-	if cap(r.buf) < int(ln) {
-		r.buf = make([]byte, ln)
+	want := int(ln) + blockHeaderLen
+	if cap(r.buf) < want {
+		r.buf = make([]byte, want) // a record wider than the frame's slack
 	}
-	r.buf = r.buf[:ln]
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
+	r.buf = r.buf[:want]
+	if n, err := io.ReadFull(r.r, r.buf); err != nil {
+		if err != io.EOF && err != io.ErrUnexpectedEOF {
+			return err
+		}
+		if n < int(ln) {
 			return corruptf("run truncated inside a %d-byte block", ln)
 		}
-		return err
+		return corruptf("run truncated before its footer")
 	}
-	if got := crc32.Checksum(r.buf, castagnoli); got != crc {
+	payload := r.buf[:ln]
+	if got := crc32.Checksum(payload, castagnoli); got != crc {
 		return corruptf("run block checksum mismatch (stored %08x, computed %08x)", crc, got)
 	}
-	r.fileCRC = crc32.Update(r.fileCRC, castagnoli, r.buf)
+	copy(r.hdr[:], r.buf[ln:])
+	r.ahead = true
+	r.fileCRC = crc32.Update(r.fileCRC, castagnoli, payload)
 	r.payload += int64(ln)
-	r.block, r.off = r.buf, 0
+	r.block, r.off = payload, 0
 	return nil
 }
 
 // readFooter verifies the seal against everything read so far and checks
-// nothing trails it. Returns io.EOF on a fully verified run.
+// nothing trails it — in one read that asks for one byte past the footer.
+// Returns io.EOF on a fully verified run.
 func (r *RunReader) readFooter(crc uint32) error {
-	var ftr [footerPayloadLen]byte
-	if _, err := io.ReadFull(r.r, ftr[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return corruptf("run truncated inside its footer")
-		}
+	var ftr [footerPayloadLen + 1]byte
+	n, err := io.ReadFull(r.r, ftr[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return err
 	}
-	if got := crc32.Checksum(ftr[:], castagnoli); got != crc {
+	if n < footerPayloadLen {
+		return corruptf("run truncated inside its footer")
+	}
+	if got := crc32.Checksum(ftr[:footerPayloadLen], castagnoli); got != crc {
 		return corruptf("run footer checksum mismatch (stored %08x, computed %08x)", crc, got)
 	}
 	if [8]byte(ftr[0:8]) != runMagic {
@@ -390,12 +496,8 @@ func (r *RunReader) readFooter(crc uint32) error {
 	if fc := binary.LittleEndian.Uint32(ftr[24:]); fc != r.fileCRC {
 		return corruptf("run whole-file checksum mismatch (sealed %08x, computed %08x)", fc, r.fileCRC)
 	}
-	var one [1]byte
-	if n, err := r.r.Read(one[:]); n > 0 || (err != nil && err != io.EOF) {
-		if n > 0 {
-			return corruptf("run has trailing bytes after its footer")
-		}
-		return err
+	if n > footerPayloadLen {
+		return corruptf("run has trailing bytes after its footer")
 	}
 	r.sealed = true
 	return io.EOF

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -366,12 +367,24 @@ func FuzzTupleCodecRoundTrip(f *testing.F) {
 }
 
 // FuzzDecodeTupleArbitrary feeds arbitrary bytes to the decoder: it must
-// error or succeed, never panic or over-read.
+// error or succeed, never panic or over-read, and the arena decode must agree
+// with the heap decode — the same tuple, or both failing ErrCorrupt.
 func FuzzDecodeTupleArbitrary(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeTuple(nil, Tuple{Int(1), Str("x"), Bool(true), Null(), Float(2)}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tu, n, err := DecodeTuple(data)
+		var a Arena
+		atu, an, aerr := decodeTuple(data, &a)
+		if (err == nil) != (aerr == nil) {
+			t.Fatalf("heap decode err %v, arena decode err %v", err, aerr)
+		}
+		if err != nil && (!errors.Is(err, faults.ErrCorrupt) || !errors.Is(aerr, faults.ErrCorrupt)) {
+			t.Fatalf("decode failures not classified ErrCorrupt: heap %v, arena %v", err, aerr)
+		}
+		if err == nil && (an != n || !tuplesEqual(tu, atu)) {
+			t.Fatalf("arena decode %s (%d bytes) differs from heap decode %s (%d bytes)", atu, an, tu, n)
+		}
 		if err == nil {
 			if n > len(data) {
 				t.Fatalf("consumed %d of %d bytes", n, len(data))
@@ -383,4 +396,90 @@ func FuzzDecodeTupleArbitrary(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRunArenaRowsSurviveFrameReuse: rows decoded into a caller's arena keep
+// their values after their run's reader is closed and its pooled frame —
+// most likely the very one — has carried another run through a writer and a
+// reader. Nothing a decoded row holds may point into a block buffer.
+func TestRunArenaRowsSurviveFrameReuse(t *testing.T) {
+	var want []Tuple
+	for i := 0; i < 300; i++ {
+		want = append(want, Tuple{Int(int64(i) * 7), Str(fmt.Sprintf("run-a-%d", i)), Int(-int64(i)), Str("")})
+	}
+	var bufA bytes.Buffer
+	wa := NewRunWriter(&bufA)
+	for _, tu := range want {
+		if err := wa.Append(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wa.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	var arena Arena
+	ra := NewRunReader(&bufA)
+	var got []Tuple
+	for {
+		tu, err := ra.NextIn(&arena)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, tu)
+	}
+	ra.Close()
+
+	var bufB bytes.Buffer
+	wb := NewRunWriter(&bufB)
+	for i := 0; i < 3000; i++ {
+		if err := wb.Append(Tuple{Int(-1), Str(fmt.Sprintf("run-b-overwrites-%d", i)), Int(-2), Str("zzzz")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wb.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readAll(bufB.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(got) != len(want) {
+		t.Fatalf("run A read back %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !tuplesEqual(got[i], want[i]) {
+			t.Fatalf("row %d of run A is %s after run B, want %s", i, got[i], want[i])
+		}
+	}
+}
+
+// TestRunNextAfterClose: a closed reader has handed its frame back, so any
+// read after Close fails classified — even on a run already read to its
+// verified end, where an io.EOF would pass for a clean, complete run.
+func TestRunNextAfterClose(t *testing.T) {
+	data, _ := goldenRun(t)
+	r := NewRunReader(bytes.NewReader(data))
+	if _, err := r.Next(); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	if _, err := r.Next(); !errors.Is(err, faults.ErrSpillIO) {
+		t.Errorf("Next after Close: %v, want ErrSpillIO", err)
+	}
+	if err := r.Verify(); err == nil {
+		t.Error("Verify after Close succeeded")
+	}
+
+	r = NewRunReader(bytes.NewReader(data))
+	if err := r.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	r.Close() // idempotent
+	if _, err := r.NextIn(&Arena{}); !errors.Is(err, faults.ErrSpillIO) {
+		t.Errorf("NextIn after Close of a drained run: %v, want ErrSpillIO", err)
+	}
 }
