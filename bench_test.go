@@ -164,7 +164,7 @@ func BenchmarkDynamicEndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.RunOne(core.NewDynamic(), q9.SQL); err != nil {
+		if _, err := env.RunOne(&core.Dynamic{Cfg: core.DefaultConfig()}, q9.SQL); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -587,67 +587,45 @@ type QueryOptions struct {
 	Timeout time.Duration
 }
 
-// effectiveAlgo resolves the per-query join-algorithm configuration:
-// DB-level defaults with opts overrides applied.
-func (db *DB) effectiveAlgo(opts *QueryOptions) core.AlgoConfig {
-	algo := db.algo
-	if opts != nil {
-		if opts.BroadcastThresholdBytes > 0 {
-			algo.BroadcastThresholdBytes = opts.BroadcastThresholdBytes
-		}
-		if opts.EnableINLJ != nil {
-			algo.EnableINLJ = *opts.EnableINLJ
-		}
+// configFor resolves the per-query strategy configuration: the DB-level
+// join-algorithm settings and re-optimization budget with opts' overrides
+// applied. A MaxReopts override > 0 sets the budget, < 0 lifts it, 0
+// inherits Config.ReoptBudget.
+func (db *DB) configFor(opts *QueryOptions) core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Algo = db.algo
+	cfg.MaxReopts = db.reoptBudget
+	if opts == nil {
+		return cfg
 	}
-	return algo
-}
-
-// effectiveBudget resolves the per-query re-optimization budget: > 0 sets
-// it, < 0 lifts it, 0 inherits the DB-level ReoptBudget.
-func (db *DB) effectiveBudget(opts *QueryOptions) int {
-	if opts != nil {
-		if opts.MaxReopts > 0 {
-			return opts.MaxReopts
-		}
-		if opts.MaxReopts < 0 {
-			return 0 // unlimited
-		}
+	if opts.BroadcastThresholdBytes > 0 {
+		cfg.Algo.BroadcastThresholdBytes = opts.BroadcastThresholdBytes
 	}
-	return db.reoptBudget
+	if opts.EnableINLJ != nil {
+		cfg.Algo.EnableINLJ = *opts.EnableINLJ
+	}
+	switch {
+	case opts.MaxReopts > 0:
+		cfg.MaxReopts = opts.MaxReopts
+	case opts.MaxReopts < 0:
+		cfg.MaxReopts = 0 // unlimited
+	}
+	return cfg
 }
 
 func (db *DB) strategyFor(opts *QueryOptions) (core.Strategy, error) {
-	var s Strategy
-	noCache := false
+	name, m := StrategyDynamic, db.memo
 	if opts != nil {
-		s = opts.Strategy
-		noCache = opts.NoCache
+		name = cmp.Or(opts.Strategy, StrategyDynamic)
+		if opts.NoCache {
+			m = nil
+		}
 	}
-	algo := db.effectiveAlgo(opts)
-	switch s {
-	case "", StrategyDynamic:
-		cfg := core.DefaultConfig()
-		cfg.Algo = algo
-		cfg.MaxReopts = db.effectiveBudget(opts)
-		return &core.Dynamic{Cfg: cfg, Memo: db.memo, NoCache: noCache}, nil
-	case StrategyCostBased:
-		return &optimizer.CostBased{Cfg: algo}, nil
-	case StrategyBestOrder:
-		cfg := core.DefaultConfig()
-		cfg.Algo = algo
-		return &optimizer.BestOrder{Cfg: cfg}, nil
-	case StrategyWorstOrder:
-		return optimizer.NewWorstOrder(), nil
-	case StrategyPilotRun:
-		cfg := core.DefaultConfig()
-		cfg.Algo = algo
-		cfg.PushDown = false
-		return &optimizer.PilotRun{Cfg: cfg, SampleK: optimizer.DefaultPilotSampleK}, nil
-	case StrategyIngres:
-		return &optimizer.IngresLike{Cfg: algo}, nil
-	default:
-		return nil, fmt.Errorf("dynopt: unknown strategy %q", s)
+	s, err := optimizer.New(string(name), db.configFor(opts), m)
+	if err != nil {
+		return nil, fmt.Errorf("dynopt: unknown strategy %q", name)
 	}
+	return s, nil
 }
 
 // Query parses, optimizes, and executes sql under the selected strategy.
@@ -862,11 +840,10 @@ func (db *DB) cacheProbe(sql string, opts *QueryOptions) string {
 }
 
 // shapeKeyFor computes the memo key a query would execute under: canonical
-// shape over the live catalog plus the effective per-query strategy
-// configuration (the same derivation strategyFor uses), with the spill
-// budget defaulted as Dynamic.Body defaults it: from SpillBudget, on a
-// context given this DB's device the way a query's is (the probe spills
-// nothing, so there is nothing to sweep).
+// shape over the live catalog plus the per-query configuration from
+// configFor, planned under core.PlanningAlgo on a context given this DB's
+// spill device the way a query's is (the probe spills nothing, so there is
+// nothing to sweep).
 func (db *DB) shapeKeyFor(sql string, opts *QueryOptions) (string, error) {
 	q, err := sqlpp.Parse(sql)
 	if err != nil {
@@ -876,11 +853,9 @@ func (db *DB) shapeKeyFor(sql string, opts *QueryOptions) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	cfg := core.DefaultConfig()
-	cfg.Algo = db.effectiveAlgo(opts)
-	cfg.MaxReopts = db.effectiveBudget(opts)
+	cfg := db.configFor(opts)
 	probe := engine.Context{Cluster: db.ctx.Cluster}
 	db.attachSpill(&probe, "")
-	cfg.Algo.SpillBudgetBytes = cmp.Or(cfg.Algo.SpillBudgetBytes, probe.SpillBudget())
+	cfg.Algo = core.PlanningAlgo(&probe, cfg.Algo)
 	return core.ShapeKey(g, cfg), nil
 }

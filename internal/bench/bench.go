@@ -151,21 +151,19 @@ func (e *Env) algoConfig() core.AlgoConfig {
 }
 
 // Strategies builds the six §7.2 strategies under the experiment's
-// algorithm configuration.
+// algorithm configuration, in optimizer.Names order.
 func (e *Env) Strategies() []core.Strategy {
-	algo := e.algoConfig()
-	dynCfg := core.DefaultConfig()
-	dynCfg.Algo = algo
-	pilotCfg := dynCfg
-	pilotCfg.PushDown = false
-	return []core.Strategy{
-		&core.Dynamic{Cfg: dynCfg},
-		&optimizer.CostBased{Cfg: algo},
-		&optimizer.BestOrder{Cfg: dynCfg},
-		optimizer.NewWorstOrder(),
-		&optimizer.PilotRun{Cfg: pilotCfg, SampleK: optimizer.DefaultPilotSampleK},
-		&optimizer.IngresLike{Cfg: algo},
+	cfg := core.DefaultConfig()
+	cfg.Algo = e.algoConfig()
+	out := make([]core.Strategy, len(optimizer.Names))
+	for i, name := range optimizer.Names {
+		s, err := optimizer.New(name, cfg, nil)
+		if err != nil {
+			panic(err) // every listed name builds
+		}
+		out[i] = s
 	}
+	return out
 }
 
 // RunOne executes one strategy over a fresh context.

@@ -60,7 +60,7 @@ func Figure6Overhead(sfs []int, nodes int) ([]OverheadRow, error) {
 				return nil, fmt.Errorf("%s sf%d full: %w", q.Name, sf, err)
 			}
 
-			upfront, err := env.RunOne(&core.Oracle{Label: "upfront", Tree: full.Tree}, q.SQL)
+			upfront, err := env.RunOne(&core.Static{Label: "upfront", Tree: full.Tree}, q.SQL)
 			if err != nil {
 				return nil, fmt.Errorf("%s sf%d upfront: %w", q.Name, sf, err)
 			}
@@ -117,7 +117,7 @@ func Figure6Pushdown(sfs []int, nodes int) ([]PushdownRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			baseline, err := env.RunOne(&core.Oracle{Label: "baseline", Tree: full.Tree}, q.SQL)
+			baseline, err := env.RunOne(&core.Static{Label: "baseline", Tree: full.Tree}, q.SQL)
 			if err != nil {
 				return nil, err
 			}

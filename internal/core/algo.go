@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+
+	"dynopt/internal/engine"
 	"dynopt/internal/plan"
 	"dynopt/internal/sqlpp"
 	"dynopt/internal/storage"
@@ -33,6 +36,15 @@ type AlgoConfig struct {
 // experiment enables it.
 func DefaultAlgoConfig() AlgoConfig {
 	return AlgoConfig{BroadcastThresholdBytes: 128 << 10, EnableINLJ: false}
+}
+
+// PlanningAlgo is the configuration a context plans under: cfg with its
+// spill budget defaulted from the context's spill device, so the broadcasts
+// every planner picks are the ones the engine will run. It is the one place
+// the budget is derived.
+func PlanningAlgo(ctx *engine.Context, cfg AlgoConfig) AlgoConfig {
+	cfg.SpillBudgetBytes = cmp.Or(cfg.SpillBudgetBytes, ctx.SpillBudget())
+	return cfg
 }
 
 // algoInput summarizes one join input for the algorithm rule.

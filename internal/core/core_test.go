@@ -138,7 +138,7 @@ func sameInts(a, b []int64) bool {
 
 func TestDynamicEndToEnd(t *testing.T) {
 	ctx := miniWorkload(t, 4)
-	d := NewDynamic()
+	d := &Dynamic{Cfg: DefaultConfig()}
 	res, rep, err := d.Run(ctx, miniQuery)
 	if err != nil {
 		t.Fatalf("dynamic run: %v\nreport: %v", err, rep)
@@ -177,7 +177,7 @@ func TestDynamicEndToEnd(t *testing.T) {
 
 func TestDynamicChoosesSelectiveJoinFirst(t *testing.T) {
 	ctx := miniWorkload(t, 4)
-	d := NewDynamic()
+	d := &Dynamic{Cfg: DefaultConfig()}
 	_, rep, err := d.Run(ctx, miniQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestDynamicChoosesSelectiveJoinFirst(t *testing.T) {
 
 func TestDynamicBroadcastsFilteredDimensions(t *testing.T) {
 	ctx := miniWorkload(t, 4)
-	d := NewDynamic()
+	d := &Dynamic{Cfg: DefaultConfig()}
 	_, rep, err := d.Run(ctx, miniQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -221,12 +221,12 @@ func TestDynamicBroadcastsFilteredDimensions(t *testing.T) {
 
 func TestOracleReproducesDynamicResult(t *testing.T) {
 	ctx := miniWorkload(t, 4)
-	d := NewDynamic()
+	d := &Dynamic{Cfg: DefaultConfig()}
 	res1, rep1, err := d.Run(ctx, miniQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := &Oracle{Label: "upfront", Tree: rep1.Tree}
+	o := &Static{Label: "upfront", Tree: rep1.Tree}
 	res2, rep2, err := o.Run(ctx, miniQuery)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
@@ -306,7 +306,7 @@ func TestDynamicINLJPicked(t *testing.T) {
 
 func TestDynamicTwoTableQuery(t *testing.T) {
 	ctx := miniWorkload(t, 4)
-	d := NewDynamic()
+	d := &Dynamic{Cfg: DefaultConfig()}
 	res, rep, err := d.Run(ctx, `SELECT fact.m FROM fact, dim_a
 		WHERE fact.fk_a = dim_a.a_id AND dim_a.a_v = 3 AND dim_a.a_w = 3`)
 	if err != nil {
@@ -328,7 +328,7 @@ func TestDynamicTwoTableQuery(t *testing.T) {
 
 func TestDynamicSingleTableQuery(t *testing.T) {
 	ctx := miniWorkload(t, 4)
-	d := NewDynamic()
+	d := &Dynamic{Cfg: DefaultConfig()}
 	res, _, err := d.Run(ctx, `SELECT dim_a.a_id FROM dim_a WHERE dim_a.a_v = 3 AND dim_a.a_w = 3`)
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +340,7 @@ func TestDynamicSingleTableQuery(t *testing.T) {
 
 func TestDynamicWithParams(t *testing.T) {
 	ctx := miniWorkload(t, 4)
-	d := NewDynamic()
+	d := &Dynamic{Cfg: DefaultConfig()}
 	res, rep, err := d.Run(ctx, `SELECT fact.m FROM fact, dim_a
 		WHERE fact.fk_a = dim_a.a_id AND dim_a.a_v = $target AND dim_a.a_w = $target`)
 	if err != nil {
@@ -363,7 +363,7 @@ func TestDynamicWithParams(t *testing.T) {
 
 func TestDynamicParseErrorPropagates(t *testing.T) {
 	ctx := miniWorkload(t, 2)
-	d := NewDynamic()
+	d := &Dynamic{Cfg: DefaultConfig()}
 	if _, _, err := d.Run(ctx, "SELEKT x FROM y"); err == nil {
 		t.Error("bad SQL did not error")
 	}
@@ -558,7 +558,7 @@ func TestPlanFullErrors(t *testing.T) {
 
 func TestReportString(t *testing.T) {
 	ctx := miniWorkload(t, 2)
-	d := NewDynamic()
+	d := &Dynamic{Cfg: DefaultConfig()}
 	_, rep, err := d.Run(ctx, miniQuery)
 	if err != nil {
 		t.Fatal(err)

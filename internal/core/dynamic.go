@@ -1,8 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
+	"strings"
 
 	"dynopt/internal/engine"
 	"dynopt/internal/expr"
@@ -68,12 +68,7 @@ type Dynamic struct {
 	// of paying the blocking re-optimization passes. Nil (the default)
 	// keeps the strategy byte-identical to the paper's loop.
 	Memo *memo.Store
-	// NoCache bypasses the memo for this run: no replay, no recording.
-	NoCache bool
 }
-
-// NewDynamic returns the strategy with the full default configuration.
-func NewDynamic() *Dynamic { return &Dynamic{Cfg: DefaultConfig()} }
 
 // Name implements Strategy.
 func (d *Dynamic) Name() string {
@@ -98,14 +93,10 @@ func (d *Dynamic) Body(ctx *engine.Context, sql string, r *Report) (*engine.Resu
 	if reg == nil {
 		reg = ctx.Catalog.Stats()
 	}
-	// Under a spill budget the join-algorithm rule sees it, so planned
-	// broadcasts match what the engine will run.
-	cfg := d.Cfg.Algo
-	cfg.SpillBudgetBytes = cmp.Or(cfg.SpillBudgetBytes, ctx.SpillBudget())
 	rs := &runState{
 		ctx:         ctx,
 		est:         &Estimator{Cat: ctx.Catalog, Reg: reg, FiltersPreApplied: d.FiltersPreApplied},
-		cfg:         cfg,
+		cfg:         PlanningAlgo(ctx, d.Cfg.Algo),
 		report:      r,
 		sql:         sql,
 		naive:       d.Cfg.CardinalityOnly,
@@ -122,7 +113,7 @@ func (d *Dynamic) Body(ctx *engine.Context, sql string, r *Report) (*engine.Resu
 	// Plan memo: try the guarded replay of a remembered convergence, and arm
 	// recording so this run's own convergence (from scratch or from the
 	// fallback point) becomes the shape's next entry.
-	if d.Memo != nil && !d.NoCache {
+	if d.Memo != nil {
 		res, err := d.tryReplay(rs, r)
 		if err != nil {
 			return nil, err
@@ -215,7 +206,7 @@ func (rs *runState) runFinal() (*engine.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return rs.executeFinalTree(node, tables)
+		return rs.executeFinalTree(node)
 	case 2:
 		// Pick the cheaper of the two joins as the inner (line 28), wire the
 		// remaining edge(s) as the outer join (lines 29–30).
@@ -255,7 +246,7 @@ func (rs *runState) runFinal() (*engine.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return rs.executeFinalTree(node, tables)
+		return rs.executeFinalTree(node)
 	default:
 		return nil, fmt.Errorf("core: runFinal called with %d joins", len(rs.g.Joins))
 	}
@@ -322,7 +313,8 @@ func (rs *runState) outerJoinNode(innerNode *plan.Node, innerCard int64, inner *
 		estBytes: innerCard * width,
 		filtered: true,
 	}
-	thirdInput := sideFromTable(tt, tds, bareName(thirdKeys[0]))
+	// The bare field name: everything after the last dot.
+	thirdInput := sideFromTable(tt, tds, thirdKeys[0][strings.LastIndexByte(thirdKeys[0], '.')+1:])
 	algo, buildLeft := ChooseAlgo(rs.cfg, innerInput, thirdInput)
 	return plan.NewJoin(&plan.Join{
 		Left:     innerNode,
@@ -330,15 +322,6 @@ func (rs *runState) outerJoinNode(innerNode *plan.Node, innerCard int64, inner *
 		LeftKeys: innerKeys, RightKeys: thirdKeys,
 		Algo: algo, BuildLeft: buildLeft,
 	}), nil
-}
-
-func bareName(qualified string) string {
-	for i := len(qualified) - 1; i >= 0; i-- {
-		if qualified[i] == '.' {
-			return qualified[i+1:]
-		}
-	}
-	return qualified
 }
 
 // leafNode builds the execution leaf for a current table.
@@ -383,19 +366,13 @@ func RequiredOutputColumns(g *sqlpp.Graph) map[string]bool {
 
 // executeFinalTree runs the last pipelined job and assembles the report
 // tree by splicing the stage fragments into the final node structure.
-func (rs *runState) executeFinalTree(node *plan.Node, tables Tables) (*engine.Result, error) {
+func (rs *runState) executeFinalTree(node *plan.Node) (*engine.Result, error) {
 	if rs.rec != nil {
 		rs.rec.Final = memoNodeOf(node)
 	}
-	plan.AnnotateProjections(node, RequiredOutputColumns(rs.g))
-	rel, err := engine.Execute(rs.ctx, node)
-	if err != nil {
-		return nil, err
-	}
 	rs.report.Tree = rs.spliceFragments(node)
-	rs.report.StagePlans = append(rs.report.StagePlans,
-		fmt.Sprintf("final: %s", node.Compact()))
-	return engine.Finish(rs.ctx, rs.g.Query, rel)
+	rs.report.StagePlans = append(rs.report.StagePlans, "final: "+node.Compact())
+	return runJob(rs.ctx, rs.g, node)
 }
 
 // spliceFragments rewrites a final-job plan (whose leaves may reference
@@ -432,10 +409,8 @@ func (rs *runState) spliceFragments(n *plan.Node) *plan.Node {
 }
 
 func (rs *runState) originOfQualified(qualified string) string {
-	for i := 0; i < len(qualified); i++ {
-		if qualified[i] == '.' {
-			return rs.originKey(qualified[:i], qualified[i+1:])
-		}
+	if alias, field, ok := strings.Cut(qualified, "."); ok {
+		return rs.originKey(alias, field)
 	}
 	return qualified
 }
@@ -452,47 +427,5 @@ func (rs *runState) runRemainderStatically() (*engine.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rs.executeFinalTree(node, tables)
-}
-
-// Oracle executes a previously assembled plan tree as a single pipelined
-// job — the "statistics known upfront" baseline of the §7.1 overhead
-// experiments, and the executor behind the best-order strategy.
-type Oracle struct {
-	Label string
-	Tree  *plan.Node
-}
-
-// Name implements Strategy.
-func (o *Oracle) Name() string {
-	if o.Label != "" {
-		return o.Label
-	}
-	return "oracle"
-}
-
-// Run implements Strategy: parse (for the finishing clauses), execute the
-// fixed tree, finish.
-func (o *Oracle) Run(ctx *engine.Context, sql string) (*engine.Result, *Report, error) {
-	return Metered(ctx, o.Name(), sql, func(r *Report) (*engine.Result, error) {
-		q, err := sqlpp.Parse(sql)
-		if err != nil {
-			return nil, err
-		}
-		g, err := sqlpp.Analyze(q, ctx.Catalog.Resolver())
-		if err != nil {
-			return nil, err
-		}
-		if o.Tree == nil {
-			return nil, fmt.Errorf("core: oracle has no plan tree")
-		}
-		plan.AnnotateProjections(o.Tree, RequiredOutputColumns(g))
-		rel, err := engine.Execute(ctx, o.Tree)
-		if err != nil {
-			return nil, err
-		}
-		r.Tree = o.Tree
-		r.StagePlans = append(r.StagePlans, "single job: "+o.Tree.Compact())
-		return engine.Finish(ctx, q, rel)
-	})
+	return rs.executeFinalTree(node)
 }

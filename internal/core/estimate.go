@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dynopt/internal/catalog"
 	"dynopt/internal/engine"
@@ -108,17 +109,22 @@ func (e *Estimator) JoinEstimate(edge *sqlpp.JoinEdge, tables Tables) (int64, er
 	if !ok {
 		return 0, fmt.Errorf("core: unknown alias %q in join estimate", edge.RightAlias)
 	}
-	ld := make([]int64, len(edge.LeftFields))
-	for i, f := range edge.LeftFields {
-		ld[i] = e.FieldDistinct(lt.Dataset, f, lt.EstRows)
-	}
-	rd := make([]int64, len(edge.RightFields))
-	for i, f := range edge.RightFields {
-		rd[i] = e.FieldDistinct(rt.Dataset, f, rt.EstRows)
-	}
-	du := stats.CompositeDistinct(lt.EstRows, ld)
-	dv := stats.CompositeDistinct(rt.EstRows, rd)
+	du := e.KeyDistinct(lt.EstRows, edge.LeftFields, func(f string) (string, string) { return lt.Dataset, f })
+	dv := e.KeyDistinct(rt.EstRows, edge.RightFields, func(f string) (string, string) { return rt.Dataset, f })
 	return stats.JoinCardinality(lt.EstRows, rt.EstRows, du, dv), nil
+}
+
+// KeyDistinct is formula (1)'s U for one side of a join: the composite
+// distinct count of the side's keys, where resolve names the dataset and
+// field each key is read from and every per-key count is capped at the
+// side's rows. Every planner prices a join side through it.
+func (e *Estimator) KeyDistinct(rows int64, keys []string, resolve func(key string) (dataset, field string)) int64 {
+	ds := make([]int64, len(keys))
+	for i, k := range keys {
+		dataset, field := resolve(k)
+		ds[i] = e.FieldDistinct(dataset, field, rows)
+	}
+	return stats.CompositeDistinct(rows, ds)
 }
 
 // BuildTables assembles the planner's table states for the current query
@@ -153,20 +159,12 @@ func BuildTables(est *Estimator, g *sqlpp.Graph, need map[string]map[string]bool
 				for col := range cols {
 					info.Project = append(info.Project, col)
 				}
-				sortStrings(info.Project)
+				slices.Sort(info.Project)
 			}
 		}
 		tables[alias] = info
 	}
 	return tables, nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // datasetOf fetches the storage dataset behind a table state.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"strings"
 
 	"dynopt/internal/plan"
 	"dynopt/internal/sqlpp"
@@ -88,21 +90,14 @@ func PlanFull(est *Estimator, g *sqlpp.Graph, tables Tables, cfg AlgoConfig) (*p
 		return lk, rk
 	}
 
-	// sideDistinct estimates the composite distinct count of keys within a
-	// side: per-field distincts from the owning alias's dataset statistics,
-	// capped by the side's row estimate.
-	sideDistinct := func(keys []string, rows int64) int64 {
-		ds := make([]int64, len(keys))
-		for i, k := range keys {
-			alias, field := splitQualified(k)
-			info := tables[alias]
-			if info == nil {
-				ds[i] = rows
-				continue
-			}
-			ds[i] = est.FieldDistinct(info.Dataset, field, rows)
+	// resolve reads a side's qualified key from its owning alias's dataset
+	// (an unknown alias has no statistics: the key counts as the rows).
+	resolve := func(key string) (string, string) {
+		alias, field := splitQualified(key)
+		if info := tables[alias]; info != nil {
+			return info.Dataset, field
 		}
-		return stats.CompositeDistinct(rows, ds)
+		return "", field
 	}
 
 	// dpInput adapts one side for the algorithm rule.
@@ -123,7 +118,7 @@ func PlanFull(est *Estimator, g *sqlpp.Graph, tables Tables, cfg AlgoConfig) (*p
 	full := uint32(1)<<uint(n) - 1
 	for size := 2; size <= n; size++ {
 		for s := uint32(1); s <= full; s++ {
-			if popcount(s) != size {
+			if bits.OnesCount32(s) != size {
 				continue
 			}
 			for a := (s - 1) & s; a > 0; a = (a - 1) & s {
@@ -139,8 +134,8 @@ func PlanFull(est *Estimator, g *sqlpp.Graph, tables Tables, cfg AlgoConfig) (*p
 				if len(lk) == 0 {
 					continue // cross product: not considered
 				}
-				du := sideDistinct(lk, ea.rows)
-				dv := sideDistinct(rk, eb.rows)
+				du := est.KeyDistinct(ea.rows, lk, resolve)
+				dv := est.KeyDistinct(eb.rows, rk, resolve)
 				outRows := stats.JoinCardinality(ea.rows, eb.rows, du, dv)
 				cost := ea.cost + eb.cost + float64(outRows)
 				cur := best[s]
@@ -156,10 +151,10 @@ func PlanFull(est *Estimator, g *sqlpp.Graph, tables Tables, cfg AlgoConfig) (*p
 				node.EstRows = outRows
 				width := int64(1)
 				if ea.rows > 0 {
-					width += ea.bytes / maxI64(ea.rows, 1)
+					width += ea.bytes / max(ea.rows, 1)
 				}
 				if eb.rows > 0 {
-					width += eb.bytes / maxI64(eb.rows, 1)
+					width += eb.bytes / max(eb.rows, 1)
 				}
 				best[s] = &dpEntry{
 					node: node, rows: outRows, bytes: outRows * width,
@@ -175,27 +170,11 @@ func PlanFull(est *Estimator, g *sqlpp.Graph, tables Tables, cfg AlgoConfig) (*p
 	return e.node, nil
 }
 
+// splitQualified splits alias.field at the first dot; a bare name has no
+// alias.
 func splitQualified(q string) (alias, field string) {
-	for i := 0; i < len(q); i++ {
-		if q[i] == '.' {
-			return q[:i], q[i+1:]
-		}
+	if alias, field, ok := strings.Cut(q, "."); ok {
+		return alias, field
 	}
 	return "", q
-}
-
-func popcount(x uint32) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

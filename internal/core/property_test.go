@@ -131,7 +131,7 @@ func TestDynamicMatchesReferenceProperty(t *testing.T) {
 			t.Logf("seed %d: build error %v", seed, err)
 			return false
 		}
-		res, rep, err := NewDynamic().Run(ctx, sql)
+		res, rep, err := (&Dynamic{Cfg: DefaultConfig()}).Run(ctx, sql)
 		if err != nil {
 			t.Logf("seed %d: %v\n%s\n%v", seed, err, sql, rep)
 			return false

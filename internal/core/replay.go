@@ -177,7 +177,7 @@ func (rs *runState) replayPlan(e *memo.Entry) (*engine.Result, error) {
 	if err != nil {
 		return nil, rs.abandonReplay(len(e.Stages), "final job: %v", err)
 	}
-	res, err := rs.executeFinalTree(node, tables)
+	res, err := rs.executeFinalTree(node)
 	if err != nil && errors.Is(err, faults.ErrCorrupt) {
 		return nil, rs.abandonReplay(len(e.Stages), "corrupt spill run during replay: %v", err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dynopt/internal/engine"
@@ -31,7 +32,7 @@ type runState struct {
 	need map[string]map[string]bool // original-query needed columns per ORIGINAL alias
 
 	// fragment[alias] is the assembled plan subtree producing that alias's
-	// data, expressed over base datasets (for Oracle re-execution and
+	// data, expressed over base datasets (for oracle re-execution and
 	// appendix-style printing).
 	fragment map[string]*plan.Node
 	// origin[alias][column] maps a current column of alias to its original
@@ -130,7 +131,7 @@ func (rs *runState) initFragments() error {
 				for c := range cols {
 					leaf.Project = append(leaf.Project, c)
 				}
-				sortStrings(leaf.Project)
+				slices.Sort(leaf.Project)
 			}
 		}
 		rs.fragment[alias] = plan.NewLeaf(leaf)
@@ -221,23 +222,21 @@ func (rs *runState) executePushDown(alias string) error {
 	// reconstructed query's alias.col references still resolve: the
 	// ReplaceFilteredDataset reconstruction keeps the alias and column
 	// names (A → A′ in the paper keeps the attribute names).
+	prefix := alias + "_"
 	for i := range tds.Schema.Fields {
-		tds.Schema.Fields[i].Name = stripPrefix(tds.Schema.Fields[i].Name, alias+"_")
+		tds.Schema.Fields[i].Name = strings.TrimPrefix(tds.Schema.Fields[i].Name, prefix)
 	}
 	for i, pk := range tds.PrimaryKey {
-		tds.PrimaryKey[i] = stripPrefix(pk, alias+"_")
+		tds.PrimaryKey[i] = strings.TrimPrefix(pk, prefix)
 	}
-	renamed := map[string]bool{}
-	for f := range tst.Fields {
-		renamed[f] = true
+	// The statistics are renamed into a fresh map: renamed in place, the
+	// flattened t_k (column k) and t_t_k (column t_k) would overwrite each
+	// other's sketches depending on map order.
+	bare := make(map[string]*stats.FieldStats, len(tst.Fields))
+	for f, fs := range tst.Fields {
+		bare[strings.TrimPrefix(f, prefix)] = fs
 	}
-	for f := range renamed {
-		bare := stripPrefix(f, alias+"_")
-		if bare != f {
-			tst.Fields[bare] = tst.Fields[f]
-			delete(tst.Fields, f)
-		}
-	}
+	tst.Fields = bare
 	if err := rs.registerStage(tempName, tds, tst); err != nil {
 		return err
 	}
@@ -283,10 +282,6 @@ func (rs *runState) registerStage(tempName string, tds *storage.Dataset, tst *st
 	return nil
 }
 
-func stripPrefix(s, prefix string) string {
-	return strings.TrimPrefix(s, prefix)
-}
-
 // currentTable builds the TableInfo for one alias of the current graph.
 func (rs *runState) currentTable(alias string) *TableInfo {
 	tables, err := rs.currentTables()
@@ -316,7 +311,7 @@ func (rs *runState) pickCheapestJoin(tables Tables) (*sqlpp.JoinEdge, int64, err
 				return nil, 0, fmt.Errorf("core: unknown alias in edge %s", edge)
 			}
 			score = lt.EstRows + rt.EstRows
-			card = maxI64(lt.EstRows, rt.EstRows)
+			card = max(lt.EstRows, rt.EstRows)
 		} else {
 			var err error
 			card, err = rs.est.JoinEstimate(edge, tables)

@@ -66,7 +66,7 @@ func TestDynamicWithStringJoinKeys(t *testing.T) {
 	sql := `SELECT s.sh_id FROM shipments s, country c, zone z
 		WHERE s.sh_country = c.code AND c.zone = z.z_id
 		  AND z.z_name = 'north' AND c.code != 'DE' AND c.code != 'XX'`
-	res, rep, err := NewDynamic().Run(ctx, sql)
+	res, rep, err := (&Dynamic{Cfg: DefaultConfig()}).Run(ctx, sql)
 	if err != nil {
 		t.Fatalf("%v\n%v", err, rep)
 	}
@@ -104,7 +104,7 @@ func TestFinishOrderByWithNulls(t *testing.T) {
 	if err := ctx.Catalog.Register(ds, st); err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := NewDynamic().Run(ctx, "SELECT t.id, t.v FROM t ORDER BY t.v")
+	res, rep, err := (&Dynamic{Cfg: DefaultConfig()}).Run(ctx, "SELECT t.id, t.v FROM t ORDER BY t.v")
 	if err != nil {
 		t.Fatalf("%v\n%v", err, rep)
 	}

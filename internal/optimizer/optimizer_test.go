@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -115,22 +116,30 @@ func sameInts(a, b []int64) bool {
 	return true
 }
 
-// allStrategies returns every strategy under test, dynamic included.
-func allStrategies() []core.Strategy {
-	return []core.Strategy{
-		core.NewDynamic(),
-		NewCostBased(),
-		NewBestOrder(),
-		NewWorstOrder(),
-		NewPilotRun(),
-		NewIngresLike(),
+// strategy builds one strategy of the table under the default
+// configuration.
+func strategy(t *testing.T, name string) core.Strategy {
+	t.Helper()
+	s, err := New(name, core.DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return s
+}
+
+// allStrategies returns every strategy under test, dynamic included.
+func allStrategies(t *testing.T) []core.Strategy {
+	out := make([]core.Strategy, len(Names))
+	for i, name := range Names {
+		out[i] = strategy(t, name)
+	}
+	return out
 }
 
 // Every strategy must return the same result — they differ only in cost.
 func TestAllStrategiesSameResult(t *testing.T) {
 	want := expectedRows()
-	for _, s := range allStrategies() {
+	for _, s := range allStrategies(t) {
 		t.Run(s.Name(), func(t *testing.T) {
 			ctx := testWorkload(t, 4)
 			res, rep, err := s.Run(ctx, testQuery)
@@ -162,7 +171,7 @@ func TestWorstOrderIsWorst(t *testing.T) {
 
 	simZero := map[string]float64{}
 	simFull := map[string]float64{}
-	for _, s := range allStrategies() {
+	for _, s := range allStrategies(t) {
 		ctx := testWorkload(t, 4)
 		_, rep, err := s.Run(ctx, testQuery)
 		if err != nil {
@@ -193,7 +202,7 @@ func TestCostBasedMisestimatesCorrelatedPredicates(t *testing.T) {
 	// plans may differ. This asserts the estimate gap is visible in the
 	// plan report (the dim_a leaf estimate).
 	ctx := testWorkload(t, 4)
-	cb := NewCostBased()
+	cb := strategy(t, "cost-based")
 	_, rep, err := cb.Run(ctx, testQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +220,7 @@ func TestCostBasedMisestimatesCorrelatedPredicates(t *testing.T) {
 
 func TestBestOrderNoReoptOverhead(t *testing.T) {
 	ctx := testWorkload(t, 4)
-	bo := NewBestOrder()
+	bo := strategy(t, "best-order")
 	_, rep, err := bo.Run(ctx, testQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +233,7 @@ func TestBestOrderNoReoptOverhead(t *testing.T) {
 	}
 	// Its plan is the dynamic plan: same compact shape modulo estimates.
 	ctx2 := testWorkload(t, 4)
-	_, drep, err := core.NewDynamic().Run(ctx2, testQuery)
+	_, drep, err := strategy(t, "dynamic").Run(ctx2, testQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +250,7 @@ func TestBestOrderNoReoptOverhead(t *testing.T) {
 
 func TestWorstOrderShape(t *testing.T) {
 	ctx := testWorkload(t, 4)
-	wo := NewWorstOrder()
+	wo := strategy(t, "worst-order")
 	_, rep, err := wo.Run(ctx, testQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +271,7 @@ func TestWorstOrderShape(t *testing.T) {
 	}
 	// It must shuffle far more than dynamic does.
 	ctx2 := testWorkload(t, 4)
-	_, drep, err := core.NewDynamic().Run(ctx2, testQuery)
+	_, drep, err := strategy(t, "dynamic").Run(ctx2, testQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +283,7 @@ func TestWorstOrderShape(t *testing.T) {
 
 func TestPilotRunSamplingMetered(t *testing.T) {
 	ctx := testWorkload(t, 4)
-	pr := NewPilotRun()
+	pr := strategy(t, "pilot-run")
 	_, rep, err := pr.Run(ctx, testQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -295,21 +304,31 @@ func TestPilotRunSamplingMetered(t *testing.T) {
 }
 
 func TestPilotRunSampleKDefaultsAndExhaustion(t *testing.T) {
+	// dim_a and dim_b have fewer qualifying rows than pilotSampleK: their
+	// pilot queries exhaust the dataset and the count is exact. dim_c's stops
+	// at pilotSampleK rows and extrapolates.
 	ctx := testWorkload(t, 4)
-	pr := &PilotRun{Cfg: core.DefaultConfig(), SampleK: 0} // defaults kick in
-	pr.Cfg.PushDown = false
-	res, _, err := pr.Run(ctx, testQuery)
+	res, rep, err := strategy(t, "pilot-run").Run(ctx, testQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameInts(resultInts(res), expectedRows()) {
-		t.Error("pilot-run with default K wrong result")
+		t.Error("pilot-run wrong result")
+	}
+	for _, want := range []string{
+		"pilot dim_a: sampled 50/500 rows → est 50 rows",
+		"pilot dim_b: sampled 40/200 rows → est 40 rows",
+		"pilot dim_c: sampled 500/500 rows → est 1000 rows",
+	} {
+		if !slices.Contains(rep.StagePlans, want) {
+			t.Errorf("no stage %q in %q", want, rep.StagePlans)
+		}
 	}
 }
 
 func TestIngresLikeDecomposesEverything(t *testing.T) {
 	ctx := testWorkload(t, 4)
-	il := NewIngresLike()
+	il := strategy(t, "ingres-like")
 	_, rep, err := il.Run(ctx, testQuery)
 	if err != nil {
 		t.Fatal(err)

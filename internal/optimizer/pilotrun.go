@@ -11,29 +11,20 @@ import (
 	"dynopt/internal/types"
 )
 
-// DefaultPilotSampleK is the LIMIT applied to each pilot query.
-const DefaultPilotSampleK = 500
+// pilotSampleK is the LIMIT applied to each pilot query.
+const pilotSampleK = 500
 
 // PilotRun reproduces the sampling approach of [23]: before planning, each
 // base dataset is probed with a select-project pilot query (local predicates
-// included) that stops after K output tuples. Statistics derived from the
-// samples — sizes extrapolated from the observed selectivity, distinct
-// counts scaled linearly — seed the planner; execution then proceeds with
-// re-optimization points that adapt from accurate online feedback. The
-// sampling cost is metered as part of the strategy's work, and the scaled
-// distinct counts misfire on skewed non-PK/FK keys exactly as §7.2 reports.
+// included) that stops after pilotSampleK output tuples. Statistics derived
+// from the samples — sizes extrapolated from the observed selectivity,
+// distinct counts scaled linearly — seed the planner; execution then
+// proceeds with re-optimization points that adapt from accurate online
+// feedback. The sampling cost is metered as part of the strategy's work, and
+// the scaled distinct counts misfire on skewed non-PK/FK keys exactly as
+// §7.2 reports.
 type PilotRun struct {
-	Cfg     core.Config
-	SampleK int
-}
-
-// NewPilotRun returns the baseline with default configuration.
-func NewPilotRun() *PilotRun {
-	cfg := core.DefaultConfig()
-	// Pilot runs replace the predicate push-down phase: predicates are
-	// applied during sampling and inline during execution.
-	cfg.PushDown = false
-	return &PilotRun{Cfg: cfg, SampleK: DefaultPilotSampleK}
+	Cfg core.Config
 }
 
 // Name implements core.Strategy.
@@ -63,10 +54,7 @@ func (s *PilotRun) Run(ctx *engine.Context, sql string) (*engine.Result, *core.R
 
 // samplePhase runs the pilot queries and builds the sample-derived registry.
 func (s *PilotRun) samplePhase(ctx *engine.Context, g *sqlpp.Graph, r *core.Report) (*stats.Registry, error) {
-	k := s.SampleK
-	if k <= 0 {
-		k = DefaultPilotSampleK
-	}
+	const k = pilotSampleK
 	reg := ctx.Catalog.Stats().Clone()
 	acct := ctx.Accounting()
 	for _, alias := range g.Aliases {

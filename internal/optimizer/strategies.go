@@ -1,79 +1,74 @@
-// Package optimizer implements the five comparison strategies of §7.2,
-// built on the planning machinery in internal/core:
+// Package optimizer is the table of the six strategies §7.2 compares — the
+// dynamic approach of internal/core and five baselines that differ from it
+// only in how a plan is chosen:
 //
-//   - CostBased: traditional static cost-based optimization — the complete
+//   - cost-based: traditional static cost-based optimization — the complete
 //     plan is formed upfront from ingestion-time statistics with
 //     independence assumptions and Selinger defaults for complex predicates,
 //     then executed as one pipelined job.
-//   - BestOrder: the user writes the query in the optimal order with
+//   - best-order: the user writes the query in the optimal order with
 //     broadcast hints; realized as a shadow dynamic run (unmetered, on a
 //     cloned catalog) whose final plan is executed pipelined with no
 //     re-optimization overhead.
-//   - WorstOrder: a right-deep tree scheduling joins in decreasing result
+//   - worst-order: a right-deep tree scheduling joins in decreasing result
 //     size, hash joins only — AsterixDB's default behaviour under the worst
 //     possible FROM-clause order.
-//   - PilotRun: the sampling approach of [23] — LIMIT-k pilot queries over
+//   - pilot-run: the sampling approach of [23] — LIMIT-k pilot queries over
 //     each input estimate the initial statistics, the first join may be
 //     chosen badly, later stages adapt from online feedback.
-//   - IngresLike: the original INGRES decomposition — every filtered
+//   - ingres-like: the original INGRES decomposition — every filtered
 //     dataset is executed as a single-variable query and the next join is
 //     chosen by raw cardinalities only.
+//
+// New is the one place a strategy is built. The static ones run through
+// core.Static, the adaptive ones through core.Dynamic.
 package optimizer
 
 import (
-	"cmp"
 	"fmt"
 
 	"dynopt/internal/cluster"
 	"dynopt/internal/core"
 	"dynopt/internal/engine"
+	"dynopt/internal/memo"
 	"dynopt/internal/plan"
 	"dynopt/internal/sqlpp"
 )
 
-// CostBased is the traditional static cost-based baseline.
-type CostBased struct {
-	Cfg core.AlgoConfig
-}
+// Names lists the strategies New builds, in the benchmark's run order.
+var Names = []string{"dynamic", "cost-based", "best-order", "worst-order", "pilot-run", "ingres-like"}
 
-// NewCostBased returns the baseline with default algorithm config.
-func NewCostBased() *CostBased { return &CostBased{Cfg: core.DefaultAlgoConfig()} }
-
-// Name implements core.Strategy.
-func (s *CostBased) Name() string { return "cost-based" }
-
-// Run implements core.Strategy.
-func (s *CostBased) Run(ctx *engine.Context, sql string) (*engine.Result, *core.Report, error) {
-	return core.Metered(ctx, s.Name(), sql, func(r *core.Report) (*engine.Result, error) {
-		q, err := sqlpp.Parse(sql)
-		if err != nil {
-			return nil, err
-		}
-		g, err := sqlpp.Analyze(q, ctx.Catalog.Resolver())
-		if err != nil {
-			return nil, err
-		}
-		est := &core.Estimator{Cat: ctx.Catalog, Reg: ctx.Catalog.Stats()}
-		tables, err := core.BuildTables(est, g, g.NeededColumns(), q.SelectStar)
-		if err != nil {
-			return nil, err
-		}
-		// Plan broadcasts against the spill budget the engine will enforce.
-		cfg := s.Cfg
-		cfg.SpillBudgetBytes = cmp.Or(cfg.SpillBudgetBytes, ctx.SpillBudget())
-		tree, err := core.PlanFull(est, g, tables, cfg)
-		if err != nil {
-			return nil, err
-		}
-		plan.AnnotateProjections(tree, core.RequiredOutputColumns(g))
-		r.Tree = tree
-		r.StagePlans = append(r.StagePlans, "static plan: "+tree.Compact())
-		rel, err := engine.Execute(ctx, tree)
-		if err != nil {
-			return nil, err
-		}
-		return engine.Finish(ctx, q, rel)
-	})
+// New builds the named strategy from the dynamic approach's configuration
+// cfg. Every strategy plans under cfg.Algo; cfg.MaxReopts and the plan memo
+// m (nil: none) reach the dynamic strategy only. Each baseline's fixed
+// settings are written here and nowhere else.
+func New(name string, cfg core.Config, m *memo.Store) (core.Strategy, error) {
+	unbudgeted := cfg
+	unbudgeted.MaxReopts = 0
+	switch name {
+	case "dynamic":
+		return &core.Dynamic{Cfg: cfg, Memo: m}, nil
+	case "cost-based":
+		return &core.Static{Label: name, Stage: "static plan", Plan: core.PlanFull, Algo: cfg.Algo}, nil
+	case "best-order":
+		return &BestOrder{Cfg: unbudgeted}, nil
+	case "worst-order":
+		return &core.Static{Label: name, Stage: "worst-order plan", Plan: planWorst}, nil
+	case "pilot-run":
+		// Pilot runs replace the predicate push-down phase: predicates are
+		// applied during sampling and inline during execution.
+		unbudgeted.PushDown = false
+		return &PilotRun{Cfg: unbudgeted}, nil
+	case "ingres-like":
+		return &core.Dynamic{Label: name, Cfg: core.Config{
+			Algo:            cfg.Algo,
+			PushDown:        true,
+			PushDownAll:     true, // full INGRES decomposition
+			ReoptLoop:       true,
+			CardinalityOnly: true, // cardinalities only: no online statistics, no formula (1)
+		}}, nil
+	}
+	return nil, fmt.Errorf("optimizer: unknown strategy %q", name)
 }
 
 // BestOrder executes the optimal plan (as the dynamic approach would find
@@ -84,10 +79,6 @@ func (s *CostBased) Run(ctx *engine.Context, sql string) (*engine.Result, *core.
 type BestOrder struct {
 	Cfg core.Config
 }
-
-// NewBestOrder returns the baseline with the full dynamic config for its
-// shadow run.
-func NewBestOrder() *BestOrder { return &BestOrder{Cfg: core.DefaultConfig()} }
 
 // Name implements core.Strategy.
 func (s *BestOrder) Name() string { return "best-order" }
@@ -104,16 +95,15 @@ func (s *BestOrder) Run(ctx *engine.Context, sql string) (*engine.Result, *core.
 		return nil, nil, err
 	}
 	// The shadow run plans on a scratch context with no spill device; hand it
-	// the budget explicitly so the plan the Oracle executes matches the
-	// spilling engine's broadcast rule.
+	// the budget explicitly so the plan executed here matches the spilling
+	// engine's broadcast rule.
 	cfg := s.Cfg
-	cfg.Algo.SpillBudgetBytes = cmp.Or(cfg.Algo.SpillBudgetBytes, ctx.SpillBudget())
+	cfg.Algo = core.PlanningAlgo(ctx, cfg.Algo)
 	tree, err := shadowDynamicPlan(ctx, sql, cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("optimizer: best-order shadow run: %w", err)
 	}
-	o := &core.Oracle{Label: s.Name(), Tree: tree}
-	return o.Run(ctx, sql)
+	return (&core.Static{Label: s.Name(), Tree: tree}).Run(ctx, sql)
 }
 
 // shadowDynamicPlan runs the dynamic strategy on an unmetered scratch

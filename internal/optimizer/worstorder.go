@@ -4,57 +4,17 @@ import (
 	"fmt"
 
 	"dynopt/internal/core"
-	"dynopt/internal/engine"
 	"dynopt/internal/plan"
 	"dynopt/internal/sqlpp"
 	"dynopt/internal/stats"
 )
 
-// WorstOrder enforces a right-deep plan that schedules joins in decreasing
-// order of estimated result size, all hash joins, no broadcasts — the §7.2
-// adversarial baseline representing the least gain achievable by writing
-// the FROM clause badly against AsterixDB's default behaviour.
-type WorstOrder struct{}
-
-// NewWorstOrder returns the baseline.
-func NewWorstOrder() *WorstOrder { return &WorstOrder{} }
-
-// Name implements core.Strategy.
-func (s *WorstOrder) Name() string { return "worst-order" }
-
-// Run implements core.Strategy.
-func (s *WorstOrder) Run(ctx *engine.Context, sql string) (*engine.Result, *core.Report, error) {
-	return core.Metered(ctx, s.Name(), sql, func(r *core.Report) (*engine.Result, error) {
-		q, err := sqlpp.Parse(sql)
-		if err != nil {
-			return nil, err
-		}
-		g, err := sqlpp.Analyze(q, ctx.Catalog.Resolver())
-		if err != nil {
-			return nil, err
-		}
-		est := &core.Estimator{Cat: ctx.Catalog, Reg: ctx.Catalog.Stats()}
-		tables, err := core.BuildTables(est, g, g.NeededColumns(), q.SelectStar)
-		if err != nil {
-			return nil, err
-		}
-		tree, err := planWorst(est, g, tables)
-		if err != nil {
-			return nil, err
-		}
-		plan.AnnotateProjections(tree, core.RequiredOutputColumns(g))
-		r.Tree = tree
-		r.StagePlans = append(r.StagePlans, "worst-order plan: "+tree.Compact())
-		rel, err := engine.Execute(ctx, tree)
-		if err != nil {
-			return nil, err
-		}
-		return engine.Finish(ctx, q, rel)
-	})
-}
-
-// planWorst builds the decreasing-result-size right-deep hash-join chain.
-func planWorst(est *core.Estimator, g *sqlpp.Graph, tables core.Tables) (*plan.Node, error) {
+// planWorst is the worst-order baseline's core.Planner: a right-deep plan
+// that schedules joins in decreasing order of estimated result size, all
+// hash joins, no broadcasts — the §7.2 adversarial baseline representing the
+// least gain achievable by writing the FROM clause badly against
+// AsterixDB's default behaviour. The algorithm rule is not consulted.
+func planWorst(est *core.Estimator, g *sqlpp.Graph, tables core.Tables, _ core.AlgoConfig) (*plan.Node, error) {
 	leaf := func(alias string) *plan.Node {
 		info := tables[alias]
 		n := plan.NewLeaf(&plan.Leaf{
@@ -115,26 +75,16 @@ func planWorst(est *core.Estimator, g *sqlpp.Graph, tables core.Tables) (*plan.N
 			default:
 				continue
 			}
-			info := tables[newAlias]
-			// Distinct counts of the edge keys, capped by each side's rows.
-			var curKeys, newKeys []string
+			info, curInfo := tables[newAlias], tables[e.Other(newAlias)]
+			// Formula (1) over the edge keys, the current side at the
+			// intermediate's rows.
+			curKeys, newKeys := e.RightFields, e.LeftFields
 			if newAlias == e.RightAlias {
 				curKeys, newKeys = e.LeftFields, e.RightFields
-			} else {
-				curKeys, newKeys = e.RightFields, e.LeftFields
-			}
-			curAlias := e.Other(newAlias)
-			cd := make([]int64, len(curKeys))
-			for i, f := range curKeys {
-				cd[i] = est.FieldDistinct(tables[curAlias].Dataset, f, curRows)
-			}
-			nd := make([]int64, len(newKeys))
-			for i, f := range newKeys {
-				nd[i] = est.FieldDistinct(info.Dataset, f, info.EstRows)
 			}
 			card := stats.JoinCardinality(curRows, info.EstRows,
-				stats.CompositeDistinct(curRows, cd),
-				stats.CompositeDistinct(info.EstRows, nd))
+				est.KeyDistinct(curRows, curKeys, func(f string) (string, string) { return curInfo.Dataset, f }),
+				est.KeyDistinct(info.EstRows, newKeys, func(f string) (string, string) { return info.Dataset, f }))
 			if bestEdge == nil || card > bestCard {
 				bestEdge, bestAlias, bestCard = e, newAlias, card
 			}

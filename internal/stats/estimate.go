@@ -108,7 +108,7 @@ func EstimateSelectivity(fs *FieldStats, op RangeOp, lo, hi float64) float64 {
 		est := fs.Quantiles.EstimateEquals(lo)
 		// Never estimate below the uniform-distinct floor; equality on a
 		// key column should estimate ~1 row, not 0.
-		floor := n / float64(maxI64(fs.DistinctCount(), 1))
+		floor := n / float64(max(fs.DistinctCount(), 1))
 		matched = math.Max(float64(est), math.Min(floor, n))
 	case OpNe:
 		return clamp01(1 - EstimateSelectivity(fs, OpEq, lo, hi))
@@ -147,11 +147,4 @@ func clamp01(x float64) float64 {
 		return 1
 	}
 	return x
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -159,7 +159,11 @@ func TestQ17Q50AllStrategiesAgree(t *testing.T) {
 	for qname, sql := range map[string]string{"Q17": Q17(), "Q50": Q50()} {
 		t.Run(qname, func(t *testing.T) {
 			refCtx, _ := loadCtx(t, 2, 4)
-			refRes, _, err := optimizer.NewCostBased().Run(refCtx, sql)
+			cb, err := optimizer.New("cost-based", core.DefaultConfig(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refRes, _, err := cb.Run(refCtx, sql)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,14 +171,14 @@ func TestQ17Q50AllStrategiesAgree(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatalf("%s returns no rows — workload too sparse", qname)
 			}
-			strategies := []core.Strategy{
-				core.NewDynamic(),
-				optimizer.NewBestOrder(),
-				optimizer.NewWorstOrder(),
-				optimizer.NewPilotRun(),
-				optimizer.NewIngresLike(),
-			}
-			for _, s := range strategies {
+			for _, name := range optimizer.Names {
+				if name == "cost-based" {
+					continue // the reference
+				}
+				s, err := optimizer.New(name, core.DefaultConfig(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
 				ctx, _ := loadCtx(t, 2, 4)
 				res, rep, err := s.Run(ctx, sql)
 				if err != nil {
@@ -198,7 +202,7 @@ func TestQ17Q50AllStrategiesAgree(t *testing.T) {
 
 func TestQ17DynamicPlanShape(t *testing.T) {
 	ctx, _ := loadCtx(t, 10, 4)
-	_, rep, err := core.NewDynamic().Run(ctx, Q17())
+	_, rep, err := (&core.Dynamic{Cfg: core.DefaultConfig()}).Run(ctx, Q17())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +277,7 @@ func TestBuildIndexesErrors(t *testing.T) {
 
 func TestQ17LimitRespected(t *testing.T) {
 	ctx, _ := loadCtx(t, 2, 4)
-	res, _, err := core.NewDynamic().Run(ctx, Q17())
+	res, _, err := (&core.Dynamic{Cfg: core.DefaultConfig()}).Run(ctx, Q17())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,7 +156,11 @@ func TestBuildIndexes(t *testing.T) {
 
 func refRows(t *testing.T, ctx *engine.Context, sql string) []string {
 	t.Helper()
-	res, _, err := optimizer.NewCostBased().Run(ctx, sql)
+	cb, err := optimizer.New("cost-based", core.DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := cb.Run(ctx, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,14 +186,14 @@ func TestQ8Q9AllStrategiesAgree(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatalf("%s returns no rows — workload too sparse", qname)
 			}
-			strategies := []core.Strategy{
-				core.NewDynamic(),
-				optimizer.NewBestOrder(),
-				optimizer.NewWorstOrder(),
-				optimizer.NewPilotRun(),
-				optimizer.NewIngresLike(),
-			}
-			for _, s := range strategies {
+			for _, name := range optimizer.Names {
+				if name == "cost-based" {
+					continue // the reference
+				}
+				s, err := optimizer.New(name, core.DefaultConfig(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
 				ctx, _ := loadCtx(t, 1, 4)
 				res, rep, err := s.Run(ctx, sql)
 				if err != nil {
@@ -225,7 +229,7 @@ func TestQ9WithINLJ(t *testing.T) {
 	}
 	// Same result as the hash/broadcast-only run.
 	ctx2, _ := loadCtx(t, 1, 4)
-	res2, _, err := core.NewDynamic().Run(ctx2, Q9())
+	res2, _, err := (&core.Dynamic{Cfg: core.DefaultConfig()}).Run(ctx2, Q9())
 	if err != nil {
 		t.Fatal(err)
 	}
