@@ -1,6 +1,7 @@
 package dynopt
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -119,6 +120,31 @@ func TestStatementErrorsAreTheUsers(t *testing.T) {
 				t.Errorf("Explain: error %q, want %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestGlobalAggregateOverEmptyInput: an aggregate without GROUP BY returns
+// one row even when no row survives the WHERE clause — count 0, every other
+// aggregate NULL — while a GROUP BY over no rows returns none.
+func TestGlobalAggregateOverEmptyInput(t *testing.T) {
+	db := testDB(t)
+	for _, s := range []Strategy{StrategyDynamic, StrategyCostBased} {
+		for _, tc := range []struct{ sql, want string }{
+			{"SELECT count(o.o_amt) AS c FROM orders o WHERE o.o_id > 100000", "[[0]]"},
+			{`SELECT count(o.o_amt), sum(o.o_amt), avg(o.o_amt), min(o.o_amt), max(o.o_amt)
+				FROM orders o WHERE o.o_id > 100000`, "[[0, NULL, NULL, NULL, NULL]]"},
+			{`SELECT count(o.o_id) FROM orders o, users u
+				WHERE o.o_user = u.u_id AND u.u_grp = 99`, "[[0]]"},
+			{"SELECT o.o_item, count(o.o_id) FROM orders o WHERE o.o_id > 100000 GROUP BY o.o_item", "[]"},
+		} {
+			res, err := db.Query(tc.sql, &QueryOptions{Strategy: s})
+			if err != nil {
+				t.Fatalf("%s: %s: %v", s, tc.sql, err)
+			}
+			if got := fmt.Sprint(res.Rows); got != tc.want {
+				t.Errorf("%s: %s = %s, want %s", s, tc.sql, got, tc.want)
+			}
+		}
 	}
 }
 

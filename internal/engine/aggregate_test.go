@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -99,11 +100,16 @@ func TestAggregateOrderDescLimit(t *testing.T) {
 func TestAggregateEmptyInput(t *testing.T) {
 	ctx := testCtx(t, 2)
 	register(t, ctx, "t", []string{"id"}, []string{"id", "grp", "pay"}, nil)
-	res := runAgg(t, ctx, "SELECT count(a.id), sum(a.pay), min(a.pay) FROM t AS a")
-	// No groups at all without GROUP BY over empty input: zero rows is the
-	// engine's contract (grouping produces no groups).
+	// Without GROUP BY there is exactly one group, over empty input too:
+	// count is 0 and every other aggregate NULL, as SQL has it.
+	res := runAgg(t, ctx, "SELECT count(a.id), sum(a.pay), min(a.pay), avg(a.pay), max(a.pay), a.grp FROM t AS a")
+	if got := fmt.Sprint(res.Rows); got != "[[0, NULL, NULL, NULL, NULL, NULL]]" || res.Rows[0][0].K != types.KindInt {
+		t.Errorf("global aggregate over empty input = %s", got)
+	}
+	// A GROUP BY over empty input has no groups.
+	res = runAgg(t, ctx, "SELECT a.grp, count(a.id) FROM t AS a GROUP BY a.grp")
 	if len(res.Rows) != 0 {
-		t.Errorf("rows = %d", len(res.Rows))
+		t.Errorf("grouped aggregate over empty input: rows = %d", len(res.Rows))
 	}
 }
 
@@ -126,6 +132,66 @@ func TestAggregateInWhereRejected(t *testing.T) {
 	}
 }
 
+// TestAggregateOutsideSelectItemRejected: an aggregate is a whole SELECT
+// item or nothing. In ORDER BY, inside an aggregate's argument or inside a
+// larger SELECT expression it is rejected by name — not left to the UDF
+// lookup, which knows no function called count.
+func TestAggregateOutsideSelectItemRejected(t *testing.T) {
+	ctx := aggCtx(t)
+	rel, err := ScanByName(ctx, "t", "a", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT a.grp FROM t AS a GROUP BY a.grp ORDER BY count(a.id)",
+			"engine: aggregate in ORDER BY is not supported"},
+		{"SELECT count(a.id) + 1 FROM t AS a",
+			"engine: aggregate inside a SELECT expression is not supported"},
+		{"SELECT a.grp, sum(count(a.id)) FROM t AS a GROUP BY a.grp",
+			"engine: aggregate inside a SELECT expression is not supported"},
+	} {
+		q, err := sqlpp.Parse(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Finish(ctx, q, rel); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", tc.sql, err, tc.want)
+		}
+	}
+}
+
+// TestGroupBySignedZero: -0.0 and 0.0 are one value to Value.Compare (and so
+// to the equi-join and to WHERE x = 0), so they are one group.
+func TestGroupBySignedZero(t *testing.T) {
+	ctx := testCtx(t, 2)
+	schema := types.NewSchema(types.Field{Name: "id", Kind: types.KindInt}, types.Field{Name: "x", Kind: types.KindFloat})
+	registerTyped(t, ctx, "t", []string{"id"}, schema, []types.Tuple{
+		{types.Int(0), types.Float(0)},
+		{types.Int(1), types.Float(math.Copysign(0, -1))},
+		{types.Int(2), types.Float(1)},
+	})
+	rel, err := ScanByName(ctx, "t", "a", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"SELECT a.x FROM t AS a GROUP BY a.x",
+		"SELECT a.x, count(a.id) FROM t AS a GROUP BY a.x",
+	} {
+		q, err := sqlpp.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Finish(ctx, q, rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 2 {
+			t.Errorf("%s: %d groups %v, want 2", sql, len(res.Rows), res.Rows)
+		}
+	}
+}
+
 func TestAggregateMixedWithUDFCallNotConfused(t *testing.T) {
 	// myyear() is a plain (non-aggregate) call: the non-aggregate path must
 	// handle it even in an aggregate query's non-agg items.
@@ -140,10 +206,17 @@ func TestAggregateMixedWithUDFCallNotConfused(t *testing.T) {
 // TestGroupKeyClasses pins which values share a group: the classes
 // Value.Compare draws, and no others.
 func TestGroupKeyClasses(t *testing.T) {
-	cols := []expr.Expr{&expr.Column{Name: "x"}, &expr.Column{Name: "y"}}
 	env := &expr.Env{Schema: types.NewSchema(types.Field{Name: "x"}, types.Field{Name: "y"})}
+	var cols []expr.Compiled
+	for _, name := range []string{"x", "y"} {
+		c, err := expr.Compile(&expr.Column{Name: name}, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols = append(cols, c)
+	}
 	key := func(x, y types.Value) string {
-		k, err := groupKey(nil, cols, types.Tuple{x, y}, env)
+		k, err := groupKey(nil, cols, types.Tuple{x, y})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -169,11 +170,16 @@ type Result struct {
 }
 
 // Finish applies the non-join clauses to the joined relation at the
-// coordinator: projection of the SELECT list (including aggregate
-// functions over the GROUP BY groups), GROUP BY (duplicate elimination on
-// the grouping keys when no aggregates are present), ORDER BY, and LIMIT.
-// Matches §6.4: other operators are evaluated after all joins and
-// selections complete.
+// coordinator in one pass — §6.4: they are evaluated after all joins and
+// selections complete. Every SELECT item (an aggregate's argument, not the
+// call), GROUP BY key and ORDER BY key is compiled once against the
+// relation's schema. Rows group when there is a GROUP BY or an aggregate —
+// into exactly one group without GROUP BY — and are otherwise each their own
+// output. An output is projected from the row that founded it, or read from
+// its aggregate state; its ORDER BY keys come from the founding row too, so
+// a grouped query's plain items and order keys must be functionally
+// dependent on the grouping keys, as the evaluation queries are. One stable
+// sort and LIMIT follow.
 func Finish(ctx *Context, q *sqlpp.Query, rel *Relation) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -187,102 +193,143 @@ func Finish(ctx *Context, q *sqlpp.Query, rel *Relation) (*Result, error) {
 	acct := ctx.Accounting()
 	acct.ShuffleRows.Add(rel.RowCount())
 	acct.ShuffleBytes.Add(rel.ByteSize())
-	if !q.SelectStar && hasAggregates(q.Select) {
-		return finishAggregate(ctx, q, rel)
-	}
-	env := ctx.Env(rel.Schema)
 
+	env := ctx.Env(rel.Schema)
 	res := &Result{}
+	var err error
+	var sels []selItem
+	aggregates := false
 	if q.SelectStar {
 		for _, f := range rel.Schema.Fields {
 			res.Columns = append(res.Columns, f.QName())
 		}
 	} else {
-		for _, s := range q.Select {
-			name := s.Alias
-			if name == "" {
-				name = s.Expr.SQL()
+		sels = make([]selItem, len(q.Select))
+		for i, s := range q.Select {
+			kind, arg := aggOf(s.Expr)
+			if kind == aggNone {
+				arg = s.Expr
 			}
-			res.Columns = append(res.Columns, name)
+			eval, err := expr.Compile(arg, env)
+			if err != nil {
+				return nil, err
+			}
+			sels[i] = selItem{kind: kind, eval: eval}
+			aggregates = aggregates || kind != aggNone
+			res.Columns = append(res.Columns, cmp.Or(s.Alias, s.Expr.SQL()))
+		}
+	}
+	groupBy := make([]expr.Compiled, len(q.GroupBy))
+	for i, g := range q.GroupBy {
+		if groupBy[i], err = expr.Compile(g, env); err != nil {
+			return nil, err
+		}
+	}
+	orderBy := make([]expr.Compiled, len(q.OrderBy))
+	for i, o := range q.OrderBy {
+		if orderBy[i], err = expr.Compile(o.Expr, env); err != nil {
+			return nil, err
 		}
 	}
 
-	type finished struct {
-		projected types.Tuple
-		orderKeys types.Tuple
+	// Group: outs holds each output's founding row until it is projected,
+	// states (with aggregates) its accumulators. The group table grows one
+	// key per distinct group — with aggregates also the founding row and
+	// its accumulators — metered against the grant so an unbounded GROUP BY
+	// is visible to the governor, and released when the pass ends.
+	grouped := aggregates || len(groupBy) > 0
+	capHint := 0
+	if !grouped {
+		capHint = int(rel.RowCount())
 	}
-	var outRows []finished
-	// The duplicate-elimination table grows one key per distinct group;
-	// meter it against the grant like the hash-aggregate table.
-	seen := map[string]bool{}
-	var seenBytes int64
-	defer func() { ctx.Grant.Release(seenBytes) }()
+	outs := make([]types.Tuple, 0, capHint)
+	var states [][]aggState
+	const aggStateBytes = 48 // approximate per-aggregate accumulator footprint
+	groups := map[string]int{}
+	var held int64
+	defer func() { ctx.Grant.Release(held) }()
 	var key []byte // reused row to row
 	for _, part := range rel.Parts {
+		if !grouped {
+			outs = append(outs, part...)
+			continue
+		}
 		for _, row := range part {
-			var projected types.Tuple
-			if q.SelectStar {
-				projected = row
-			} else {
-				projected = make(types.Tuple, len(q.Select))
-				for i, s := range q.Select {
-					v, err := s.Expr.Eval(row, env)
-					if err != nil {
-						return nil, err
-					}
-					projected[i] = v
-				}
+			if key, err = groupKey(key[:0], groupBy, row); err != nil {
+				return nil, err
 			}
-			f := finished{projected: projected}
-			if len(q.GroupBy) > 0 {
-				var err error
-				if key, err = groupKey(key[:0], q.GroupBy, row, env); err != nil {
-					return nil, err
+			g, ok := groups[string(key)] // no copy: only a new group keeps its key
+			if !ok {
+				k := string(key)
+				g = len(outs)
+				groups[k] = g
+				outs = append(outs, row)
+				sz := int64(len(k))
+				if aggregates {
+					states = append(states, make([]aggState, len(sels)))
+					//dynopt:size-ok first row of a new group: the group table has no cached size, and only group-founding rows pay the walk
+					sz += int64(row.EncodedSize()) + int64(len(sels))*aggStateBytes
 				}
-				if seen[string(key)] { // no copy: only a new group keeps its key
-					continue
-				}
-				seen[string(key)] = true
-				sz := int64(len(key))
-				seenBytes += sz
+				held += sz
 				ctx.Grant.Reserve(sz)
 			}
-			if len(q.OrderBy) > 0 {
-				f.orderKeys = make(types.Tuple, len(q.OrderBy))
-				for i, o := range q.OrderBy {
-					v, err := o.Expr.Eval(row, env)
-					if err != nil {
-						return nil, err
-					}
-					f.orderKeys[i] = v
-				}
-			}
-			outRows = append(outRows, f)
-		}
-	}
-
-	if len(q.OrderBy) > 0 {
-		sort.SliceStable(outRows, func(a, b int) bool {
-			for i, o := range q.OrderBy {
-				c := outRows[a].orderKeys[i].Compare(outRows[b].orderKeys[i])
-				if c == 0 {
+			for i, s := range sels {
+				if s.kind == aggNone {
 					continue
 				}
-				if o.Desc {
-					return c > 0
+				v, err := s.eval(row)
+				if err != nil {
+					return nil, err
 				}
-				return c < 0
+				states[g][i].observe(v)
 			}
-			return false
-		})
+		}
 	}
-	if q.Limit >= 0 && int64(len(outRows)) > q.Limit {
-		outRows = outRows[:q.Limit]
+	if aggregates && len(groupBy) == 0 && len(outs) == 0 {
+		// A global aggregate has its one group over empty input too (count
+		// 0, the others NULL); plain items read an all-NULL row.
+		outs = append(outs, make(types.Tuple, len(rel.Schema.Fields)))
+		states = append(states, make([]aggState, len(sels)))
 	}
-	res.Rows = make([]types.Tuple, len(outRows))
-	for i, f := range outRows {
-		res.Rows[i] = f.projected
+
+	// Read each output's order keys from its founding row, then project it
+	// in place; SELECT * keeps the stored row.
+	var keys []types.Tuple
+	if len(orderBy) > 0 {
+		keys = make([]types.Tuple, len(outs))
 	}
+	var keyArena, rowArena types.Arena
+	keyArena.Reserve(len(keys) * len(orderBy))
+	rowArena.Reserve(len(outs) * len(sels))
+	for i, src := range outs {
+		if keys != nil {
+			keys[i] = keyArena.Make(len(orderBy))
+			for j, o := range orderBy {
+				if keys[i][j], err = o(src); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if q.SelectStar {
+			continue
+		}
+		p := rowArena.Make(len(sels))
+		for j, s := range sels {
+			if s.kind != aggNone {
+				p[j] = states[i][j].result(s.kind)
+			} else if p[j], err = s.eval(src); err != nil {
+				return nil, err
+			}
+		}
+		outs[i] = p
+	}
+	if keys != nil {
+		sort.Stable(ordered{rows: outs, keys: keys, by: q.OrderBy})
+	}
+	if q.Limit >= 0 && int64(len(outs)) > q.Limit {
+		outs = outs[:q.Limit]
+	}
+	res.Rows = outs
 	return res, nil
 }
 

@@ -219,6 +219,87 @@ func TestFinishProjectionGroupOrderLimit(t *testing.T) {
 	}
 }
 
+// TestFinishClauses pins the finishing pass on one relation: each case's
+// columns and rows (kind and value, in order) as the two finishing bodies
+// it replaced returned them. Rows arrive in partition order, so an
+// unordered result is that order, and ORDER BY ties keep it.
+func TestFinishClauses(t *testing.T) {
+	ctx := testCtx(t, 2)
+	// 10 rows: grp = id%3, pay = id*10.
+	register(t, ctx, "t", []string{"id"}, []string{"id", "grp", "pay"}, seqTable(10, 3))
+	rel, err := ScanByName(ctx, "t", "a", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ sql, cols, rows string }{
+		{"SELECT * FROM t AS a",
+			"a.id, a.grp, a.pay",
+			"int 1, int 1, int 10; int 3, int 0, int 30; int 5, int 2, int 50; int 7, int 1, int 70; int 9, int 0, int 90; int 0, int 0, int 0; int 2, int 2, int 20; int 4, int 1, int 40; int 6, int 0, int 60; int 8, int 2, int 80"},
+		{"SELECT a.id, a.pay / 4 + 1 AS x, a.pay * 0.5 FROM t AS a",
+			"a.id, x, (a.pay * 0.5)",
+			"int 1, int 3, float 5; int 3, int 8, float 15; int 5, int 13, float 25; int 7, int 18, float 35; int 9, int 23, float 45; int 0, int 1, float 0; int 2, int 6, float 10; int 4, int 11, float 20; int 6, int 16, float 30; int 8, int 21, float 40"},
+		{"SELECT a.grp FROM t AS a GROUP BY a.grp",
+			"a.grp",
+			"int 1; int 0; int 2"},
+		{"SELECT a.grp, a.id FROM t AS a GROUP BY a.grp",
+			"a.grp, a.id",
+			"int 1, int 1; int 0, int 3; int 2, int 5"},
+		{"SELECT count(a.id) AS n, sum(a.pay), avg(a.id), min(a.pay), max(a.pay) FROM t AS a",
+			"n, sum(a.pay), avg(a.id), min(a.pay), max(a.pay)",
+			"int 10, float 450, float 4.5, int 0, int 90"},
+		{"SELECT a.grp, count(a.id) AS n, sum(a.pay), a.grp * 10 FROM t AS a GROUP BY a.grp",
+			"a.grp, n, sum(a.pay), (a.grp * 10)",
+			"int 1, int 3, float 120, int 10; int 0, int 4, float 180, int 0; int 2, int 3, float 150, int 20"},
+		{"SELECT a.id, a.grp FROM t AS a ORDER BY a.grp DESC",
+			"a.id, a.grp",
+			"int 5, int 2; int 2, int 2; int 8, int 2; int 1, int 1; int 7, int 1; int 4, int 1; int 3, int 0; int 9, int 0; int 0, int 0; int 6, int 0"},
+		{"SELECT a.grp, max(a.id) FROM t AS a GROUP BY a.grp ORDER BY a.grp DESC LIMIT 2",
+			"a.grp, max(a.id)",
+			"int 2, int 8; int 1, int 7"},
+		{"SELECT a.grp, min(a.pay) FROM t AS a GROUP BY a.grp ORDER BY a.id DESC",
+			"a.grp, min(a.pay)",
+			"int 2, int 20; int 0, int 0; int 1, int 10"},
+		{"SELECT a.id FROM t AS a ORDER BY a.id LIMIT 3",
+			"a.id",
+			"int 0; int 1; int 2"},
+		{"SELECT a.id FROM t AS a ORDER BY a.id DESC LIMIT 100",
+			"a.id",
+			"int 9; int 8; int 7; int 6; int 5; int 4; int 3; int 2; int 1; int 0"},
+		{"SELECT a.grp FROM t AS a GROUP BY a.grp ORDER BY a.grp DESC LIMIT 5",
+			"a.grp",
+			"int 2; int 1; int 0"},
+		{"SELECT * FROM t AS a ORDER BY a.pay DESC LIMIT 4",
+			"a.id, a.grp, a.pay",
+			"int 9, int 0, int 90; int 8, int 2, int 80; int 7, int 1, int 70; int 6, int 0, int 60"},
+		{"SELECT a.id FROM t AS a LIMIT 0",
+			"a.id",
+			""},
+	} {
+		q, err := sqlpp.Parse(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Finish(ctx, q, rel)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		if got := strings.Join(res.Columns, ", "); got != tc.cols {
+			t.Errorf("%s: columns %s, want %s", tc.sql, got, tc.cols)
+		}
+		var rows []string
+		for _, r := range res.Rows {
+			vals := make([]string, len(r))
+			for i, v := range r {
+				vals[i] = v.K.String() + " " + v.String()
+			}
+			rows = append(rows, strings.Join(vals, ", "))
+		}
+		if got := strings.Join(rows, "; "); got != tc.rows {
+			t.Errorf("%s:\n got %s\nwant %s", tc.sql, got, tc.rows)
+		}
+	}
+}
+
 func TestFinishSelectStar(t *testing.T) {
 	ctx := testCtx(t, 2)
 	register(t, ctx, "t", nil, []string{"x", "y"}, [][]int64{{1, 2}, {3, 4}})

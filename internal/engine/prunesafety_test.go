@@ -91,8 +91,12 @@ func TestPruneSafetyProperty(t *testing.T) {
 		if len(zones) == 0 || !pagePruned(zones, pi) {
 			continue
 		}
+		pred, err := expr.Compile(filter, env)
+		if err != nil {
+			t.Fatalf("iter %d: compile: %v", iter, err)
+		}
 		for _, row := range rows {
-			v, err := filter.Eval(row, env)
+			v, err := pred(row)
 			if err != nil {
 				t.Fatalf("iter %d: eval: %v", iter, err)
 			}

@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"fmt"
+
 	"dynopt/internal/stats"
 	"dynopt/internal/types"
 )
@@ -39,28 +41,26 @@ func IsComplex(e Expr) bool {
 	return complex
 }
 
-// Compiled is a predicate specialized against one schema: column lookups are
-// resolved to positional indexes once, so the per-tuple hot path does no map
-// or string work.
+// Compiled is an expression specialized against one schema: column lookups
+// are resolved to positional indexes once, so the per-tuple hot path does no
+// map or string work.
 type Compiled func(t types.Tuple) (types.Value, error)
 
 // Compile specializes e against the schema, resolving column references to
-// tuple offsets. Params and UDFs are captured from env.
+// tuple offsets. Params and UDFs are captured from env; an unbound parameter
+// fails here. An unknown or ambiguous column, an unregistered UDF and a
+// missing registry compile to a closure that fails on the first row, so an
+// input with no rows still succeeds.
 func Compile(e Expr, env *Env) (Compiled, error) {
 	switch n := e.(type) {
 	case *Column:
 		i, ok := env.Schema.Index(n.key())
 		if !ok {
-			// Fall back to the interpreted path which produces a precise
-			// error message.
-			return func(t types.Tuple) (types.Value, error) { return n.Eval(t, env) }, nil
+			return failing(fmt.Errorf("expr: unknown column %q in schema %s", n.key(), env.Schema)), nil
 		}
 		return func(t types.Tuple) (types.Value, error) { return t[i], nil }, nil
-	case *Literal:
-		v := n.Val
-		return func(types.Tuple) (types.Value, error) { return v, nil }, nil
-	case *Param:
-		v, err := n.Eval(nil, env)
+	case *Literal, *Param:
+		v, _, err := constOperand(e, env)
 		if err != nil {
 			return nil, err
 		}
@@ -220,33 +220,55 @@ func Compile(e Expr, env *Env) (Compiled, error) {
 			return types.Bool(!v.IsTrue()), nil
 		}, nil
 	case *Call:
-		if c, ok := compileCall(n, env); ok {
-			return c, nil
+		return compileCall(n, env), nil
+	case *Arith:
+		l, err := Compile(n.L, env)
+		if err != nil {
+			return nil, err
 		}
+		r, err := Compile(n.R, env)
+		if err != nil {
+			return nil, err
+		}
+		op := n.Op
+		return func(t types.Tuple) (types.Value, error) {
+			lv, err := l(t)
+			if err != nil {
+				return types.Null(), err
+			}
+			rv, err := r(t)
+			if err != nil {
+				return types.Null(), err
+			}
+			return arith(op, lv, rv)
+		}, nil
 	}
-	// Arithmetic, and calls that cannot resolve, fall back to tree
-	// interpretation.
-	return func(t types.Tuple) (types.Value, error) { return e.Eval(t, env) }, nil
+	return nil, fmt.Errorf("expr: cannot compile %T", e)
+}
+
+// failing is the closure of an expression whose error belongs to its rows.
+func failing(err error) Compiled {
+	return func(types.Tuple) (types.Value, error) { return types.Null(), err }
 }
 
 // compileCall resolves a UDF call once per scan, not per row: no registry
-// lock, name folding or column lookup on the hot path. It declines (false)
-// when there is no registry, the name is unknown or an argument does not
-// compile, leaving the interpreted path to report the error row by row with
-// the text it always has.
-func compileCall(n *Call, env *Env) (Compiled, bool) {
+// lock, name folding or column lookup on the hot path. With no registry or
+// an unknown name the call fails row by row without evaluating its
+// arguments; an argument that does not compile (an unbound parameter) fails
+// in its place, after the arguments before it.
+func compileCall(n *Call, env *Env) Compiled {
 	if env.UDFs == nil {
-		return nil, false
+		return failing(fmt.Errorf("expr: no UDF registry, wanted %s()", n.Name))
 	}
 	fn, ok := env.UDFs.Lookup(n.Name)
 	if !ok {
-		return nil, false
+		return failing(fmt.Errorf("expr: UDF %q not registered", n.Name))
 	}
 	args := make([]Compiled, len(n.Args))
 	for i, a := range n.Args {
 		c, err := Compile(a, env)
 		if err != nil {
-			return nil, false
+			c = failing(err)
 		}
 		args[i] = c
 	}
@@ -260,20 +282,66 @@ func compileCall(n *Call, env *Env) (Compiled, bool) {
 			vals[i] = v
 		}
 		return fn.Fn(vals)
-	}, true
+	}
 }
 
-// constOperand resolves an operand that is constant for the whole scan —
-// a literal, or a parameter bound in env — so Compile can fold it instead
-// of re-evaluating its closure per row.
+// arith applies op to two values: integer arithmetic when both are ints,
+// float arithmetic otherwise, and NULL when either is NULL.
+func arith(op ArithOp, lv, rv types.Value) (types.Value, error) {
+	if lv.IsNull() || rv.IsNull() {
+		return types.Null(), nil
+	}
+	if lv.K == types.KindInt && rv.K == types.KindInt {
+		l, r := lv.I(), rv.I()
+		switch op {
+		case ArithAdd:
+			return types.Int(l + r), nil
+		case ArithSub:
+			return types.Int(l - r), nil
+		case ArithMul:
+			return types.Int(l * r), nil
+		case ArithDiv:
+			if r == 0 {
+				return types.Null(), fmt.Errorf("expr: division by zero")
+			}
+			return types.Int(l / r), nil
+		}
+	}
+	l, lok := lv.AsFloat()
+	r, rok := rv.AsFloat()
+	if !lok || !rok {
+		return types.Null(), fmt.Errorf("expr: arithmetic on non-numeric values %v %s %v", lv, op, rv)
+	}
+	switch op {
+	case ArithAdd:
+		return types.Float(l + r), nil
+	case ArithSub:
+		return types.Float(l - r), nil
+	case ArithMul:
+		return types.Float(l * r), nil
+	case ArithDiv:
+		if r == 0 {
+			return types.Null(), fmt.Errorf("expr: division by zero")
+		}
+		return types.Float(l / r), nil
+	}
+	return types.Null(), fmt.Errorf("expr: unknown arithmetic op %d", op)
+}
+
+// constOperand folds an operand that is constant for the whole scan — a
+// literal, or a parameter bound in env — so it is resolved once, not per
+// row. ok is false for any other node; an unbound parameter is an error.
 func constOperand(e Expr, env *Env) (types.Value, bool, error) {
 	switch n := e.(type) {
 	case *Literal:
 		return n.Val, true, nil
 	case *Param:
-		v, err := n.Eval(nil, env)
-		if err != nil {
-			return types.Null(), false, err
+		if env.Params == nil {
+			return types.Null(), false, fmt.Errorf("expr: no parameters bound, wanted $%s", n.Name)
+		}
+		v, ok := env.Params[n.Name]
+		if !ok {
+			return types.Null(), false, fmt.Errorf("expr: parameter $%s not bound", n.Name)
 		}
 		return v, true, nil
 	}

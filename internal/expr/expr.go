@@ -6,10 +6,14 @@
 // "complex" when it contains a UDF call or a parameter — exactly the cases
 // where a static optimizer is reduced to default selectivity guesses and the
 // dynamic approach executes the predicate instead.
+//
+// The AST has no evaluator of its own: Compile specializes an expression
+// against one schema into a closure, once per scan or per finishing pass,
+// and that closure is the one scalar evaluator. CompileVec lowers predicates
+// into selection kernels pinned to it.
 package expr
 
 import (
-	"fmt"
 	"strings"
 
 	"dynopt/internal/types"
@@ -22,10 +26,8 @@ type Env struct {
 	UDFs   *Registry
 }
 
-// Expr is a scalar expression over one tuple.
+// Expr is a scalar expression over one tuple; Compile evaluates it.
 type Expr interface {
-	// Eval evaluates the expression against a tuple.
-	Eval(t types.Tuple, env *Env) (types.Value, error)
 	// SQL renders the expression as SQL text (used when the dynamic
 	// optimizer re-emits the reconstructed query).
 	SQL() string
@@ -37,15 +39,6 @@ type Expr interface {
 type Column struct {
 	Qualifier string
 	Name      string
-}
-
-// Eval implements Expr.
-func (c *Column) Eval(t types.Tuple, env *Env) (types.Value, error) {
-	i, ok := env.Schema.Index(c.key())
-	if !ok {
-		return types.Null(), fmt.Errorf("expr: unknown column %q in schema %s", c.key(), env.Schema)
-	}
-	return t[i], nil
 }
 
 func (c *Column) key() string {
@@ -66,9 +59,6 @@ type Literal struct {
 	Val types.Value
 }
 
-// Eval implements Expr.
-func (l *Literal) Eval(types.Tuple, *Env) (types.Value, error) { return l.Val, nil }
-
 // SQL implements Expr.
 func (l *Literal) SQL() string { return l.Val.String() }
 
@@ -79,18 +69,6 @@ func (l *Literal) Walk(fn func(Expr)) { fn(l) }
 // containing one is "complex": its selectivity cannot be estimated statically.
 type Param struct {
 	Name string
-}
-
-// Eval implements Expr.
-func (p *Param) Eval(_ types.Tuple, env *Env) (types.Value, error) {
-	if env.Params == nil {
-		return types.Null(), fmt.Errorf("expr: no parameters bound, wanted $%s", p.Name)
-	}
-	v, ok := env.Params[p.Name]
-	if !ok {
-		return types.Null(), fmt.Errorf("expr: parameter $%s not bound", p.Name)
-	}
-	return v, nil
 }
 
 // SQL implements Expr.
@@ -138,38 +116,6 @@ type Compare struct {
 	L, R Expr
 }
 
-// Eval implements Expr.
-func (c *Compare) Eval(t types.Tuple, env *Env) (types.Value, error) {
-	lv, err := c.L.Eval(t, env)
-	if err != nil {
-		return types.Null(), err
-	}
-	rv, err := c.R.Eval(t, env)
-	if err != nil {
-		return types.Null(), err
-	}
-	if lv.IsNull() || rv.IsNull() {
-		return types.Bool(false), nil
-	}
-	cmp := lv.Compare(rv)
-	var out bool
-	switch c.Op {
-	case CmpEq:
-		out = cmp == 0
-	case CmpNe:
-		out = cmp != 0
-	case CmpLt:
-		out = cmp < 0
-	case CmpLe:
-		out = cmp <= 0
-	case CmpGt:
-		out = cmp > 0
-	case CmpGe:
-		out = cmp >= 0
-	}
-	return types.Bool(out), nil
-}
-
 // SQL implements Expr.
 func (c *Compare) SQL() string {
 	return c.L.SQL() + " " + c.Op.String() + " " + c.R.SQL()
@@ -185,26 +131,6 @@ func (c *Compare) Walk(fn func(Expr)) {
 // Between is "x BETWEEN lo AND hi" (inclusive both ends).
 type Between struct {
 	X, Lo, Hi Expr
-}
-
-// Eval implements Expr.
-func (b *Between) Eval(t types.Tuple, env *Env) (types.Value, error) {
-	xv, err := b.X.Eval(t, env)
-	if err != nil {
-		return types.Null(), err
-	}
-	lov, err := b.Lo.Eval(t, env)
-	if err != nil {
-		return types.Null(), err
-	}
-	hiv, err := b.Hi.Eval(t, env)
-	if err != nil {
-		return types.Null(), err
-	}
-	if xv.IsNull() || lov.IsNull() || hiv.IsNull() {
-		return types.Bool(false), nil
-	}
-	return types.Bool(xv.Compare(lov) >= 0 && xv.Compare(hiv) <= 0), nil
 }
 
 // SQL implements Expr.
@@ -223,20 +149,6 @@ func (b *Between) Walk(fn func(Expr)) {
 // And is the n-ary conjunction of its children.
 type And struct {
 	Kids []Expr
-}
-
-// Eval implements Expr.
-func (a *And) Eval(t types.Tuple, env *Env) (types.Value, error) {
-	for _, k := range a.Kids {
-		v, err := k.Eval(t, env)
-		if err != nil {
-			return types.Null(), err
-		}
-		if !v.IsTrue() {
-			return types.Bool(false), nil
-		}
-	}
-	return types.Bool(true), nil
 }
 
 // SQL implements Expr.
@@ -259,20 +171,6 @@ func (a *And) Walk(fn func(Expr)) {
 // Or is the n-ary disjunction of its children.
 type Or struct {
 	Kids []Expr
-}
-
-// Eval implements Expr.
-func (o *Or) Eval(t types.Tuple, env *Env) (types.Value, error) {
-	for _, k := range o.Kids {
-		v, err := k.Eval(t, env)
-		if err != nil {
-			return types.Null(), err
-		}
-		if v.IsTrue() {
-			return types.Bool(true), nil
-		}
-	}
-	return types.Bool(false), nil
 }
 
 // SQL implements Expr. The disjunction is wrapped in outer parentheses so it
@@ -298,15 +196,6 @@ type Not struct {
 	Kid Expr
 }
 
-// Eval implements Expr.
-func (n *Not) Eval(t types.Tuple, env *Env) (types.Value, error) {
-	v, err := n.Kid.Eval(t, env)
-	if err != nil {
-		return types.Null(), err
-	}
-	return types.Bool(!v.IsTrue()), nil
-}
-
 // SQL implements Expr.
 func (n *Not) SQL() string { return "NOT (" + n.Kid.SQL() + ")" }
 
@@ -320,26 +209,6 @@ func (n *Not) Walk(fn func(Expr)) {
 type Call struct {
 	Name string
 	Args []Expr
-}
-
-// Eval implements Expr.
-func (c *Call) Eval(t types.Tuple, env *Env) (types.Value, error) {
-	if env.UDFs == nil {
-		return types.Null(), fmt.Errorf("expr: no UDF registry, wanted %s()", c.Name)
-	}
-	fn, ok := env.UDFs.Lookup(c.Name)
-	if !ok {
-		return types.Null(), fmt.Errorf("expr: UDF %q not registered", c.Name)
-	}
-	args := make([]types.Value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := a.Eval(t, env)
-		if err != nil {
-			return types.Null(), err
-		}
-		args[i] = v
-	}
-	return fn.Fn(args)
 }
 
 // SQL implements Expr.
@@ -389,56 +258,6 @@ func (o ArithOp) String() string {
 type Arith struct {
 	Op   ArithOp
 	L, R Expr
-}
-
-// Eval implements Expr.
-func (a *Arith) Eval(t types.Tuple, env *Env) (types.Value, error) {
-	lv, err := a.L.Eval(t, env)
-	if err != nil {
-		return types.Null(), err
-	}
-	rv, err := a.R.Eval(t, env)
-	if err != nil {
-		return types.Null(), err
-	}
-	if lv.IsNull() || rv.IsNull() {
-		return types.Null(), nil
-	}
-	// Integer arithmetic when both sides are ints (except division by zero).
-	if lv.K == types.KindInt && rv.K == types.KindInt {
-		switch a.Op {
-		case ArithAdd:
-			return types.Int(lv.I() + rv.I()), nil
-		case ArithSub:
-			return types.Int(lv.I() - rv.I()), nil
-		case ArithMul:
-			return types.Int(lv.I() * rv.I()), nil
-		case ArithDiv:
-			if rv.I() == 0 {
-				return types.Null(), fmt.Errorf("expr: division by zero")
-			}
-			return types.Int(lv.I() / rv.I()), nil
-		}
-	}
-	lf, lok := lv.AsFloat()
-	rf, rok := rv.AsFloat()
-	if !lok || !rok {
-		return types.Null(), fmt.Errorf("expr: arithmetic on non-numeric values %v %s %v", lv, a.Op, rv)
-	}
-	switch a.Op {
-	case ArithAdd:
-		return types.Float(lf + rf), nil
-	case ArithSub:
-		return types.Float(lf - rf), nil
-	case ArithMul:
-		return types.Float(lf * rf), nil
-	case ArithDiv:
-		if rf == 0 {
-			return types.Null(), fmt.Errorf("expr: division by zero")
-		}
-		return types.Float(lf / rf), nil
-	}
-	return types.Null(), fmt.Errorf("expr: unknown arithmetic op %d", a.Op)
 }
 
 // SQL implements Expr.

@@ -23,11 +23,21 @@ func testTuple() types.Tuple {
 	return types.Tuple{types.Int(10), types.Str("1998-06-15"), types.Float(2.5)}
 }
 
+// run compiles e against env and evaluates it on testTuple: an error at
+// compile time and an error on the row come back alike.
+func run(e Expr, env *Env) (types.Value, error) {
+	c, err := Compile(e, env)
+	if err != nil {
+		return types.Null(), err
+	}
+	return c(testTuple())
+}
+
 func eval(t *testing.T, e Expr) types.Value {
 	t.Helper()
-	v, err := e.Eval(testTuple(), testEnv())
+	v, err := run(e, testEnv())
 	if err != nil {
-		t.Fatalf("Eval(%s): %v", e.SQL(), err)
+		t.Fatalf("%s: %v", e.SQL(), err)
 	}
 	return v
 }
@@ -41,7 +51,7 @@ func TestColumnEval(t *testing.T) {
 		t.Errorf("d = %v", v)
 	}
 	// Missing column errors.
-	if _, err := (&Column{Name: "zz"}).Eval(testTuple(), testEnv()); err == nil {
+	if _, err := run(&Column{Name: "zz"}, testEnv()); err == nil {
 		t.Error("missing column did not error")
 	}
 }
@@ -53,12 +63,12 @@ func TestLiteralParam(t *testing.T) {
 	if v := eval(t, &Param{Name: "year"}); v.I() != 1998 {
 		t.Errorf("param = %v", v)
 	}
-	if _, err := (&Param{Name: "missing"}).Eval(testTuple(), testEnv()); err == nil {
+	if _, err := run(&Param{Name: "missing"}, testEnv()); err == nil {
 		t.Error("unbound param did not error")
 	}
 	env := testEnv()
 	env.Params = nil
-	if _, err := (&Param{Name: "year"}).Eval(testTuple(), env); err == nil {
+	if _, err := run(&Param{Name: "year"}, env); err == nil {
 		t.Error("nil params did not error")
 	}
 }
@@ -143,14 +153,14 @@ func TestArith(t *testing.T) {
 		t.Errorf("2.5*2 = %v", v)
 	}
 	// Division by zero.
-	if _, err := (&Arith{Op: ArithDiv, L: two, R: &Literal{Val: types.Int(0)}}).Eval(testTuple(), testEnv()); err == nil {
+	if _, err := run(&Arith{Op: ArithDiv, L: two, R: &Literal{Val: types.Int(0)}}, testEnv()); err == nil {
 		t.Error("int division by zero did not error")
 	}
-	if _, err := (&Arith{Op: ArithDiv, L: two, R: &Literal{Val: types.Float(0)}}).Eval(testTuple(), testEnv()); err == nil {
+	if _, err := run(&Arith{Op: ArithDiv, L: two, R: &Literal{Val: types.Float(0)}}, testEnv()); err == nil {
 		t.Error("float division by zero did not error")
 	}
 	// Non-numeric.
-	if _, err := (&Arith{Op: ArithAdd, L: &Column{Name: "d"}, R: two}).Eval(testTuple(), testEnv()); err == nil {
+	if _, err := run(&Arith{Op: ArithAdd, L: &Column{Name: "d"}, R: two}, testEnv()); err == nil {
 		t.Error("string arithmetic did not error")
 	}
 }
@@ -173,7 +183,7 @@ func TestCallBuiltins(t *testing.T) {
 	if v1.I() != v2.I() {
 		t.Error("myrand not deterministic per bounds")
 	}
-	if _, err := (&Call{Name: "nope"}).Eval(testTuple(), testEnv()); err == nil {
+	if _, err := run(&Call{Name: "nope"}, testEnv()); err == nil {
 		t.Error("unknown UDF did not error")
 	}
 }

@@ -8,11 +8,11 @@ import (
 // closure per node transforming a selection vector (ascending row indexes
 // into the current window) into the subset the node accepts, reading typed
 // column vectors instead of 32-byte tagged values. The semantics are pinned
-// to the scalar path exactly — a row survives the kernel iff the scalar
-// Eval of the same node returns Bool(true) for it (so NULL operands drop
+// to the scalar path exactly — a row survives the kernel iff the Compile
+// closure of the same node returns Bool(true) for it (so NULL operands drop
 // the row, NOT resurrects it, and numeric cross-kind comparisons take
-// Value.Compare's float route) — which is what lets the engine swap the
-// kernel in under the byte-identical batch-equivalence suite.
+// Value.Compare's float route). That closure is what the engine's noVec
+// reference path filters with, so the equivalence suite compares the two.
 //
 // Fallback rules (the "kernel fallback" contract):
 //   - Call, Param-as-predicate, Arith, and comparisons whose operand kinds
@@ -33,7 +33,8 @@ import (
 // and the kernel may overwrite sel's contents.
 type VecPred func(rows []types.Tuple, cols types.ColSource, sel []int32) ([]int32, error)
 
-// CompileVec compiles e into a vectorized kernel against env's schema.
+// CompileVec compiles e into a vectorized kernel against env's schema. The
+// kernel keeps exactly the rows on which Compile(e, env) returns Bool(true).
 // ok=false (with nil error) means nothing in the tree vectorizes and the
 // caller should use the scalar Compile path unchanged.
 func CompileVec(e Expr, env *Env) (k VecPred, ok bool, err error) {
@@ -173,7 +174,7 @@ func compileVecNode(e Expr, env *Env) (k VecPred, vectorized bool, err error) {
 			return subtractSel(sel, m), nil
 		}, kv, nil
 	case *Literal, *Param:
-		v, err := e.Eval(nil, env)
+		v, _, err := constOperand(e, env)
 		if err != nil {
 			return nil, false, err
 		}
@@ -646,10 +647,8 @@ func classifyOperand(e Expr, env *Env) (vecOperand, error) {
 		if i, ok := env.Schema.Index(n.key()); ok {
 			return vecOperand{col: i, isCol: true, kind: env.Schema.Fields[i].Kind}, nil
 		}
-	case *Literal:
-		return vecOperand{val: n.Val, isLit: true}, nil
-	case *Param:
-		v, err := n.Eval(nil, env)
+	case *Literal, *Param:
+		v, _, err := constOperand(n, env)
 		if err != nil {
 			return vecOperand{}, err
 		}
@@ -688,11 +687,7 @@ func compileVecCompare(n *Compare, env *Env) (VecPred, bool, error) {
 			return k, true, nil
 		}
 	case l.isLit && r.isLit:
-		v, err := n.Eval(nil, env)
-		if err != nil {
-			return nil, false, err
-		}
-		keep := v.IsTrue()
+		keep := !l.val.IsNull() && !r.val.IsNull() && cmpSatisfies(l.val.Compare(r.val), n.Op)
 		return func(_ []types.Tuple, _ types.ColSource, sel []int32) ([]int32, error) {
 			if keep {
 				return sel, nil

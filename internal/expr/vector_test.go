@@ -128,7 +128,7 @@ func randPredTree(r *rand.Rand, depth int) Expr {
 
 // TestVecPredMatchesEval is the kernel equivalence property: for random
 // predicate trees, rows, and selection vectors, the vectorized kernel keeps
-// exactly the rows whose scalar Eval returns true — across all value kinds,
+// exactly the rows whose scalar Compile closure returns true — across all value kinds,
 // NULLs, NaN, mixed-kind columns (runtime fallback), Params, and UDF leaves
 // (compile-time fallback).
 func TestVecPredMatchesEval(t *testing.T) {
@@ -155,6 +155,10 @@ func TestVecPredMatchesEval(t *testing.T) {
 			continue
 		}
 		vectorized++
+		ref, err := Compile(tree, env)
+		if err != nil {
+			t.Fatalf("trial %d: Compile: %v", trial, err)
+		}
 		rows := vecTestRows(r, 1+r.Intn(120))
 		cache := types.NewColCache(schema)
 		cache.SetWindow(rows)
@@ -172,9 +176,9 @@ func TestVecPredMatchesEval(t *testing.T) {
 		for name, sel := range map[string][]int32{"full": full, "empty": {}, "subset": subset} {
 			var want []int32
 			for _, ri := range sel {
-				v, err := tree.Eval(rows[ri], env)
+				v, err := ref(rows[ri])
 				if err != nil {
-					t.Fatalf("trial %d: Eval: %v", trial, err)
+					t.Fatalf("trial %d: Compile closure: %v", trial, err)
 				}
 				if v.IsTrue() {
 					want = append(want, ri)
@@ -185,7 +189,7 @@ func TestVecPredMatchesEval(t *testing.T) {
 				t.Fatalf("trial %d %s: kernel: %v", trial, name, err)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("trial %d %s: kernel kept %v, Eval keeps %v\ntree rows=%d", trial, name, got, want, len(rows))
+				t.Fatalf("trial %d %s: kernel kept %v, Compile keeps %v\ntree rows=%d", trial, name, got, want, len(rows))
 			}
 		}
 	}
@@ -207,6 +211,10 @@ func TestVecPredKernelReuse(t *testing.T) {
 	k, ok, err := CompileVec(tree, env)
 	if err != nil || !ok {
 		t.Fatalf("CompileVec: ok=%v err=%v", ok, err)
+	}
+	ref, err := Compile(tree, env)
+	if err != nil {
+		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(41))
 	sel := make([]int32, 0, 64)
@@ -231,24 +239,24 @@ func TestVecPredKernelReuse(t *testing.T) {
 			if i > 0 && got[i-1] >= ri {
 				t.Fatalf("window %d: selection not ascending: %v", w, got)
 			}
-			v, err := tree.Eval(rows[ri], env)
+			v, err := ref(rows[ri])
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !v.IsTrue() {
-				t.Fatalf("window %d: kernel kept row %d that Eval rejects", w, ri)
+				t.Fatalf("window %d: kernel kept row %d that Compile rejects", w, ri)
 			}
 		}
 		for i := range rows {
 			if seen[int32(i)] {
 				continue
 			}
-			v, err := tree.Eval(rows[i], env)
+			v, err := ref(rows[i])
 			if err != nil {
 				t.Fatal(err)
 			}
 			if v.IsTrue() {
-				t.Fatalf("window %d: kernel dropped row %d that Eval accepts", w, i)
+				t.Fatalf("window %d: kernel dropped row %d that Compile accepts", w, i)
 			}
 		}
 	}

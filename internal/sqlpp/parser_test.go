@@ -135,7 +135,11 @@ func TestParseArithmeticPrecedence(t *testing.T) {
 		t.Fatalf("mul side = %#v", add.R)
 	}
 	env := &expr.Env{Schema: types.NewSchema()}
-	v, err := cmp.R.Eval(nil, env)
+	rhs, err := expr.Compile(cmp.R, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := rhs(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
