@@ -37,7 +37,6 @@ import (
 	"dynopt/internal/faults"
 	"dynopt/internal/memo"
 	"dynopt/internal/optimizer"
-	"dynopt/internal/sqlpp"
 	"dynopt/internal/storage"
 	"dynopt/internal/types"
 )
@@ -845,11 +844,7 @@ func (db *DB) cacheProbe(sql string, opts *QueryOptions) string {
 // spill device the way a query's is (the probe spills nothing, so there is
 // nothing to sweep).
 func (db *DB) shapeKeyFor(sql string, opts *QueryOptions) (string, error) {
-	q, err := sqlpp.Parse(sql)
-	if err != nil {
-		return "", err
-	}
-	g, err := sqlpp.Analyze(q, db.ctx.Catalog.Resolver())
+	g, err := core.Analyze(db.ctx, sql)
 	if err != nil {
 		return "", err
 	}

@@ -148,6 +148,37 @@ func TestGlobalAggregateOverEmptyInput(t *testing.T) {
 	}
 }
 
+// TestMisplacedAggregateRejectedBeforeAnyScan: a statement the clause
+// validator rejects fails under every strategy with the validator's error
+// before any scan opens — no pilot sample, shadow run, push-down or stage.
+func TestMisplacedAggregateRejectedBeforeAnyScan(t *testing.T) {
+	db := testDB(t)
+	reg := NewFaultRegistry(1)
+	reg.Arm(FaultRule{Point: "scan.open", Benign: true}) // counts every open, fails none
+	db.faults = reg
+	const sql = `SELECT o.o_id FROM orders o, users u, items i
+WHERE o.o_user = u.u_id AND o.o_item = i.i_id AND u.u_grp = 3
+ORDER BY count(o.o_id)`
+	for _, s := range allStrategies {
+		_, err := db.Query(sql, &QueryOptions{Strategy: s})
+		if err == nil || !strings.Contains(err.Error(), "engine: aggregate in ORDER BY is not supported") {
+			t.Errorf("%s: error %v, want the ORDER BY aggregate rejection", s, err)
+		}
+		if n := reg.Fired("scan.open"); n != 0 {
+			t.Errorf("%s: %d scans opened before the statement was rejected", s, n)
+		}
+		reg.Reset()
+		reg.Arm(FaultRule{Point: "scan.open", Benign: true})
+	}
+	// The rule counts: the same query without the misplaced aggregate opens scans.
+	if _, err := db.Query(apiQuery, nil); err != nil {
+		t.Fatal(err)
+	}
+	if reg.Fired("scan.open") == 0 {
+		t.Error("the benign scan.open rule counted no scan of a valid query")
+	}
+}
+
 func TestRegisterUDFAndParams(t *testing.T) {
 	db := testDB(t)
 	err := db.RegisterUDF("grp_of", func(args []Value) (Value, error) {

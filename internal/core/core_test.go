@@ -12,6 +12,7 @@ import (
 	"dynopt/internal/expr"
 	"dynopt/internal/plan"
 	"dynopt/internal/sqlpp"
+	"dynopt/internal/stats"
 	"dynopt/internal/storage"
 	"dynopt/internal/types"
 )
@@ -466,6 +467,68 @@ func TestEstimatorTableEstimate(t *testing.T) {
 	rows, _, _ = est.TableEstimate("dim_a", f2)
 	if rows != 500 {
 		t.Errorf("pre-applied estimate = %d, want 500", rows)
+	}
+}
+
+// TestSurvivingPredicateOnTempKeyPricedByDefault pins the one shape in
+// which a planner prices a local predicate against an intermediate's
+// statistics: a numeric predicate on a column that also joins a third table.
+// Reconstruction rewrites dim_a.a_id < 100 onto the stage's temp (it keeps
+// every single-alias predicate, even one the stage already applied), and the
+// sink collects the column because a remaining edge joins on it. The temp's
+// collectors build no histogram, so the predicate is priced by the Selinger
+// inequality default: a third of the 1000 observed rows. A quantile sketch
+// on the temp would have priced it at about all of them, since every
+// surviving value already satisfies it.
+func TestSurvivingPredicateOnTempKeyPricedByDefault(t *testing.T) {
+	ctx := miniWorkload(t, 2)
+	rs := &runState{
+		ctx:         ctx,
+		est:         &Estimator{Cat: ctx.Catalog, Reg: ctx.Catalog.Stats()},
+		cfg:         DefaultAlgoConfig(),
+		report:      &Report{},
+		sql:         `SELECT fact.m FROM fact, dim_a, dim_c WHERE fact.fk_a = dim_a.a_id AND dim_a.a_id = dim_c.c_id AND dim_a.a_id < 100`,
+		onlineStats: true,
+	}
+	defer rs.cleanup()
+	if err := rs.analyze(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.initFragments(); err != nil {
+		t.Fatal(err)
+	}
+	tables, err := rs.currentTables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edge *sqlpp.JoinEdge
+	for _, e := range rs.g.Joins {
+		if e.LeftAlias == "fact" || e.RightAlias == "fact" {
+			edge = e
+		}
+	}
+	algo, buildLeft, err := rs.est.chooseAlgoForEdge(rs.cfg, edge, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.executeJoinStage(edge, 0, tables, true, algo, buildLeft); err != nil {
+		t.Fatal(err)
+	}
+
+	if tables, err = rs.currentTables(); err != nil {
+		t.Fatal(err)
+	}
+	ij := tables["ij1"]
+	if ij == nil || ij.Filter == nil {
+		t.Fatalf("a_id < 100 did not survive onto the temp:\n%s", rs.sql)
+	}
+	st := rs.est.Reg.Get(ij.Dataset)
+	fs := st.Fields["dim_a_a_id"]
+	if st.RecordCount != 1000 || fs == nil || !fs.Numeric() || fs.Quantiles != nil {
+		t.Fatalf("temp: %d rows, key collector %+v; want 1000 rows and a numeric key without a histogram", st.RecordCount, fs)
+	}
+	if want := int64(float64(st.RecordCount) * stats.DefaultIneqSelectivity); ij.EstRows != want || want != 333 {
+		t.Errorf("temp estimate under the surviving predicate = %d, want %d", ij.EstRows, want)
 	}
 }
 

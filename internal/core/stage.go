@@ -75,15 +75,30 @@ type runState struct {
 	lastStageRows int64
 }
 
-// analyze parses the current SQL text and runs semantic analysis. On the
-// user's own statement its errors are the user's: they go back as sqlpp
-// reports them, as under the static strategies.
-func (rs *runState) analyze() error {
-	q, err := sqlpp.Parse(rs.sql)
+// Analyze is the one door a statement enters through: it parses the text,
+// runs semantic analysis and validates the clauses the engine finishes
+// (engine.ValidateQuery), so a query the engine would reject fails before
+// any sample, shadow run, push-down, memo replay or stage runs. Its errors
+// are the user's, returned as sqlpp and the engine report them.
+func Analyze(ctx *engine.Context, sql string) (*sqlpp.Graph, error) {
+	q, err := sqlpp.Parse(sql)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	g, err := sqlpp.Analyze(q, rs.ctx.Catalog.Resolver())
+	g, err := sqlpp.Analyze(q, ctx.Catalog.Resolver())
+	if err != nil {
+		return nil, err
+	}
+	if err := engine.ValidateQuery(q); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// analyze runs Analyze on the current SQL text. On the user's own statement
+// its errors are the user's, as under the static strategies.
+func (rs *runState) analyze() error {
+	g, err := Analyze(rs.ctx, rs.sql)
 	if err != nil {
 		return err
 	}
@@ -318,7 +333,7 @@ func (rs *runState) pickCheapestJoin(tables Tables) (*sqlpp.JoinEdge, int64, err
 			if err != nil {
 				return nil, 0, err
 			}
-			score = card + rs.spillPenalty(edge, tables) + rs.scanPenalty(edge, tables)
+			score = card + rs.spillPenalty(edge, tables)
 		}
 		if best == nil || score < bestScore {
 			best, bestScore, bestCard = edge, score, card
@@ -359,69 +374,6 @@ func (rs *runState) spillPenalty(edge *sqlpp.JoinEdge, tables Tables) int64 {
 		width = 1
 	}
 	return 2 * (bBytes - resident) / width
-}
-
-// scanPenalty extends the spill-penalty model to scan I/O: a candidate
-// join's paged inputs pay cold page reads for every encoded byte the page
-// cache cannot keep resident, priced in the same formula-(1) cardinality
-// units (rows' worth of disk traffic, one read each). The zone-map prune
-// ratio this query has already observed discounts the pages a filtered scan
-// will skip — runtime storage feedback steering the next join pick exactly
-// as observedSpillBytes does for spills. Like the spill penalty it activates
-// only under a spill budget (Context.SpillBudget): the simulated cost
-// model prices no disk, so simulated plans — resident or paged, and with
-// them the Figure 7 golden counters and the paged-vs-resident equivalence —
-// never move.
-func (rs *runState) scanPenalty(edge *sqlpp.JoinEdge, tables Tables) int64 {
-	if rs.ctx.SpillBudget() == 0 {
-		return 0
-	}
-	lt, rt := tables[edge.LeftAlias], tables[edge.RightAlias]
-	if lt == nil || rt == nil {
-		return 0
-	}
-	return rs.sideScanPenalty(lt) + rs.sideScanPenalty(rt)
-}
-
-// sideScanPenalty prices one input's cold-read bytes beyond the page-cache
-// budget, scaled by the observed prune survival rate for filtered scans.
-func (rs *runState) sideScanPenalty(info *TableInfo) int64 {
-	if info.Pages <= 0 {
-		return 0
-	}
-	ds, ok := rs.ctx.Catalog.Get(info.Dataset)
-	if !ok {
-		return 0
-	}
-	pgd := ds.Paged()
-	if pgd == nil {
-		return 0
-	}
-	encBytes := ds.ByteSize()
-	rows := ds.RowCount()
-	if encBytes <= 0 || rows <= 0 {
-		return 0
-	}
-	if info.Filter != nil && rs.ctx.PageStats != nil {
-		// Feedback loop: pages this query's earlier stages pruned via zone
-		// maps predict what this scan's conjuncts will skip before decode.
-		if pr := rs.ctx.PageStats.PruneRatio(); pr > 0 {
-			encBytes = int64(float64(encBytes) * (1 - pr))
-		}
-	}
-	var cacheBytes int64
-	if c := pgd.Cache(); c != nil {
-		cacheBytes = c.Budget()
-	}
-	cold := encBytes - cacheBytes
-	if cold <= 0 {
-		return 0
-	}
-	width := ds.ByteSize() / rows
-	if width < 1 {
-		width = 1
-	}
-	return cold / width
 }
 
 // executeJoinStage runs one iteration of the loop (lines 12–15): build the
@@ -476,10 +428,9 @@ func (rs *runState) executeJoinStage(edge *sqlpp.JoinEdge, estCard int64, tables
 	// Figure-2 feedback: what this stage actually spilled informs the next
 	// stage's join pick.
 	rs.observedSpillBytes = rs.ctx.Accounting().SpillBytes.Load() - spillBefore
-	// Storage feedback: the zone-map prune ratio this stage's paged scans
-	// observed flows into the next pick's scanPenalty through the shared
-	// PageStats; the report notes it only when pages were actually touched,
-	// so in-memory runs print byte-identical plans.
+	// The report notes the pages this stage's paged scans pruned by zone
+	// map, only when pages were actually touched, so in-memory runs print
+	// byte-identical plans.
 	if rs.ctx.PageStats != nil {
 		if dp := rs.ctx.PageStats.PagesTotal.Load() - pagesBefore; dp > 0 {
 			pruned := rs.ctx.PageStats.PagesPruned.Load() - prunedBefore

@@ -34,18 +34,14 @@ func (s *Static) Name() string { return s.Label }
 // Run implements Strategy: parse and analyze once, choose the tree, run it.
 func (s *Static) Run(ctx *engine.Context, sql string) (*engine.Result, *Report, error) {
 	return Metered(ctx, s.Name(), sql, func(r *Report) (*engine.Result, error) {
-		q, err := sqlpp.Parse(sql)
-		if err != nil {
-			return nil, err
-		}
-		g, err := sqlpp.Analyze(q, ctx.Catalog.Resolver())
+		g, err := Analyze(ctx, sql)
 		if err != nil {
 			return nil, err
 		}
 		tree := s.Tree
 		if s.Plan != nil {
 			est := &Estimator{Cat: ctx.Catalog, Reg: ctx.Catalog.Stats()}
-			tables, err := BuildTables(est, g, g.NeededColumns(), q.SelectStar)
+			tables, err := BuildTables(est, g, g.NeededColumns(), g.Query.SelectStar)
 			if err != nil {
 				return nil, err
 			}

@@ -156,18 +156,25 @@ func groupKey(buf []byte, groupBy []expr.Compiled, row types.Tuple) ([]byte, err
 	return buf, nil
 }
 
-// validateAggregateQuery rejects an aggregate anywhere but as a whole SELECT
-// item: in WHERE, GROUP BY or ORDER BY, inside an aggregate's argument, or
-// inside a larger SELECT expression.
-func validateAggregateQuery(q *sqlpp.Query) error {
+// ValidateQuery is the one clause validator: it rejects an aggregate
+// anywhere but as a whole SELECT item — in WHERE, GROUP BY or ORDER BY,
+// inside an aggregate's argument, or inside a larger SELECT expression.
+// core.Analyze runs it on every statement before anything executes.
+func ValidateQuery(q *sqlpp.Query) error {
+	// One walker, made once for every clause: this runs on each analysis,
+	// reconstructed queries included.
+	var found bool
+	mark := func(n expr.Expr) {
+		if k, _ := aggOf(n); k != aggNone {
+			found = true
+		}
+	}
 	check := func(e expr.Expr, where string) error {
-		var err error
-		e.Walk(func(n expr.Expr) {
-			if k, _ := aggOf(n); k != aggNone && err == nil {
-				err = fmt.Errorf("engine: aggregate %s is not supported", where)
-			}
-		})
-		return err
+		found = false
+		if e.Walk(mark); found {
+			return fmt.Errorf("engine: aggregate %s is not supported", where)
+		}
+		return nil
 	}
 	for _, w := range q.Where {
 		if err := check(w, "in WHERE"); err != nil {

@@ -64,7 +64,7 @@ type Context struct {
 	// prunes, cache traffic — when any scanned dataset is paged. Nil skips
 	// observation. Deliberately outside the metered cost counters: paged and
 	// resident runs charge identical Accounting figures, and these feed the
-	// optimizer's access-path selection and the query's page metrics instead.
+	// query's page metrics and its stage lines instead; no plan reads them.
 	PageStats *storage.PageScanStats
 }
 

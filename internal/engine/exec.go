@@ -179,12 +179,13 @@ type Result struct {
 // its aggregate state; its ORDER BY keys come from the founding row too, so
 // a grouped query's plain items and order keys must be functionally
 // dependent on the grouping keys, as the evaluation queries are. One stable
-// sort and LIMIT follow.
+// sort and LIMIT follow. A query ValidateQuery rejects is rejected here too,
+// for callers that reach Finish without core.Analyze.
 func Finish(ctx *Context, q *sqlpp.Query, rel *Relation) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := validateAggregateQuery(q); err != nil {
+	if err := ValidateQuery(q); err != nil {
 		return nil, err
 	}
 	// Result rows are metered as coordinator traffic exactly as the gathered

@@ -29,8 +29,8 @@ import (
 //
 // Scan metering is identical to resident mode — the full partition is
 // charged when the cursor opens, pruned or not (I/O actually saved is
-// observed separately through Context.PageStats, which feeds the
-// optimizer's access-path selection rather than the cost counters).
+// observed separately through Context.PageStats, which is reported, not
+// charged to the cost counters).
 
 // pageFilterCols resolves the need-mask of the columns a pushed-down filter
 // reads — the only columns a paged scan decodes into vectors.

@@ -40,9 +40,10 @@ type StreamSink struct {
 }
 
 // NewStreamSink prepares a sink writing nparts partitions to temp dataset
-// name. statsFields names flattened columns to collect sketches on; nil
-// collects none (row and byte counts are always recorded — the Planner
-// needs sizes). partCols, when set, become the temp's recorded partitioning
+// name. statsFields names flattened columns to collect counts and distinct
+// sketches on — no histogram: the Planner reads an intermediate only
+// through its sizes and distinct counts; nil collects none (row and byte
+// counts are always recorded — the Planner needs sizes). partCols, when set, become the temp's recorded partitioning
 // so a later join on the same keys skips its exchange.
 func NewStreamSink(ctx *Context, relSchema *types.Schema, nparts int, name string, statsFields map[string]bool, partCols []int) *StreamSink {
 	s := &StreamSink{
@@ -80,7 +81,7 @@ func NewStreamSink(ctx *Context, relSchema *types.Schema, nparts int, name strin
 func (s *StreamSink) RelSchema() *types.Schema { return s.relSchema }
 
 // Emit implements Sink: the chunk is sized in one walk of its rows, then
-// observed field-major — each collected field's sketches take the chunk's
+// observed field-major — each collected field's collector takes the chunk's
 // column in one call, seeing the values in row order — and its headers are
 // appended to the partition's block. Called concurrently for different
 // partitions, in order within one.

@@ -144,7 +144,7 @@ func TestCompileMissingColumnFallsBack(t *testing.T) {
 
 func uniformDS(t *testing.T, name string, n, distinct int) *stats.DatasetStats {
 	t.Helper()
-	ds := stats.NewDatasetStats(name)
+	ds := stats.NewIngestStats(name) // base statistics: StaticSelectivity reads their histograms
 	sch := types.NewSchema(types.Field{Name: "v", Kind: types.KindInt})
 	for i := 0; i < n; i++ {
 		ds.ObserveTuple(sch, types.Tuple{types.Int(int64(i % distinct))}, nil)

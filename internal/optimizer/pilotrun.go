@@ -33,11 +33,7 @@ func (s *PilotRun) Name() string { return "pilot-run" }
 // Run implements core.Strategy.
 func (s *PilotRun) Run(ctx *engine.Context, sql string) (*engine.Result, *core.Report, error) {
 	return core.Metered(ctx, s.Name(), sql, func(r *core.Report) (*engine.Result, error) {
-		q, err := sqlpp.Parse(sql)
-		if err != nil {
-			return nil, err
-		}
-		g, err := sqlpp.Analyze(q, ctx.Catalog.Resolver())
+		g, err := core.Analyze(ctx, sql)
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +150,6 @@ func (s *PilotRun) samplePhase(ctx *engine.Context, g *sqlpp.Graph, r *core.Repo
 			pfs := pilot.Field(fname)
 			pfs.Count = estRows
 			pfs.DistinctOverride = scaled
-			pfs.Quantiles.Merge(fs.Quantiles)
 		}
 		reg.Put(pilot)
 		r.StagePlans = append(r.StagePlans,

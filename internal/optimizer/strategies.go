@@ -32,7 +32,6 @@ import (
 	"dynopt/internal/engine"
 	"dynopt/internal/memo"
 	"dynopt/internal/plan"
-	"dynopt/internal/sqlpp"
 )
 
 // Names lists the strategies New builds, in the benchmark's run order.
@@ -87,11 +86,7 @@ func (s *BestOrder) Name() string { return "best-order" }
 func (s *BestOrder) Run(ctx *engine.Context, sql string) (*engine.Result, *core.Report, error) {
 	// The statement's own errors go back as every strategy reports them;
 	// whatever fails after this is the shadow run's.
-	q, err := sqlpp.Parse(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := sqlpp.Analyze(q, ctx.Catalog.Resolver()); err != nil {
+	if _, err := core.Analyze(ctx, sql); err != nil {
 		return nil, nil, err
 	}
 	// The shadow run plans on a scratch context with no spill device; hand it

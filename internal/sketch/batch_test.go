@@ -293,72 +293,3 @@ func BenchmarkGKInsertBatch(b *testing.B) {
 		})
 	}
 }
-
-// mergeAllocating is the Merge that made a fresh summary per call, kept as
-// the reference for the one that adopts the snapshot or merges into retained
-// storage.
-func mergeAllocating(g, other *GK) {
-	flushAllocating(other)
-	otherEntries := append([]gkEntry(nil), other.entries...)
-	flushAllocating(g)
-	if other.n == 0 {
-		return
-	}
-	merged := make([]gkEntry, 0, len(g.entries)+len(otherEntries))
-	i, j := 0, 0
-	for i < len(g.entries) || j < len(otherEntries) {
-		switch {
-		case i >= len(g.entries):
-			merged = append(merged, otherEntries[j])
-			j++
-		case j >= len(otherEntries):
-			merged = append(merged, g.entries[i])
-			i++
-		case g.entries[i].Value <= otherEntries[j].Value:
-			merged = append(merged, g.entries[i])
-			i++
-		default:
-			merged = append(merged, otherEntries[j])
-			j++
-		}
-	}
-	g.entries = merged
-	g.n += other.n
-	g.compress()
-}
-
-// TestGKMergeMatchesAllocatingMerge folds partition sketches into one the way
-// a sink's Finish does — into an empty sketch first, then one after another,
-// empty and single-value partitions among them — and requires the bytes of
-// the allocating reference after every step, with the sources left intact.
-func TestGKMergeMatchesAllocatingMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	for _, kind := range streamKinds {
-		got, want := NewGK(0.005), NewGK(0.005)
-		for part, n := range []int{900, 0, 1, 2500, 399, 400, 1200} {
-			a, b := NewGK(0.005), NewGK(0.005)
-			for i := 0; i < n; i++ {
-				v := kind.gen(rng, i)
-				a.Insert(v)
-				insertRef(b, v)
-			}
-			got.Merge(a)
-			mergeAllocating(want, b)
-			if !bytes.Equal(got.Encode(nil), want.Encode(nil)) {
-				t.Fatalf("%s: merged summary differs after partition %d (%d values)", kind.name, part, n)
-			}
-			if !bytes.Equal(a.Encode(nil), b.Encode(nil)) {
-				t.Fatalf("%s: Merge changed its source, partition %d", kind.name, part)
-			}
-		}
-		// The merged sketch keeps taking values like any other.
-		for i := 0; i < 1000; i++ {
-			v := kind.gen(rng, i)
-			got.Insert(v)
-			insertRef(want, v)
-		}
-		if !bytes.Equal(got.Encode(nil), encodeRef(want)) {
-			t.Fatalf("%s: inserts after Merge diverge from the reference", kind.name)
-		}
-	}
-}

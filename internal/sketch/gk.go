@@ -4,9 +4,11 @@
 // estimation, and HyperLogLog sketches for the distinct-value counts used by
 // the join-cardinality formula |A ⋈k B| = S(A)·S(B)/max(U(A.k), U(B.k)).
 //
-// Both sketches are mergeable so per-partition collectors can run in
-// parallel during ingestion and materialization and be combined at the
-// coordinator, matching the shared-nothing setting.
+// The HyperLogLog is mergeable, so per-partition collectors of a
+// materialized intermediate run in parallel and are combined at the
+// coordinator, matching the shared-nothing setting. The quantile sketch is
+// built only at ingestion, over a base dataset's rows in one stream, and is
+// never merged.
 package sketch
 
 import (
@@ -55,9 +57,6 @@ func NewGK(eps float64) *GK {
 	return &GK{eps: eps, bufCap: bufCap}
 }
 
-// Epsilon returns the sketch's rank-error bound.
-func (g *GK) Epsilon() float64 { return g.eps }
-
 // Count returns the number of observations inserted so far.
 func (g *GK) Count() int64 {
 	g.mu.Lock()
@@ -104,9 +103,10 @@ func (g *GK) InsertBatch(vs []float64) {
 
 // flush sorts the buffered observations and folds them into the summary in
 // one pass that merges and compresses together: each merged entry either
-// absorbs the one before it — what compress, run afterwards, would have
-// merged into its successor — or is written after it, so the summary comes
-// out as merge-then-compress leaves it, entry for entry. The pass writes into
+// absorbs the one before it — what a separate compress pass (entries whose
+// combined uncertainty stays within 2·ε·n) would have merged into its
+// successor — or is written after it, so the summary comes out as
+// merge-then-compress leaves it, entry for entry. The pass writes into
 // the storage of the summary before last and the two swap, so a sketch in
 // steady state flushes without allocating. The caller must hold g.mu.
 //
@@ -230,27 +230,6 @@ func sortFloats(buf []float64) {
 	}
 }
 
-// compress removes entries whose combined uncertainty stays within 2·ε·n.
-func (g *GK) compress() {
-	if len(g.entries) < 3 {
-		return
-	}
-	threshold := int64(2 * g.eps * float64(g.n))
-	out := g.entries[:1] // always keep the minimum
-	for i := 1; i < len(g.entries)-1; i++ {
-		e := g.entries[i]
-		next := g.entries[i+1]
-		if e.G+next.G+next.Delta <= threshold {
-			// Merge e into its successor.
-			g.entries[i+1].G += e.G
-			continue
-		}
-		out = append(out, e)
-	}
-	out = append(out, g.entries[len(g.entries)-1])
-	g.entries = out
-}
-
 // Quantile returns an ε-approximate φ-quantile (φ in [0,1]). Returns ok=false
 // for an empty sketch.
 func (g *GK) Quantile(phi float64) (float64, bool) {
@@ -333,55 +312,6 @@ func (g *GK) RankOf(v float64) int64 {
 		rank += e.G
 	}
 	return rank
-}
-
-// Merge folds other into g. The merged summary is compressed under g's ε;
-// standard GK merging may up to double the effective error, which is
-// acceptable for the planner's bucket estimates. An empty g adopts its
-// snapshot of other; otherwise the two summaries interleave into g's spare
-// storage, grown only when it is short.
-func (g *GK) Merge(other *GK) {
-	if other == nil {
-		return
-	}
-	// Snapshot other under its own lock first, then fold in under g's lock,
-	// so the two locks are never held together (no ordering hazard).
-	other.mu.Lock()
-	other.flush()
-	otherEntries := append([]gkEntry(nil), other.entries...)
-	otherN := other.n
-	other.mu.Unlock()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.flush()
-	if otherN == 0 {
-		return
-	}
-	mine := g.entries
-	if len(mine) == 0 {
-		// Nothing to interleave: the snapshot becomes the summary.
-		g.entries = otherEntries
-	} else {
-		merged := g.spare[:0]
-		if need := len(mine) + len(otherEntries); cap(merged) < need {
-			merged = make([]gkEntry, 0, need)
-		}
-		i, j := 0, 0
-		for i < len(mine) && j < len(otherEntries) {
-			if mine[i].Value <= otherEntries[j].Value {
-				merged = append(merged, mine[i])
-				i++
-			} else {
-				merged = append(merged, otherEntries[j])
-				j++
-			}
-		}
-		merged = append(merged, mine[i:]...)
-		merged = append(merged, otherEntries[j:]...)
-		g.entries, g.spare = merged, mine[:0]
-	}
-	g.n += otherN
-	g.compress()
 }
 
 // Bucket is one equi-height histogram bucket: observations in (Lo, Hi] (the

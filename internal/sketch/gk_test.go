@@ -125,33 +125,6 @@ func TestGKCompression(t *testing.T) {
 	}
 }
 
-func TestGKMergePreservesCountAndBounds(t *testing.T) {
-	a := NewGK(0.02)
-	b := NewGK(0.02)
-	for i := 0; i < 5000; i++ {
-		a.Insert(float64(i))
-		b.Insert(float64(i + 5000))
-	}
-	a.Merge(b)
-	if a.Count() != 10000 {
-		t.Errorf("merged Count = %d", a.Count())
-	}
-	if mn, _ := a.Min(); mn != 0 {
-		t.Errorf("merged Min = %v", mn)
-	}
-	if mx, _ := a.Max(); mx != 9999 {
-		t.Errorf("merged Max = %v", mx)
-	}
-	med, _ := a.Quantile(0.5)
-	if med < 4000 || med > 6000 {
-		t.Errorf("merged median = %v", med)
-	}
-	a.Merge(nil) // no-op
-	if a.Count() != 10000 {
-		t.Error("Merge(nil) changed count")
-	}
-}
-
 func TestGKHistogramEquiHeight(t *testing.T) {
 	g := NewGK(0.01)
 	for i := 0; i < 10000; i++ {
@@ -243,6 +216,28 @@ func TestGKString(t *testing.T) {
 	if s := g.String(); s == "" {
 		t.Error("String() empty")
 	}
+}
+
+// compress removes entries whose combined uncertainty stays within 2·ε·n:
+// the pass GK.flush fuses into its merge, kept as part of the reference.
+func (g *GK) compress() {
+	if len(g.entries) < 3 {
+		return
+	}
+	threshold := int64(2 * g.eps * float64(g.n))
+	out := g.entries[:1] // always keep the minimum
+	for i := 1; i < len(g.entries)-1; i++ {
+		e := g.entries[i]
+		next := g.entries[i+1]
+		if e.G+next.G+next.Delta <= threshold {
+			// Merge e into its successor.
+			g.entries[i+1].G += e.G
+			continue
+		}
+		out = append(out, e)
+	}
+	out = append(out, g.entries[len(g.entries)-1])
+	g.entries = out
 }
 
 // flushAllocating is the flush this package shipped before the summary

@@ -16,6 +16,10 @@ import (
 
 const statsMaxFields = 1 << 16
 
+// noHistogram is what Encode writes for a field that keeps no quantile
+// sketch: an empty one, so the format has one shape.
+var noHistogram = sketch.NewGK(DefaultGKEpsilon)
+
 // Encode appends the dataset statistics to dst.
 func (d *DatasetStats) Encode(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(d.Name)))
@@ -40,20 +44,25 @@ func (d *DatasetStats) Encode(dst []byte) []byte {
 			numeric = 1
 		}
 		dst = append(dst, numeric)
-		dst = fs.Quantiles.Encode(dst)
+		q := fs.Quantiles
+		if q == nil {
+			q = noHistogram
+		}
+		dst = q.Encode(dst)
 		dst = fs.Distinct.Encode(dst)
 	}
 	return dst
 }
 
 // DecodeDatasetStats decodes statistics encoded by Encode from the front of
-// src, returning the stats and the bytes consumed.
+// src, returning the stats and the bytes consumed. Every field gets back the
+// quantile sketch it was stored with.
 func DecodeDatasetStats(src []byte) (*DatasetStats, int, error) {
 	name, off, err := decodeString(src, 0)
 	if err != nil {
 		return nil, 0, fmt.Errorf("stats: dataset name: %w", err)
 	}
-	d := NewDatasetStats(name)
+	d := NewIngestStats(name)
 	rc, m := binary.Uvarint(src[off:])
 	if m <= 0 {
 		return nil, 0, fmt.Errorf("stats: bad record count")

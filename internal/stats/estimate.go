@@ -93,12 +93,12 @@ const (
 // EstimateSelectivity estimates the fraction of a field's rows satisfying a
 // comparison against fixed value(s), using the field's equi-height histogram
 // (GK sketch). Falls back to Selinger defaults when the field has no numeric
-// histogram. Returned selectivity is clamped to [0, 1].
+// histogram — a non-numeric field, or one collected without a quantile
+// sketch, such as a join temp's key under a predicate that reconstruction
+// carried onto the temp (see the package comment). Returned selectivity is
+// clamped to [0, 1].
 func EstimateSelectivity(fs *FieldStats, op RangeOp, lo, hi float64) float64 {
-	if fs == nil || fs.Count == 0 {
-		return defaultFor(op)
-	}
-	if !fs.Numeric() {
+	if fs == nil || fs.Count == 0 || !fs.Numeric() || fs.Quantiles == nil {
 		return defaultFor(op)
 	}
 	n := float64(fs.Count)

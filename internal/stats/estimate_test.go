@@ -85,7 +85,7 @@ func TestCompositeDistinctSaturation(t *testing.T) {
 }
 
 func uniformField(n, distinct int) *FieldStats {
-	fs := NewFieldStats()
+	fs := newFieldStats(true)
 	for i := 0; i < n; i++ {
 		observe(fs, types.Int(int64(i%distinct)))
 	}
@@ -117,7 +117,7 @@ func TestEstimateSelectivityRangeShapes(t *testing.T) {
 }
 
 func TestEstimateSelectivitySkewedEquality(t *testing.T) {
-	fs := NewFieldStats()
+	fs := newFieldStats(true)
 	for i := 0; i < 9000; i++ {
 		observe(fs, types.Int(7))
 	}
@@ -142,15 +142,41 @@ func TestEstimateSelectivityDefaults(t *testing.T) {
 	if got := EstimateSelectivity(nil, OpNe, 1, 0); got != 1-DefaultEqSelectivity {
 		t.Errorf("nil stats OpNe = %v", got)
 	}
-	// String field: no histogram, defaults apply.
-	fs := NewFieldStats()
+	// String field: no numeric histogram, defaults apply.
+	fs := newFieldStats(true)
 	observe(fs, types.Str("a"))
 	if got := EstimateSelectivity(fs, OpEq, 1, 0); got != DefaultEqSelectivity {
 		t.Errorf("string field OpEq = %v", got)
 	}
 	// Empty field.
-	if got := EstimateSelectivity(NewFieldStats(), OpGt, 1, 0); got != DefaultIneqSelectivity {
+	if got := EstimateSelectivity(newFieldStats(true), OpGt, 1, 0); got != DefaultIneqSelectivity {
 		t.Errorf("empty field OpGt = %v", got)
+	}
+}
+
+// TestEstimateSelectivityWithoutHistogram: a numeric field collected online
+// keeps no quantile sketch, so it is priced like a non-numeric one, with the
+// Selinger defaults.
+func TestEstimateSelectivityWithoutHistogram(t *testing.T) {
+	fs := NewFieldStats()
+	for i := 0; i < 1000; i++ {
+		observe(fs, types.Int(int64(i)))
+	}
+	if !fs.Numeric() || fs.Quantiles != nil {
+		t.Fatalf("numeric %v, quantiles %v: want a numeric field without a histogram", fs.Numeric(), fs.Quantiles)
+	}
+	for _, c := range []struct {
+		op     RangeOp
+		lo, hi float64
+		want   float64
+	}{
+		{OpEq, 42, 0, DefaultEqSelectivity},
+		{OpLt, 500, 0, DefaultIneqSelectivity},
+		{OpBetween, 100, 199, DefaultIneqSelectivity},
+	} {
+		if got := EstimateSelectivity(fs, c.op, c.lo, c.hi); got != c.want {
+			t.Errorf("op=%v: selectivity %v, want %v", c.op, got, c.want)
+		}
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 )
 
 // observeValueRef is the per-value observation ObserveCol replaced, kept as
-// the reference: one HLL add and one quantile insert per value.
+// the reference: one HLL add per value, and one quantile insert per numeric
+// value when the collector keeps a histogram.
 func observeValueRef(f *FieldStats, v types.Value) {
 	if v.IsNull() {
 		f.Nulls++
@@ -21,9 +22,18 @@ func observeValueRef(f *FieldStats, v types.Value) {
 	f.Distinct.Add(v.Hash())
 	if fv, ok := v.AsFloat(); ok {
 		f.numeric = true
-		f.Quantiles.Insert(fv)
+		if f.Quantiles != nil {
+			f.Quantiles.Insert(fv)
+		}
 	}
 }
+
+// collectorKinds are the two constructors a collector comes from: online
+// (no histogram) and ingestion (with one).
+var collectorKinds = []struct {
+	name string
+	new  func(string) *DatasetStats
+}{{"online", NewDatasetStats}, {"ingest", NewIngestStats}}
 
 // observeTupleRef is the row-major walk the column-wise one replaced: every
 // collected field of one row, then the next row.
@@ -84,31 +94,33 @@ func observeTestRows(rng *rand.Rand, n int) []types.Tuple {
 // TestObserveRowsMatchesRowMajorWalk: however the rows are cut into windows,
 // observing them a column at a time leaves every sketch byte-identical to the
 // row-major, value-at-a-time walk — restricted field sets included, and
-// ObserveTuple (the one-row form) with them.
+// ObserveTuple (the one-row form) with them — for both kinds of collector.
 func TestObserveRowsMatchesRowMajorWalk(t *testing.T) {
 	sch := observeTestSchema()
 	rng := rand.New(rand.NewSource(31))
-	for _, n := range []int{0, 1, observeWindow - 1, observeWindow, observeWindow + 1, 399, 400, 401, 5000} {
-		for _, only := range []map[string]bool{nil, {"k": true, "mixed": true}} {
-			rows := observeTestRows(rng, n)
-			want, byTuple, byCol := NewDatasetStats("d"), NewDatasetStats("d"), NewDatasetStats("d")
-			for _, r := range rows {
-				observeTupleRef(want, sch, r, only)
-				byTuple.ObserveTuple(sch, r, only)
-			}
-			byCol.RecordCount, byCol.ByteSize = want.RecordCount, want.ByteSize
-			for rest := rows; len(rest) > 0; {
-				w := 1 + rng.Intn(min(len(rest), 1500))
-				byCol.ObserveRows(sch, rest[:w], only)
-				rest = rest[w:]
-			}
-			byCol.ObserveRows(sch, nil, only)
-			ref := want.Encode(nil)
-			if !bytes.Equal(byTuple.Encode(nil), ref) {
-				t.Errorf("%d rows, only=%v: ObserveTuple differs from the row-major reference", n, only)
-			}
-			if !bytes.Equal(byCol.Encode(nil), ref) {
-				t.Errorf("%d rows, only=%v: ObserveRows differs from the row-major reference", n, only)
+	for _, kind := range collectorKinds {
+		for _, n := range []int{0, 1, observeWindow - 1, observeWindow, observeWindow + 1, 399, 400, 401, 5000} {
+			for _, only := range []map[string]bool{nil, {"k": true, "mixed": true}} {
+				rows := observeTestRows(rng, n)
+				want, byTuple, byCol := kind.new("d"), kind.new("d"), kind.new("d")
+				for _, r := range rows {
+					observeTupleRef(want, sch, r, only)
+					byTuple.ObserveTuple(sch, r, only)
+				}
+				byCol.RecordCount, byCol.ByteSize = want.RecordCount, want.ByteSize
+				for rest := rows; len(rest) > 0; {
+					w := 1 + rng.Intn(min(len(rest), 1500))
+					byCol.ObserveRows(sch, rest[:w], only)
+					rest = rest[w:]
+				}
+				byCol.ObserveRows(sch, nil, only)
+				ref := want.Encode(nil)
+				if !bytes.Equal(byTuple.Encode(nil), ref) {
+					t.Errorf("%s, %d rows, only=%v: ObserveTuple differs from the row-major reference", kind.name, n, only)
+				}
+				if !bytes.Equal(byCol.Encode(nil), ref) {
+					t.Errorf("%s, %d rows, only=%v: ObserveRows differs from the row-major reference", kind.name, n, only)
+				}
 			}
 		}
 	}
@@ -117,7 +129,7 @@ func TestObserveRowsMatchesRowMajorWalk(t *testing.T) {
 // TestObserveColNaNCountsButHasNoRank: a NaN is an observation and a distinct
 // value, and the histogram never sees it.
 func TestObserveColNaNCountsButHasNoRank(t *testing.T) {
-	fs := NewFieldStats()
+	fs := newFieldStats(true)
 	observe(fs, types.Float(1), types.Float(math.NaN()), types.Float(3), types.Null())
 	if fs.Count != 3 || fs.Nulls != 1 || !fs.Numeric() {
 		t.Errorf("count %d nulls %d numeric %v, want 3, 1, true", fs.Count, fs.Nulls, fs.Numeric())
@@ -135,17 +147,19 @@ func TestObserveColNaNCountsButHasNoRank(t *testing.T) {
 
 // TestObserveColWarmDoesNotAllocate: a warm collector takes a 1024-row window
 // — nulls, numbers, flushes and all — without allocating: the value window is
-// on the stack and the sketches reuse their storage.
+// on the stack and the sketches reuse their storage. Both kinds of collector.
 func TestObserveColWarmDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	rows := observeTestRows(rng, 1024)
-	for c, f := range observeTestSchema().Fields {
-		fs := NewFieldStats()
-		for i := 0; i < 60; i++ {
-			fs.ObserveCol(rows, c)
-		}
-		if allocs := testing.AllocsPerRun(20, func() { fs.ObserveCol(rows, c) }); allocs != 0 {
-			t.Errorf("column %s: %.2f allocations per 1024-row window, want 0", f.Name, allocs)
+	for _, histogram := range []bool{true, false} {
+		for c, f := range observeTestSchema().Fields {
+			fs := newFieldStats(histogram)
+			for i := 0; i < 60; i++ {
+				fs.ObserveCol(rows, c)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { fs.ObserveCol(rows, c) }); allocs != 0 {
+				t.Errorf("histogram %v, column %s: %.2f allocations per 1024-row window, want 0", histogram, f.Name, allocs)
+			}
 		}
 	}
 }

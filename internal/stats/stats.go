@@ -1,10 +1,17 @@
-// Package stats implements the statistics collection framework of §4: per
-// field of every dataset that may participate in a join or filter, a
-// Greenwald-Khanna quantile sketch (for equi-height histograms and range
-// selectivity) and a HyperLogLog sketch (for the distinct counts feeding the
-// join-cardinality formula). Statistics are collected once at ingestion time
-// for base datasets and online at each materialization point for
-// intermediates, and are merged across partitions.
+// Package stats implements the statistics collection framework of §4. Every
+// collector keeps, per field, a count, a null count, a numeric flag and a
+// HyperLogLog sketch (for the distinct counts feeding the join-cardinality
+// formula). Base datasets also keep a Greenwald-Khanna quantile sketch per
+// field, for the equi-height histograms that price local predicates: they
+// are built once, at ingestion (NewIngestStats), and stored with a paged
+// dataset's sidecar. Intermediates and pilot samples are collected online
+// and merged across partitions, and carry no histogram: the planner reads
+// them through record counts, row widths and distinct counts. One local
+// predicate can still reach an intermediate. Reconstruction rewrites every
+// single-alias predicate onto the join's temp, and the sink collects the
+// join keys of the remaining edges, so a numeric predicate on such a key is
+// priced by the Selinger default, where a histogram would read the temp as
+// already filtered.
 package stats
 
 import (
@@ -20,15 +27,11 @@ import (
 // DefaultGKEpsilon is the rank-error bound used for all quantile sketches.
 const DefaultGKEpsilon = 0.005
 
-// DefaultHistogramBuckets is the equi-height bucket count used by the
-// selectivity estimator ("depending on the number of buckets we have
-// predefined for the histogram, the range cardinality estimation can reach
-// high accuracy", §5.1).
-const DefaultHistogramBuckets = 100
-
 // FieldStats aggregates the sketches for one field.
 type FieldStats struct {
-	Quantiles *sketch.GK // numeric observations only
+	// Quantiles holds the numeric observations of an ingestion collector (or
+	// a decoded sidecar); it is nil for every other collector.
+	Quantiles *sketch.GK
 	Distinct  *sketch.HLL
 	Count     int64 // observations (rows with non-null value)
 	Nulls     int64
@@ -39,12 +42,20 @@ type FieldStats struct {
 	numeric          bool
 }
 
-// NewFieldStats returns an empty collector for one field.
+// NewFieldStats returns an empty collector for one field, without a
+// histogram.
 func NewFieldStats() *FieldStats {
-	return &FieldStats{
-		Quantiles: sketch.NewGK(DefaultGKEpsilon),
-		Distinct:  sketch.NewHLL(sketch.DefaultHLLPrecision),
+	return newFieldStats(false)
+}
+
+// newFieldStats returns an empty collector, with a quantile sketch when
+// histogram is set.
+func newFieldStats(histogram bool) *FieldStats {
+	f := &FieldStats{Distinct: sketch.NewHLL(sketch.DefaultHLLPrecision)}
+	if histogram {
+		f.Quantiles = sketch.NewGK(DefaultGKEpsilon)
 	}
+	return f
 }
 
 // observeWindow is how many values ObserveCol gathers before it hands them
@@ -53,13 +64,13 @@ func NewFieldStats() *FieldStats {
 const observeWindow = 128
 
 // ObserveCol feeds column c of rows into the field's sketches, in row order
-// — the one way a value reaches them. Each window of rows is walked once:
-// nulls are counted, every other value is hashed into the distinct sketch,
-// and the numeric ones are gathered and given to the quantile sketch as one
-// batch, which flushes exactly where value-at-a-time inserts would, so the
-// summaries are byte-identical however the rows were cut into calls. A NaN
-// counts and is hashed like any value but has no rank: the quantile sketch
-// skips it.
+// — the one way a value reaches them. Nulls are counted, every other value is
+// hashed into the distinct sketch, and a numeric one sets the numeric flag.
+// Each window of rows is walked once, gathering its numeric values; a
+// collector with a histogram gives them to the quantile sketch as one batch,
+// which flushes exactly where value-at-a-time inserts would, so the summaries
+// are byte-identical however the rows were cut into calls. A NaN counts and
+// is hashed like any value but has no rank: the quantile sketch skips it.
 //
 //dynopt:hotpath
 func (f *FieldStats) ObserveCol(rows []types.Tuple, c int) {
@@ -83,7 +94,9 @@ func (f *FieldStats) ObserveCol(rows []types.Tuple, c int) {
 		}
 		if n > 0 {
 			f.numeric = true
-			f.Quantiles.InsertBatch(win[:n])
+			if f.Quantiles != nil {
+				f.Quantiles.InsertBatch(win[:n])
+			}
 		}
 	}
 }
@@ -100,11 +113,12 @@ func (f *FieldStats) DistinctCount() int64 {
 	return d
 }
 
-// Numeric reports whether the field carried numeric observations (and thus
-// has a usable histogram).
+// Numeric reports whether the field carried numeric observations.
 func (f *FieldStats) Numeric() bool { return f.numeric }
 
-// Merge folds other into f (partition-parallel collection).
+// Merge folds other's counts, numeric flag and distinct sketch into f
+// (partition-parallel collection). Histograms are never merged: only
+// ingestion builds one, over the whole input in one stream.
 func (f *FieldStats) Merge(other *FieldStats) {
 	if other == nil {
 		return
@@ -112,7 +126,6 @@ func (f *FieldStats) Merge(other *FieldStats) {
 	f.Count += other.Count
 	f.Nulls += other.Nulls
 	f.numeric = f.numeric || other.numeric
-	f.Quantiles.Merge(other.Quantiles)
 	f.Distinct.Merge(other.Distinct)
 }
 
@@ -122,18 +135,29 @@ type DatasetStats struct {
 	RecordCount int64
 	ByteSize    int64
 	Fields      map[string]*FieldStats // keyed by bare field name
+	histograms  bool                   // Field creates collectors with a quantile sketch
 }
 
-// NewDatasetStats returns an empty summary for a named dataset.
+// NewDatasetStats returns an empty summary for a named dataset whose
+// collectors build no histogram: intermediates, pilot samples.
 func NewDatasetStats(name string) *DatasetStats {
 	return &DatasetStats{Name: name, Fields: map[string]*FieldStats{}}
+}
+
+// NewIngestStats returns an empty summary for a base dataset at ingestion:
+// its collectors also build the quantile sketch that StaticSelectivity
+// reads. It is the one place a histogram is built.
+func NewIngestStats(name string) *DatasetStats {
+	d := NewDatasetStats(name)
+	d.histograms = true
+	return d
 }
 
 // Field returns (creating if absent) the collector for a field.
 func (d *DatasetStats) Field(name string) *FieldStats {
 	fs, ok := d.Fields[name]
 	if !ok {
-		fs = NewFieldStats()
+		fs = newFieldStats(d.histograms)
 		d.Fields[name] = fs
 	}
 	return fs

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 	"testing"
@@ -59,6 +60,55 @@ func TestFieldStatsMerge(t *testing.T) {
 	a.Merge(nil)
 	if a.Count != 1000 {
 		t.Error("Merge(nil) changed count")
+	}
+}
+
+// TestFieldStatsMergeMatchesOneStream: merging two histogram-less collectors
+// leaves the counts, the numeric flag and the distinct sketch one collector
+// fed both streams would have.
+func TestFieldStatsMergeMatchesOneStream(t *testing.T) {
+	a, b, both := NewFieldStats(), NewFieldStats(), NewFieldStats()
+	for i := 0; i < 3000; i++ {
+		v := types.Int(int64(i * 7 % 2000))
+		if i%11 == 0 {
+			v = types.Null()
+		}
+		if i%2 == 0 {
+			observe(a, v)
+		} else {
+			observe(b, v)
+		}
+		observe(both, v)
+	}
+	a.Merge(b)
+	if a.Quantiles != nil {
+		t.Error("merged collector holds a quantile sketch")
+	}
+	if a.Count != both.Count || a.Nulls != both.Nulls || a.Numeric() != both.Numeric() {
+		t.Errorf("merged count %d nulls %d numeric %v, one stream %d %d %v",
+			a.Count, a.Nulls, a.Numeric(), both.Count, both.Nulls, both.Numeric())
+	}
+	if !bytes.Equal(a.Distinct.Encode(nil), both.Distinct.Encode(nil)) {
+		t.Error("merged distinct sketch differs from one collector fed both streams")
+	}
+}
+
+// TestOnlyIngestCollectorsBuildHistograms: NewDatasetStats collectors keep
+// no quantile sketch; NewIngestStats collectors do.
+func TestOnlyIngestCollectorsBuildHistograms(t *testing.T) {
+	sch := types.NewSchema(types.Field{Name: "x", Kind: types.KindInt})
+	row := types.Tuple{types.Int(1)}
+	online, ingest := NewDatasetStats("d"), NewIngestStats("d")
+	online.ObserveTuple(sch, row, nil)
+	ingest.ObserveTuple(sch, row, nil)
+	if q := online.Field("x").Quantiles; q != nil {
+		t.Errorf("NewDatasetStats collector holds a quantile sketch (%v)", q)
+	}
+	if q := NewFieldStats().Quantiles; q != nil {
+		t.Errorf("NewFieldStats collector holds a quantile sketch (%v)", q)
+	}
+	if q := ingest.Field("x").Quantiles; q == nil || q.Count() != 1 {
+		t.Errorf("NewIngestStats collector's quantile sketch = %v, want one value", q)
 	}
 }
 

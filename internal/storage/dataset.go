@@ -327,7 +327,7 @@ func Build(name string, schema *types.Schema, pk []string, rows []types.Tuple, n
 	ds.SeedSizes(partBytes, totalBytes)
 	// Statistics are observed a column at a time over the input rows, in input
 	// order, so the sketches do not depend on where a row was placed.
-	st := stats.NewDatasetStats(name)
+	st := stats.NewIngestStats(name)
 	st.RecordCount, st.ByteSize = int64(len(rows)), totalBytes
 	st.ObserveRows(schema, rows, nil)
 	return ds, st, nil

@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
+	"dynopt/internal/stats"
 	"dynopt/internal/types"
 )
 
@@ -53,6 +55,29 @@ func TestBuildPartitionsAllRows(t *testing.T) {
 	}
 	if ds.ByteSize() != 1000*18 {
 		t.Errorf("ByteSize = %d", ds.ByteSize())
+	}
+}
+
+// TestBuildStatsCarryHistograms: ingestion is where the quantile sketch is
+// built — every field of Build's statistics has one, over every non-null
+// numeric value — and the sidecar codec gives it back as stored.
+func TestBuildStatsCarryHistograms(t *testing.T) {
+	_, st, err := Build("t", intSchema("id", "grp"), []string{"id"}, genRows(1000), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, _, err := stats.DecodeDatasetStats(st.Encode(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"id", "grp"} {
+		q := st.Field(name).Quantiles
+		if q == nil || q.Count() != 1000 {
+			t.Fatalf("field %s: quantile sketch %v, want 1000 values", name, q)
+		}
+		if got := dec.Fields[name].Quantiles; got == nil || !bytes.Equal(got.Encode(nil), q.Encode(nil)) {
+			t.Errorf("field %s: decoded quantile sketch differs from the stored one", name)
+		}
 	}
 }
 

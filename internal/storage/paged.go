@@ -41,22 +41,13 @@ type PagedData struct {
 // traffic — observed by one query (hung on the engine context) or one
 // benchmark run. Deliberately separate from cluster.Accounting: the metered
 // cost counters stay byte-identical between resident and paged runs, and
-// these observations feed the optimizer's access-path feedback instead.
+// these observations are reported, not priced.
 type PageScanStats struct {
 	PagesRead   atomic.Int64
 	PagesPruned atomic.Int64
 	PagesTotal  atomic.Int64
 	CacheHits   atomic.Int64
 	CacheMisses atomic.Int64
-}
-
-// PruneRatio returns the fraction of directory pages zone maps pruned.
-func (s *PageScanStats) PruneRatio() float64 {
-	t := s.PagesTotal.Load()
-	if t == 0 {
-		return 0
-	}
-	return float64(s.PagesPruned.Load()) / float64(t)
 }
 
 // AttachPages turns ds into a paged dataset over an open page file: Parts
@@ -106,9 +97,6 @@ func (d *Dataset) PartRows(p int) int64 {
 
 // File returns the backing page file.
 func (pg *PagedData) File() *PageFile { return pg.file }
-
-// Cache returns the shared page cache (nil when uncached).
-func (pg *PagedData) Cache() *PageCache { return pg.cache }
 
 // Pages returns partition p's page count.
 func (pg *PagedData) Pages(p int) int { return len(pg.file.Part(p).Pages) }

@@ -562,9 +562,6 @@ func NewPageCache(budget int64) *PageCache {
 	return &PageCache{budget: budget, entries: map[pageKey]*cacheEntry{}}
 }
 
-// Budget returns the configured byte budget.
-func (c *PageCache) Budget() int64 { return c.budget }
-
 // Stats returns cache hits and misses so far.
 func (c *PageCache) Stats() (hits, misses int64) {
 	c.mu.Lock()
